@@ -10,7 +10,6 @@ from .core import (
     Threshold,
     anti_diff,
     anti_diff_bilateral,
-    forward_diff,
     modulo_fold,
     round_to_2lambda,
 )
@@ -36,14 +35,11 @@ from .fbp import (
     write_raw_f64,
 )
 from .forward import (
-    ModuloSinogram,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
     fold_sinogram,
     load_sinogram,
-    make_sinogram,
-    prefilter_projection,
     random_lambda_exceedance,
     save_sinogram,
     scan_forward,

@@ -17,14 +17,7 @@ import numpy as np
 from . import experiments
 from .errors import ConfigError, ModRadonError
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
-from .forward import (
-    ModuloSinogram,
-    SamplingParams,
-    Sinogram,
-    fold_sinogram,
-    load_sinogram,
-    save_sinogram,
-)
+from .forward import Sinogram, fold_sinogram, load_sinogram, save_sinogram
 from .phantom import NAMED_PHANTOMS, ImageGrid, load_phantom, rasterize, save_phantom
 from .unfold import COMPACT, GENERAL, UnfoldConfig, unfold_sinogram
 
@@ -219,14 +212,13 @@ def _cmd_forward(args) -> int:
 def _cmd_fold(args) -> int:
     s = load_sinogram(args.infile)
     if args.lam is not None:
-        s = type(s)(replace(s.params, lam=args.lam), s.rows)
+        s = Sinogram(replace(s.params, lam=args.lam), s.rows)
     save_sinogram(fold_sinogram(s), args.out)
     return 0
 
 
 def _cmd_unfold(args) -> int:
-    loaded = load_sinogram(args.infile)
-    ms = ModuloSinogram(loaded.params, loaded.rows)
+    ms = load_sinogram(args.infile)
     p = ms.params
     cfg = UnfoldConfig(lam=p.lam, beta=args.beta, omega=p.omega, T=p.T,
                        mode=args.mode, order_override=args.order)
@@ -278,19 +270,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    if args.infile.endswith(".mrts"):
-        s = load_sinogram(args.infile)
-        rows = s.symmetric_rows().copy()
-        if not args.no_normalize:
-            rows /= np.max(np.abs(rows))
-        params = SamplingParams(omega=args.omega, T=args.T, lam=args.lam, K=args.K,
-                                K_prime=args.K, M=args.angles,
-                                beta=float(np.max(np.abs(rows))))
-        s = Sinogram(params, rows)
-    else:
-        s = experiments.ingest_raw_csv(args.infile, omega=args.omega, T=args.T,
-                                       M=args.angles, K=args.K, lam=args.lam,
-                                       normalize=not args.no_normalize)
+    s = experiments.ingest_raw_csv(args.infile, omega=args.omega, T=args.T,
+                                   M=args.angles, K=args.K, lam=args.lam,
+                                   normalize=not args.no_normalize)
     save_sinogram(s, args.out)
     print(f"ingested {args.infile}: max |value| = {s.max_abs()!r}")
     return 0

@@ -1,5 +1,5 @@
-"""Scalar and sequence primitives: centered modulo folding, forward
-differences, running sums (anti-differences), and rounding onto the fold grid.
+"""Scalar and sequence primitives: centered modulo folding, running sums
+(anti-differences), and rounding onto the fold grid.
 
 Everything downstream is built from these operators.  All functions are pure
 and accept either scalars or numpy arrays where that makes sense; sequences
@@ -136,59 +136,40 @@ def fold_count(t, thr: Threshold):
     return np.floor((arr + lam) / (2.0 * lam)).astype(np.int64)
 
 
-def forward_diff(a: SampleSeq, order: int = 1) -> SampleSeq:
-    """Order-fold forward difference; result keeps the base index.
+def anti_diff(a: np.ndarray) -> np.ndarray:
+    """Running sum starting at zero, one sample longer than the input.
 
-    ``result[k] = sum_m C(order, m) (-1)^(order-m) a[k+m]``, with length
-    reduced by ``order``.
-
-    Raises
-    ------
-    SizeError
-        If the sequence has no more than ``order`` samples.
+    Keeps the input dtype (int64 fold counts stay exact) and inverts
+    ``np.diff`` up to the first value: ``anti_diff(np.diff(x)) == x - x[0]``.
     """
-    order = int(order)
-    if order < 1:
-        raise DomainError(f"difference order must be >= 1, got {order}")
-    if len(a) <= order:
-        raise SizeError(f"need more than {order} samples, got {len(a)}")
-    return SampleSeq(a.base_index, np.diff(a.values, n=order))
+    a = np.asarray(a)
+    out = np.empty(a.size + 1, dtype=a.dtype)
+    out[0] = 0
+    np.cumsum(a, out=out[1:])
+    return out
 
 
-def anti_diff(a: SampleSeq) -> SampleSeq:
-    """Running sum anchored at the base index.
-
-    The result has one more sample than the input, starts at zero, and
-    inverts :func:`forward_diff` up to the value at the base index:
-    ``anti_diff(forward_diff(a))[k] == a[k] - a[base]``.
-    """
-    out = np.empty(a.values.size + 1)
-    out[0] = 0.0
-    np.cumsum(a.values, out=out[1:])
-    return SampleSeq(a.base_index, out)
-
-
-def anti_diff_bilateral(a: SampleSeq) -> SampleSeq:
+def anti_diff_bilateral(a: np.ndarray, base: int) -> np.ndarray:
     """Running sum anchored at absolute index 0, extended to both sides.
 
-    ``result[0] = 0``; ``result[k] = sum_{j=0}^{k-1} a[j]`` for k > 0 and
+    ``a[i]`` sits at absolute index ``base + i``.  ``result[0] = 0``;
+    ``result[k] = sum_{j=0}^{k-1} a[j]`` for k > 0 and
     ``result[k] = -sum_{j=k}^{-1} a[j]`` for k < 0.  The result covers
-    ``[base, base+len]``.
+    ``[base, base+len]`` and keeps the input dtype.
 
     Raises
     ------
     DomainError
         If the input does not cover index 0 (``base <= 0 < base+len``).
     """
-    if not (a.base_index <= 0 < a.base_index + len(a)):
+    a = np.asarray(a)
+    if not (base <= 0 < base + a.size):
         raise DomainError(
-            f"bilateral running sum needs index 0 inside [{a.base_index}, {a.end_index}]"
+            f"bilateral running sum needs index 0 inside [{base}, {base + a.size - 1}]"
         )
-    c = np.empty(a.values.size + 1)
-    c[0] = 0.0
-    np.cumsum(a.values, out=c[1:])
+    c = anti_diff(a)
     # subtracting the cumulative value at index 0 re-anchors the sum there
-    return SampleSeq(a.base_index, c - c[-a.base_index])
+    return c - c[-base]
 
 
 def round_to_2lambda(x, thr: Threshold):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,11 +18,12 @@ from .errors import ConfigError, MarginError, ParseError
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
     ForwardScan,
-    ModuloSinogram,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
     fold_sinogram,
+    load_sinogram,
+    parse_csv_row,
     save_sinogram,
     scan_forward,
     scan_from_raw,
@@ -66,7 +67,7 @@ class PipelineResult:
     rmse_recovered: float | None
     success: bool
     clean: Sinogram = field(repr=False, default=None)
-    folded: ModuloSinogram = field(repr=False, default=None)
+    folded: Sinogram = field(repr=False, default=None)
     unfolded: Sinogram = field(repr=False, default=None)
     image_clean: ImageGrid = field(repr=False, default=None)
     image_recovered: ImageGrid = field(repr=False, default=None)
@@ -118,10 +119,7 @@ class ForwardSetup:
         return self.scan.sinogram(self.params)
 
     def sinogram_symmetric(self) -> Sinogram:
-        p = self.params
-        return self.scan.sinogram(SamplingParams(
-            omega=p.omega, T=p.T, lam=p.lam, K=p.K, K_prime=p.K, M=p.M,
-            beta=p.beta, rho=p.rho, N=p.N))
+        return self.scan.sinogram(replace(self.params, K_prime=self.params.K))
 
 
 def prepare_forward(source, *, lam: float, omega: float | None = None,
@@ -403,33 +401,17 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
 
 def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: float,
                    normalize: bool = True) -> Sinogram:
-    """Read a plain CSV of raw projection samples (M rows, 2K+1 columns).
+    """Read raw projection samples: a plain CSV (M rows, 2K+1 columns) or the
+    [-K, K] block of a ``.mrts`` sinogram.
 
     With ``normalize=True`` the data is scaled to unit sup-norm.  Malformed
-    input raises :class:`ParseError` naming the offending row and column.
+    input, and all-zero input that cannot be normalized, raise
+    :class:`ParseError`; CSV errors name the offending row and column.
     """
-    width = 2 * K + 1
-    rows = np.empty((M, width))
-    m = 0
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            if m >= M:
-                raise ParseError(f"{path}: line {lineno}: more than {M} data rows")
-            cols = body.split(",")
-            if len(cols) != width:
-                raise ParseError(
-                    f"{path}: row {m}: expected {width} columns, got {len(cols)}")
-            try:
-                rows[m] = [float(c) for c in cols]
-            except ValueError:
-                bad = next(i for i, c in enumerate(cols) if not _is_float(c))
-                raise ParseError(f"{path}: row {m}, column {bad}: not a number") from None
-            m += 1
-    if m != M:
-        raise ParseError(f"{path}: expected {M} data rows, found {m}")
+    if str(path).endswith(".mrts"):
+        rows = load_sinogram(path).symmetric_rows().copy()
+    else:
+        rows = _read_raw_csv(path, M, 2 * K + 1)
     if normalize:
         peak = np.max(np.abs(rows))
         if peak == 0.0:
@@ -440,9 +422,19 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
     return Sinogram(params, rows)
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _read_raw_csv(path: str, M: int, width: int) -> np.ndarray:
+    """M data rows of ``width`` columns; blank lines and ``#`` comments skipped."""
+    rows = np.empty((M, width))
+    m = 0
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            body = line.strip()
+            if not body or body.startswith("#"):
+                continue
+            if m >= M:
+                raise ParseError(f"{path}: line {lineno}: more than {M} data rows")
+            parse_csv_row(body, rows[m], path, m)
+            m += 1
+    if m != M:
+        raise ParseError(f"{path}: expected {M} data rows, found {m}")
+    return rows

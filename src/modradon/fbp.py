@@ -16,46 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .core import SampleSeq
 from .errors import ConfigError, DomainError, SizeError
 from .forward import SamplingParams, Sinogram
 from .phantom import ImageGrid
 
 RAM_LAK = "ram_lak"
 COSINE = "cosine"
-TABULATED = "tabulated"
 
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """Reconstruction filter: bandwidth plus an even window on [-1, 1].
-
-    For ``window="tabulated"`` supply uniform samples of W over [-1, 1];
-    evaluation then falls back to numeric quadrature of the inverse transform.
-    """
+    """Reconstruction filter: bandwidth plus an even window on [-1, 1],
+    either ``ram_lak`` (rectangular) or ``cosine`` (half-cosine)."""
 
     omega: float
     window: str = RAM_LAK
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.omega <= 0 or not np.isfinite(self.omega):
             raise ConfigError(f"omega must be positive, got {self.omega}")
-        if self.window not in (RAM_LAK, COSINE, TABULATED):
+        if self.window not in (RAM_LAK, COSINE):
             raise ConfigError(f"unknown window {self.window!r}")
-        if self.window == TABULATED:
-            if self.samples is None:
-                raise ConfigError("tabulated window needs samples of W on [-1, 1]")
-            arr = np.asarray(self.samples, dtype=float)
-            if arr.ndim != 1 or arr.size < 3:
-                raise ConfigError("tabulated window needs >= 3 samples")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError("tabulated window samples must be finite")
-            if np.max(np.abs(arr - arr[::-1])) > 1e-12 * max(1.0, np.max(np.abs(arr))):
-                raise ConfigError("window must be even: samples are not symmetric")
-            object.__setattr__(self, "samples", arr)
-        elif self.samples is not None:
-            raise ConfigError("samples are only meaningful for the tabulated window")
 
 
 def _sinc(x):
@@ -70,39 +51,20 @@ def filter_kernel(spec: FilterSpec, t) -> float | np.ndarray:
       ram_lak: (omega^2 / 2 pi) * (2 sinc(omega t) - sinc^2(omega t / 2))
       cosine:  mean of two Ram-Lak-style terms shifted by +-pi/2 in phase,
                from the product-to-sum expansion of |w| cos(pi w / 2 omega).
-    Tabulated windows integrate (1/pi) * int_0^omega w W(w/omega) cos(w t) dw
-    by composite trapezoid.
     """
     om = spec.omega
     tt = np.asarray(t, dtype=float)
     if spec.window == RAM_LAK:
         out = (om**2 / (2.0 * np.pi)) * (2.0 * _sinc(om * tt) - _sinc(om * tt / 2.0) ** 2)
-    elif spec.window == COSINE:
+    else:
         xp = om * tt + np.pi / 2.0
         xm = om * tt - np.pi / 2.0
         out = (om**2 / (2.0 * np.pi)) * (
             _sinc(xp) + _sinc(xm) - 0.5 * _sinc(xp / 2.0) ** 2 - 0.5 * _sinc(xm / 2.0) ** 2
         )
-    else:
-        out = _kernel_quadrature(om, spec.samples, np.atleast_1d(tt))
-        out = out.reshape(tt.shape)
     if np.isscalar(t) or tt.ndim == 0:
         return float(out)
     return out
-
-
-def _kernel_quadrature(om, wsamples, t, n=4096, chunk=1024):
-    """Trapezoid evaluation of the inverse transform for a tabulated window."""
-    w = np.linspace(0.0, om, n + 1)
-    xw = np.linspace(-1.0, 1.0, wsamples.size)
-    win = np.interp(w / om, xw, wsamples)
-    integrand_w = w * win
-    out = np.empty(t.size)
-    for lo in range(0, t.size, chunk):
-        tc = t[lo : lo + chunk]
-        vals = integrand_w[None, :] * np.cos(np.outer(tc, w))
-        out[lo : lo + chunk] = np.trapezoid(vals, dx=om / n, axis=1)
-    return out / np.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +80,6 @@ class FilteredProjections:
         if arr.shape != want:
             raise SizeError(f"filtered rows shape {arr.shape} != {want}")
         object.__setattr__(self, "values", arr)
-
-    def row(self, m: int) -> SampleSeq:
-        return SampleSeq(-self.params.K, self.values[m].copy())
 
 
 def filter_projections(s: Sinogram, spec: FilterSpec) -> FilteredProjections:

@@ -23,6 +23,7 @@ from .phantom import Phantom, radon_phantom
 
 _MAGIC = b"MRTS"
 _VERSION = 1
+_HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
 
 
 @dataclass(frozen=True)
@@ -143,31 +144,6 @@ class Sinogram:
         return float(np.max(np.abs(self.rows)))
 
 
-@dataclass(frozen=True, eq=False)
-class ModuloSinogram:
-    """Folded projections; every value lies in [-lam, lam)."""
-
-    params: SamplingParams
-    rows: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=float)
-        want = (self.params.M, self.params.K_prime + self.params.K + 1)
-        if arr.shape != want:
-            raise SizeError(f"rows shape {arr.shape} != {want}")
-        lam = self.params.lam
-        if np.max(np.abs(arr)) > lam * (1.0 + 1e-12):
-            raise DomainError("folded values must lie within [-lam, lam)")
-        object.__setattr__(self, "rows", arr)
-
-    @property
-    def base_index(self) -> int:
-        return -self.params.K_prime
-
-    def row(self, m: int) -> SampleSeq:
-        return SampleSeq(self.base_index, self.rows[m].copy())
-
-
 def lowpass_kernel(t, omega: float) -> np.ndarray:
     """Ideal low-pass impulse response sin(omega*t)/(pi*t), value omega/pi at 0."""
     t = np.asarray(t, dtype=float)
@@ -203,36 +179,9 @@ def support_index(T: float) -> int:
     return int(guarded_ceil(1.0 / T))
 
 
-def prefilter_projection(p: Phantom, theta: float, params: SamplingParams) -> SampleSeq:
-    """Band-limited projection samples over [-K_prime, K] at angle theta.
-
-    Samples the analytic projection on the acquisition lattice and applies the
-    ideal low-pass at bandwidth ``params.omega`` as a discrete convolution.
-    The result is numerically band-limited (spectral content above omega is at
-    the truncation-leakage level).
-    """
-    ks = support_index(params.T)
-    t = np.arange(-ks, ks + 1) * params.T
-    raw = radon_phantom(p, theta, t)
-    vals = _prefilter_batch(raw, params.omega, params.T, ks, -params.K_prime, params.K)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("prefilter produced non-finite values")
-    return SampleSeq(-params.K_prime, vals)
-
-
-def make_sinogram(p: Phantom, params: SamplingParams) -> Sinogram:
-    """Prefiltered sinogram: M angle rows over the [-K_prime, K] lattice."""
-    raw = _raw_rows(p, params.T, params.M, support_index(params.T))
-    rows = _prefilter_batch(raw, params.omega, params.T, support_index(params.T),
-                            -params.K_prime, params.K)
-    beta = float(np.max(np.abs(raw)))
-    return Sinogram(replace(params, beta=beta), rows)
-
-
-def fold_sinogram(s: Sinogram) -> ModuloSinogram:
+def fold_sinogram(s: Sinogram) -> Sinogram:
     """Fold every sample into [-lam, lam) with the centered modulo."""
-    folded = modulo_fold(s.rows, Threshold(s.params.lam))
-    return ModuloSinogram(s.params, folded)
+    return Sinogram(s.params, modulo_fold(s.rows, Threshold(s.params.lam)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +198,6 @@ class ForwardScan:
     k_scan: int
     rows: np.ndarray
     beta_raw: float
-
-    @property
-    def prefiltered_max(self) -> float:
-        return float(np.max(np.abs(self.rows)))
 
     def exceedance_index(self, lam: float, clear_band: int = 32) -> int:
         """Largest |k| whose sample magnitude reaches lam, over all angles.
@@ -285,11 +230,7 @@ class ForwardScan:
 
 def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0) -> ForwardScan:
     """Materialize prefiltered rows over |t| <= radius for tail measurement."""
-    k_scan = int(np.ceil(radius / T))
-    ks = support_index(T)
-    raw = _raw_rows(p, T, M, ks)
-    rows = _prefilter_batch(raw, omega, T, ks, -k_scan, k_scan)
-    return ForwardScan(omega, T, M, k_scan, rows, float(np.max(np.abs(raw))))
+    return scan_from_raw(_raw_rows(p, T, M, support_index(T)), omega, T, radius)
 
 
 def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
@@ -409,7 +350,7 @@ def random_lambda_exceedance(omega: float, lam: float, seed: int,
     return sig.samples(T, -kw, kw), sig
 
 
-def save_sinogram(s: Sinogram | ModuloSinogram, path: str) -> None:
+def save_sinogram(s: Sinogram, path: str) -> None:
     """Write a sinogram; format chosen by extension (.mrts binary, .csv text)."""
     if str(path).endswith(".csv"):
         _save_csv(s, path)
@@ -438,6 +379,8 @@ def _load_binary(path) -> Sinogram:
         blob = f.read()
     if blob[:4] != _MAGIC:
         raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
+    if len(blob) < _HEADER_BYTES:
+        raise ParseError(f"{path}: truncated header: {len(blob)} of {_HEADER_BYTES} bytes")
     version, M, K, K_prime = struct.unpack("<IIII", blob[4:20])
     if version != _VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
@@ -476,26 +419,33 @@ def _load_csv(path) -> Sinogram:
             )
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: line 1: bad header field ({exc})") from None
-        width = params.K_prime + params.K + 1
-        rows = np.empty((params.M, width))
+        rows = np.empty((params.M, params.K_prime + params.K + 1))
         for m in range(params.M):
             line = f.readline()
             if not line:
                 raise ParseError(f"{path}: row {m}: unexpected end of file")
-            cols = line.strip().split(",")
-            if len(cols) != width:
-                raise ParseError(f"{path}: row {m}: expected {width} columns, got {len(cols)}")
-            try:
-                rows[m] = [float(c) for c in cols]
-            except ValueError:
-                bad = next(i for i, c in enumerate(cols) if not _is_float(c))
-                raise ParseError(f"{path}: row {m}, column {bad}: not a number") from None
+            parse_csv_row(line, rows[m], path, m)
     return Sinogram(params, rows)
 
 
-def _is_float(s: str) -> bool:
+def parse_csv_row(line: str, out: np.ndarray, path, m: int) -> None:
+    """Parse one comma-separated row of ``out.size`` finite floats into ``out``.
+
+    A malformed row raises :class:`ParseError` naming ``path``, row ``m`` and
+    the first bad column.
+    """
+    cols = line.strip().split(",")
+    if len(cols) != out.size:
+        raise ParseError(f"{path}: row {m}: expected {out.size} columns, got {len(cols)}")
     try:
-        float(s)
-        return True
+        out[:] = [float(c) for c in cols]
     except ValueError:
-        return False
+        for i, c in enumerate(cols):
+            try:
+                float(c)
+            except ValueError:
+                raise ParseError(f"{path}: row {m}, column {i}: not a number") from None
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ParseError(f"{path}: row {m}, column {bad}: not a finite number ({cols[bad]})")

@@ -23,9 +23,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
-from .errors import ConditionError, ConfigError, MarginError, SizeError
-from .forward import ModuloSinogram, Sinogram
+from .core import (
+    SampleSeq,
+    Threshold,
+    anti_diff,
+    anti_diff_bilateral,
+    guarded_ceil,
+    guarded_floor,
+    modulo_fold,
+)
+from .errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
+from .forward import Sinogram
 
 GENERAL = "general"
 COMPACT = "compact_exceedance"
@@ -173,20 +181,6 @@ def _fold_residual_ints(y_values: np.ndarray, lam: float, N: int):
     return m.astype(np.int64), residual
 
 
-def _cumsum_anchored(m: np.ndarray) -> np.ndarray:
-    """Integer running sum starting at 0 (one sample longer than the input)."""
-    out = np.empty(m.size + 1, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(m, out=out[1:])
-    return out
-
-
-def _cumsum_bilateral(m: np.ndarray, base: int) -> np.ndarray:
-    """Integer running sum re-anchored at absolute index 0; covers [base, base+len]."""
-    c = _cumsum_anchored(m)
-    return c - c[-base]
-
-
 def unfold_general(y: SampleSeq, cfg: UnfoldConfig):
     """Unfold a long sample run of a signal decaying at +infinity.
 
@@ -225,14 +219,14 @@ def unfold_general(y: SampleSeq, cfg: UnfoldConfig):
 
     m, residual = _fold_residual_ints(y.values, lam, N)
     for _ in range(N - 1):
-        u = _cumsum_bilateral(m, base)  # rounding onto the grid is exact here
-        v = _cumsum_bilateral(u, base)
+        u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
+        v = anti_diff_bilateral(u, base)
         v1 = 2.0 * lam * v[1 - base]
         vj = 2.0 * lam * v[J + 1 - base]
         kappa = int(guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5))
         m = u + kappa
 
-    s_final = _cumsum_bilateral(m, base)
+    s_final = anti_diff_bilateral(m, base)
     w = max(8, N)
     tail = s_final[-w:]
     plateau_ok = bool(np.all(tail == tail[-1]))
@@ -277,21 +271,28 @@ def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
 
     m, residual = _fold_residual_ints(y.values, lam, N)
     for _ in range(N - 1):
-        m = _cumsum_anchored(m)  # rounding onto the grid is exact here
-    counts = _cumsum_anchored(m)
+        m = anti_diff(m)  # rounding onto the grid is exact here
+    counts = anti_diff(m)
     gamma = y.values + (2.0 * lam) * counts
     ok = residual < 1e-9 * lam
     report = UnfoldReport(N, None, residual, ok)
     return SampleSeq(y.base_index, gamma).window(-K, K), report
 
 
-def unfold_sinogram(ms: ModuloSinogram, cfg: UnfoldConfig, K: int | None = None):
-    """Unfold every angle row of a modulo sinogram, routed by ``cfg.mode``.
+def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
+    """Unfold every angle row of a folded sinogram, routed by ``cfg.mode``.
 
     Returns a sinogram over the symmetric [-K, K] grid together with the
     per-row reports.
+
+    Raises
+    ------
+    DomainError
+        If a sample lies outside the folded range [-lam, lam).
     """
     p = ms.params
+    if np.max(np.abs(ms.rows)) > p.lam * (1.0 + 1e-12):
+        raise DomainError("folded values must lie within [-lam, lam)")
     K = p.K if K is None else int(K)
     out = np.empty((p.M, 2 * K + 1))
     reports = []

@@ -53,6 +53,20 @@ class TestForwardChain:
         assert img.read_bytes().startswith(b"P5\n")
 
 
+class TestFoldCommand:
+    def test_truncated_header_exits_2(self, tmp_path, capsys):
+        full = tmp_path / "s.mrts"
+        assert run(["forward", "--phantom", "shepp-logan", "--omega", 20, "--lam", 0.05,
+                    "--out", full]) == 0
+        cut = tmp_path / "cut.mrts"
+        cut.write_bytes(full.read_bytes()[:30])
+        code = run(["fold", "--in", cut, "--out", tmp_path / "m.mrts"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "truncated header" in err
+        assert "Traceback" not in err
+
+
 class TestPipelineCommand:
     def test_outputs_and_determinism(self, tmp_path):
         out1 = tmp_path / "run1"
@@ -116,6 +130,25 @@ class TestIngest:
         assert r.rows.shape == (4, 11)
         assert r.max_abs() == pytest.approx(1.0)
         assert r.params.lam == 0.1
+
+    def test_all_zero_mrts_exits_nonzero(self, tmp_path, capsys):
+        from modradon.forward import SamplingParams, Sinogram, save_sinogram
+
+        p = SamplingParams(omega=20.0, T=0.05, lam=0.5, K=5, K_prime=8, M=4)
+        src = tmp_path / "zero.mrts"
+        save_sinogram(Sinogram(p, np.zeros((4, 14))), src)
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05, "--angles", 4,
+                    "--K", 5, "--lam", 0.1, "--out", tmp_path / "s.mrts"])
+        assert code == 2
+        assert "all samples are zero" in capsys.readouterr().err
+
+    def test_nonfinite_csv_exits_nonzero(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text("1.0,2.0,3.0\n4.0,5.0,nan\n")
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05, "--angles", 2,
+                    "--K", 1, "--lam", 0.1, "--no-normalize", "--out", tmp_path / "s.mrts"])
+        assert code == 2
+        assert "row 1, column 2: not a finite number" in capsys.readouterr().err
 
     def test_malformed_csv_exits_nonzero(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modradon.errors import ConfigError, SizeError
+from modradon.errors import SizeError
 from modradon.fbp import (
     COSINE,
     RAM_LAK,
@@ -15,7 +15,7 @@ from modradon.fbp import (
     write_pgm16,
     write_raw_f64,
 )
-from modradon.forward import SamplingParams, Sinogram, fold_sinogram, make_sinogram
+from modradon.forward import SamplingParams, Sinogram, fold_sinogram, scan_forward
 from modradon.phantom import Ellipse, ImageGrid, Phantom, rasterize, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
 from oracles import kernel_quadrature_oracle
@@ -23,9 +23,13 @@ from oracles import kernel_quadrature_oracle
 OMEGA = 60.0
 
 
+def phantom_sinogram(phantom, p):
+    return scan_forward(phantom, p.omega, p.T, p.M).sinogram(p)
+
+
 def small_sinogram(lam=0.05, omega=OMEGA, M=None):
     p = SamplingParams.design(omega, lam=lam, M=M)
-    return make_sinogram(shepp_logan(), p)
+    return phantom_sinogram(shepp_logan(), p)
 
 
 class TestFilterKernel:
@@ -53,19 +57,6 @@ class TestFilterKernel:
             got = filter_kernel(FilterSpec(OMEGA, window), t)
             want = kernel_quadrature_oracle(OMEGA, wfn, t)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * scale)
-
-    def test_tabulated_matches_cosine(self):
-        u = np.linspace(-1.0, 1.0, 513)
-        spec = FilterSpec(OMEGA, "tabulated", samples=np.cos(np.pi * u / 2.0))
-        t = np.linspace(-0.8, 0.8, 21)
-        got = filter_kernel(spec, t)
-        want = filter_kernel(FilterSpec(OMEGA, COSINE), t)
-        scale = OMEGA**2 / (2 * np.pi)
-        np.testing.assert_allclose(got, want, rtol=0, atol=2e-5 * scale)
-
-    def test_tabulated_requires_even_samples(self):
-        with pytest.raises(ConfigError, match="even"):
-            FilterSpec(OMEGA, "tabulated", samples=np.linspace(0.0, 1.0, 9))
 
     def test_scalar_return(self):
         assert isinstance(filter_kernel(FilterSpec(OMEGA, COSINE), 0.3), float)
@@ -150,8 +141,8 @@ class TestBackProject:
              0.3 * np.sin(delta) + 0.1 * np.cos(delta)),
             (0.25, 0.45), 0.5 + delta, 1.0)
         p = SamplingParams.design(om, lam=1.0, M=M)
-        s1 = make_sinogram(Phantom((base,)), p)
-        s2 = make_sinogram(Phantom((rot,)), p)
+        s1 = phantom_sinogram(Phantom((base,)), p)
+        s2 = phantom_sinogram(Phantom((rot,)), p)
         # row m of the rotated phantom equals row m-1 of the original;
         # row 0 wraps to the last row with the offset axis reversed
         shifted = np.roll(s1.rows, 1, axis=0)

@@ -1,28 +1,42 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from modradon.errors import ConfigError, MarginError, ParseError
+from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.forward import (
-    ModuloSinogram,
     SamplingParams,
     Sinogram,
     fold_sinogram,
     highband_energy_fraction,
     load_sinogram,
-    make_sinogram,
-    prefilter_projection,
     random_lambda_exceedance,
     save_sinogram,
     scan_forward,
     scan_from_raw,
+    support_index,
 )
-from modradon.phantom import Ellipse, Phantom, shepp_logan
+from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan
+from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
 
 UNIT_DISK = Phantom((Ellipse((0.0, 0.0), (1.0, 1.0), 0.0, 1.0),))
 
 
 def small_params(omega=60.0, lam=0.05, **kw):
     return SamplingParams.design(omega, lam=lam, **kw)
+
+
+def phantom_sinogram(p, params):
+    """Prefiltered sinogram over the [-K_prime, K] acquisition window."""
+    return scan_forward(p, params.omega, params.T, params.M).sinogram(params)
+
+
+def prefiltered_row(p, theta, params):
+    """Band-limited samples over [-K_prime, K] at one arbitrary angle."""
+    ks = support_index(params.T)
+    raw = radon_phantom(p, theta, np.arange(-ks, ks + 1) * params.T)
+    scan = scan_from_raw(raw[None, :], params.omega, params.T)
+    return scan.sinogram(replace(params, M=1)).row(0)
 
 
 class TestSamplingParams:
@@ -49,24 +63,24 @@ class TestSamplingParams:
 class TestPrefilter:
     def test_zero_phantom_zero_rows(self):
         p = small_params()
-        seq = prefilter_projection(Phantom(()), 0.3, p)
+        seq = prefiltered_row(Phantom(()), 0.3, p)
         np.testing.assert_array_equal(seq.values, np.zeros(len(seq)))
 
     def test_unit_disk_center_value(self):
         p = SamplingParams.design(300.0, lam=0.05)
-        seq = prefilter_projection(UNIT_DISK, 0.0, p)
+        seq = prefiltered_row(UNIT_DISK, 0.0, p)
         assert seq.at(0) == pytest.approx(2.0, abs=0.05)
 
     def test_rows_are_band_limited(self):
         p = small_params()
-        s = make_sinogram(shepp_logan(), p)
+        s = phantom_sinogram(shepp_logan(), p)
         for m in range(0, p.M, 7):
             assert highband_energy_fraction(s.rows[m], p.T, p.omega) <= 1e-4
 
     def test_evenness_across_half_turn(self):
         p = small_params()
-        fwd = prefilter_projection(shepp_logan(), 0.7, p)
-        back = prefilter_projection(shepp_logan(), 0.7 + np.pi, p)
+        fwd = prefiltered_row(shepp_logan(), 0.7, p)
+        back = prefiltered_row(shepp_logan(), 0.7 + np.pi, p)
         # row at theta+pi equals the offset-reversed row at theta
         lo, hi = -p.K, min(p.K, p.K_prime)
         a = np.array([fwd.at(k) for k in range(lo, hi + 1)])
@@ -75,7 +89,7 @@ class TestPrefilter:
 
     def test_make_sinogram_shape_and_beta(self):
         p = small_params()
-        s = make_sinogram(shepp_logan(), p)
+        s = phantom_sinogram(shepp_logan(), p)
         assert s.rows.shape == (p.M, p.K_prime + p.K + 1)
         # raw grid max sits between the filtered peak and the analytic sup 0.5557
         assert 0.52 < s.params.beta <= 0.5557
@@ -85,27 +99,29 @@ class TestPrefilter:
 class TestFold:
     def test_identity_when_threshold_dominates(self):
         p = small_params(lam=5.0)
-        s = make_sinogram(shepp_logan(), p)
+        s = phantom_sinogram(shepp_logan(), p)
         ms = fold_sinogram(s)
         np.testing.assert_array_equal(ms.rows, s.rows)
 
     def test_values_in_range(self):
         p = small_params(lam=0.05)
-        ms = fold_sinogram(make_sinogram(shepp_logan(), p))
+        ms = fold_sinogram(phantom_sinogram(shepp_logan(), p))
         assert ms.rows.min() >= -0.05
         assert ms.rows.max() < 0.05
 
     def test_compression_factor(self):
         p = small_params(lam=0.05)
-        s = make_sinogram(shepp_logan(), p)
+        s = phantom_sinogram(shepp_logan(), p)
         spread = s.rows.max() - s.rows.min()
         assert spread / (2 * 0.05) > 5  # an order of magnitude of range compression
 
     def test_modulo_sinogram_rejects_unfolded(self):
         p = small_params(lam=0.01)
-        s = make_sinogram(shepp_logan(), p)
-        with pytest.raises(Exception):
-            ModuloSinogram(s.params, s.rows)
+        s = phantom_sinogram(shepp_logan(), p)
+        cfg = UnfoldConfig(lam=0.01, beta=grid_upper_bound(s.params.beta, 0.01),
+                           omega=p.omega, T=p.T, mode=COMPACT)
+        with pytest.raises(DomainError):
+            unfold_sinogram(s, cfg)
 
 
 class TestScan:
@@ -141,7 +157,7 @@ class TestScan:
     def test_sinogram_slice_consistency(self):
         p = small_params()
         scan = scan_forward(shepp_logan(), p.omega, p.T, p.M, radius=2.0)
-        s_direct = make_sinogram(shepp_logan(), p)
+        s_direct = phantom_sinogram(shepp_logan(), p)
         s_sliced = scan.sinogram(p)
         np.testing.assert_allclose(s_sliced.rows, s_direct.rows, atol=1e-12)
 
@@ -232,6 +248,26 @@ class TestSinogramIO:
         with pytest.raises(ParseError, match="samples"):
             load_sinogram(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "s.mrts"
+        save_sinogram(self._small_sinogram(), path)
+        path.write_bytes(path.read_bytes()[:30])
+        with pytest.raises(ParseError, match="truncated header"):
+            load_sinogram(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_csv_nonfinite_cell(self, tmp_path, cell):
+        s = self._small_sinogram()
+        path = tmp_path / "s.csv"
+        save_sinogram(s, path)
+        lines = path.read_text().splitlines()
+        cols = lines[2].split(",")
+        cols[7] = cell
+        lines[2] = ",".join(cols)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="row 1, column 7: not a finite number"):
+            load_sinogram(path)
+
     def test_csv_bad_column(self, tmp_path):
         s = self._small_sinogram()
         path = tmp_path / "s.csv"
@@ -245,18 +281,15 @@ class TestSinogramIO:
             load_sinogram(path)
 
     def test_fold_unfold_round_trip_via_files(self, tmp_path):
-        from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
-
         p = small_params(lam=0.05)
-        s = make_sinogram(shepp_logan(), p)
+        s = phantom_sinogram(shepp_logan(), p)
         ms = fold_sinogram(s)
         path = tmp_path / "m.mrts"
         save_sinogram(ms, path)
         loaded = load_sinogram(path)
-        ms2 = ModuloSinogram(loaded.params, loaded.rows)
         cfg = UnfoldConfig(lam=0.05, beta=grid_upper_bound(s.params.beta, 0.05),
                            omega=p.omega, T=p.T, mode=COMPACT)
-        rec, reports = unfold_sinogram(ms2, cfg, p.K)
+        rec, reports = unfold_sinogram(loaded, cfg, p.K)
         lo = p.K_prime - p.K
         np.testing.assert_array_equal(rec.rows, s.rows[:, lo : lo + 2 * p.K + 1])
         assert all(r.success for r in reports)

@@ -212,12 +212,16 @@ class TestUnfoldGeneral:
 
     def test_reference_projection_row(self):
         # full-scale projection row: folds every few samples, recovered exactly
-        from modradon.forward import SamplingParams, prefilter_projection
-        from modradon.phantom import shepp_logan
+        from dataclasses import replace
+
+        from modradon.forward import SamplingParams, scan_from_raw, support_index
+        from modradon.phantom import radon_phantom, shepp_logan
 
         lam = 0.025
         p = SamplingParams.design(300.0, lam=lam)
-        row = prefilter_projection(shepp_logan(), 0.7, p)
+        ks = support_index(p.T)
+        raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
+        row = scan_from_raw(raw[None, :], p.omega, p.T).sinogram(replace(p, M=1)).row(0)
         cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(0.56, lam), omega=300.0,
                            T=p.T, mode=GENERAL)
         rec, rep = unfold_general(fold_seq(row, lam), cfg)
@@ -279,13 +283,13 @@ class TestUnfoldSinogram:
     def test_general_route_matches_compact_on_shared_ground(self):
         # both algorithms recover the same rows when both sets of
         # preconditions hold (decaying tail and quiet left margin)
-        from modradon.forward import SamplingParams, fold_sinogram, make_sinogram
+        from modradon.forward import SamplingParams, fold_sinogram, scan_forward
         from modradon.phantom import shepp_logan
         from modradon.unfold import unfold_sinogram
 
         lam = 0.05
         p = SamplingParams.design(60.0, lam=lam, M=12)
-        s = make_sinogram(shepp_logan(), p)
+        s = scan_forward(shepp_logan(), p.omega, p.T, p.M).sinogram(p)
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
         rec_c, _ = unfold_sinogram(
