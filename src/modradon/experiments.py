@@ -199,8 +199,7 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     sino_parity = float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
     spec = FilterSpec(params.omega, filter_window)
     grid = ImageGrid(grid_size, grid_size)
-    img_clean = fbp_reconstruct(clean_sym, spec, grid)
-    img_recovered = fbp_reconstruct(unfolded, spec, grid)
+    img_clean, img_recovered = fbp_reconstruct([clean_sym, unfolded], spec, grid)
     image_parity = float(np.max(np.abs(img_clean.pixels - img_recovered.pixels)))
     bit_identical = bool(np.array_equal(img_clean.pixels, img_recovered.pixels))
 

@@ -7,6 +7,14 @@ certified against a quadrature oracle in the test suite.  Filtering is a plain
 discrete convolution over the detector lattice; the spacing factor T together
 with the 1/2 of the inversion formula and the angular average enter once, as
 the T/(2M) prefactor of the back projection.
+
+Reconstruction takes a sequence of sinograms that share one (M, K, T) and
+returns one image per sinogram.  Back projection computes each angle's
+geometry (detector coordinate, interpolation index and weight, inside mask)
+once per tile of image rows and applies it to every sinogram of the sequence;
+each image still sums its own filtered rows over the angles in the order
+m = 0..M-1, so its pixels are the same whether it is reconstructed alone or
+together with others.
 """
 
 from __future__ import annotations
@@ -14,14 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConfigError, DomainError, SizeError
-from .forward import SamplingParams, Sinogram
+from .forward import SamplingParams, Sinogram, convolve_rows
 from .phantom import ImageGrid
 
 RAM_LAK = "ram_lak"
 COSINE = "cosine"
+
+#: Image rows per back-projection tile: the per-angle geometry of one tile
+#: stays in cache while every image of the pass reads it.
+_ROW_TILE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,40 +105,76 @@ def filter_projections(s: Sinogram, spec: FilterSpec) -> FilteredProjections:
         raise SizeError("sinogram does not cover the symmetric detector grid")
     lags = np.arange(-2 * p.K, 2 * p.K + 1) * p.T
     kern = filter_kernel(spec, lags)
-    conv = fftconvolve(rows, kern[None, :], axes=1)
-    h = conv[:, 2 * p.K : 4 * p.K + 1]
-    return FilteredProjections(p, h)
+    return FilteredProjections(p, convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1))
 
 
-def back_project(h: FilteredProjections, params: SamplingParams, grid: ImageGrid) -> ImageGrid:
+def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]:
     """Angular accumulation with linear interpolation between detector samples.
 
     ``image(x) = T/(2M) * sum_m interp(h_m)(x . theta_m)``; points projecting
-    outside the filtered lattice contribute zero.  Angles are summed in fixed
-    order, so results are deterministic.
+    outside the filtered lattice contribute zero.  ``hs`` is a sequence of
+    filtered sinograms sharing ``params``' (M, K, T); one image is returned per
+    entry.  The per-angle geometry (detector coordinate, interpolation index
+    and weight, inside mask) is computed once over a tile of image rows and
+    shared by every entry; each image then reads only its own filtered rows.
+    Every pixel sums its angles in the fixed order m = 0..M-1, so results are
+    deterministic and do not depend on how many images share the pass.
     """
     if grid.width < 1 or grid.height < 1:
         raise DomainError("empty image grid")
     K, T, M = params.K, params.T, params.M
-    X, Y = grid.pixel_centers()
-    acc = np.zeros_like(X)
-    thetas = params.thetas()
-    for m in range(M):
-        t = X * np.cos(thetas[m]) + Y * np.sin(thetas[m])
-        u = t / T + K
-        inside = (u >= 0.0) & (u <= 2 * K)
-        i0 = np.clip(np.floor(u).astype(np.int64), 0, 2 * K - 1)
-        frac = u - i0
-        row = h.values[m]
-        vals = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
-        acc += np.where(inside, vals, 0.0)
-    acc *= T / (2.0 * M)
-    return ImageGrid(grid.width, grid.height, acc)
+    for h in hs:
+        q = h.params
+        if (q.M, q.K, q.T) != (M, K, T):
+            raise SizeError(f"filtered rows have (M, K, T) = {(q.M, q.K, q.T)}, "
+                            f"expected {(M, K, T)}")
+    x, y = grid.pixel_axes()
+    trig = [(np.cos(th), np.sin(th)) for th in params.thetas()]
+    accs = [np.zeros((grid.height, grid.width)) for _ in hs]
+    for r0 in range(0, grid.height, _ROW_TILE):
+        yt = y[r0 : r0 + _ROW_TILE]
+        shape = (yt.size, x.size)
+        u, frac, w0, a, b = (np.empty(shape) for _ in range(5))
+        i0 = np.empty(shape, np.int64)
+        inside, upper = np.empty(shape, bool), np.empty(shape, bool)
+        tiles = [acc[r0 : r0 + _ROW_TILE] for acc in accs]
+        for m, (c, sn) in enumerate(trig):
+            # u = (x cos + y sin) / T + K with the operands and rounding order of
+            # the per-pixel formula; the division is kept (1/T would move bits)
+            np.add((x * c)[None, :], (yt * sn)[:, None], out=u)
+            np.divide(u, T, out=u)
+            np.add(u, K, out=u)
+            np.greater_equal(u, 0.0, out=inside)
+            np.less_equal(u, 2 * K, out=upper)
+            np.logical_and(inside, upper, out=inside)
+            np.floor(u, out=frac)
+            np.clip(frac, 0, 2 * K - 1, out=frac)
+            i0[...] = frac
+            np.subtract(u, frac, out=frac)
+            np.subtract(1.0, frac, out=w0)
+            for tile, h in zip(tiles, hs):
+                row = h.values[m]
+                # row[i0] * (1 - frac) + row[i0 + 1] * frac
+                np.take(row, i0, out=a, mode="clip")
+                np.take(row[1:], i0, out=b, mode="clip")
+                np.multiply(a, w0, out=a)
+                np.multiply(b, frac, out=b)
+                np.add(a, b, out=a)
+                # skipping outside pixels equals adding 0.0 there: a tile that
+                # starts at +0.0 never holds -0.0
+                np.add(tile, a, out=tile, where=inside)
+    return [ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M))) for acc in accs]
 
 
-def fbp_reconstruct(s: Sinogram, spec: FilterSpec, grid: ImageGrid) -> ImageGrid:
-    """Filter the sinogram rows, then back-project onto the grid."""
-    return back_project(filter_projections(s, spec), s.params, grid)
+def fbp_reconstruct(sinograms, spec: FilterSpec, grid: ImageGrid) -> list[ImageGrid]:
+    """Filter each sinogram's rows, then back-project all of them in one pass.
+
+    The sinograms must share (M, K, T); one image is returned per sinogram.
+    """
+    if not sinograms:
+        raise SizeError("no sinogram to reconstruct")
+    hs = [filter_projections(s, spec) for s in sinograms]
+    return back_project(hs, sinograms[0].params, grid)
 
 
 def rmse(a: ImageGrid, b: ImageGrid) -> float:

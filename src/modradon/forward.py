@@ -24,6 +24,8 @@ from .phantom import Phantom, radon_phantom
 _MAGIC = b"MRTS"
 _VERSION = 1
 _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
+#: Rows per FFT convolution block in :func:`convolve_rows`.
+_CONV_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -150,19 +152,32 @@ def lowpass_kernel(t, omega: float) -> np.ndarray:
     return (omega / np.pi) * np.sinc(omega * t / np.pi)
 
 
+def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) -> np.ndarray:
+    """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row.
+
+    The rows are convolved ``_CONV_ROWS`` at a time into a fresh output array,
+    so the full-length convolution buffer of only one block is alive at once
+    and the FFT temporaries stay in cache.  Each row's result is bit-identical
+    to a single ``fftconvolve`` over all rows.
+    """
+    out = np.empty((rows.shape[0], width))
+    for r0 in range(0, rows.shape[0], _CONV_ROWS):
+        conv = fftconvolve(rows[r0 : r0 + _CONV_ROWS], kern[None, :], axes=1)
+        out[r0 : r0 + _CONV_ROWS] = conv[:, start : start + width]
+    return out
+
+
 def _prefilter_batch(raw: np.ndarray, omega: float, T: float, k_half_in: int,
                      k_lo: int, k_hi: int) -> np.ndarray:
-    """Discrete anti-aliasing: out[.., k] = T * sum_j raw[.., j] * kernel((k-j)T).
+    """Discrete anti-aliasing: out[m, k] = T * sum_j raw[m, j] * kernel((k-j)T).
 
-    ``raw`` covers lattice indices [-k_half_in, k_half_in]; the output covers
-    [k_lo, k_hi].  Evaluated as one FFT convolution per batch.
+    ``raw`` rows cover lattice indices [-k_half_in, k_half_in]; the output
+    covers [k_lo, k_hi].
     """
     lags = np.arange(k_lo - k_half_in, k_hi + k_half_in + 1) * T
-    kern = lowpass_kernel(lags, omega)
-    conv = fftconvolve(np.atleast_2d(raw), kern[None, :], axes=1)
-    sel = slice(2 * k_half_in, 2 * k_half_in + (k_hi - k_lo + 1))
-    out = T * conv[:, sel]
-    return out if raw.ndim == 2 else out[0]
+    out = convolve_rows(raw, lowpass_kernel(lags, omega), 2 * k_half_in, k_hi - k_lo + 1)
+    out *= T
+    return out
 
 
 def _raw_rows(p: Phantom, T: float, M: int, k_half: int) -> np.ndarray:
@@ -390,7 +405,12 @@ def _load_binary(path) -> Sinogram:
     if data.size != n:
         raise ParseError(f"{path}: expected {n} samples, found {data.size}")
     params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
-    return Sinogram(params, data.reshape(M, K_prime + K + 1).astype(float))
+    rows = data.reshape(M, K_prime + K + 1).astype(float)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        m, i = bad[0]
+        raise ParseError(f"{path}: row {m}, column {i}: not a finite number ({rows[m, i]})")
+    return Sinogram(params, rows)
 
 
 def _save_csv(s, path):

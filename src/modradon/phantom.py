@@ -92,11 +92,15 @@ class ImageGrid:
         """((xmin, xmax), (ymin, ymax)) of the mapped square."""
         return ((-1.0, 1.0), (-1.0, 1.0))
 
-    def pixel_centers(self):
-        """Meshgrids (X, Y) of pixel-center coordinates, shape (height, width)."""
+    def pixel_axes(self):
+        """1-D pixel-center coordinates: x per column (width), y per row (height)."""
         x = -1.0 + (np.arange(self.width) + 0.5) * (2.0 / self.width)
         y = 1.0 - (np.arange(self.height) + 0.5) * (2.0 / self.height)
-        return np.meshgrid(x, y)
+        return x, y
+
+    def pixel_centers(self):
+        """Meshgrids (X, Y) of pixel-center coordinates, shape (height, width)."""
+        return np.meshgrid(*self.pixel_axes())
 
 
 def radon_ellipse(e: Ellipse, theta: float, t) -> float | np.ndarray:

@@ -3,7 +3,7 @@
 These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
-transform.
+transform; back projection is the plain per-angle loop over the whole image.
 """
 
 import numpy as np
@@ -59,3 +59,23 @@ def kernel_quadrature_oracle(omega, window_fn, t, n=2**16):
     for i, ti in enumerate(t):
         out[i] = np.trapezoid(g * np.cos(w * ti), dx=omega / n)
     return out / np.pi
+
+
+def back_project_oracle(h, params, grid):
+    """Plain per-angle back projection of one filtered sinogram: the pixel array of
+    ``T/(2M) * sum_m interp(h_m)(x . theta_m)``, zero outside the lattice."""
+    K, T, M = params.K, params.T, params.M
+    X, Y = grid.pixel_centers()
+    acc = np.zeros_like(X)
+    thetas = params.thetas()
+    for m in range(M):
+        t = X * np.cos(thetas[m]) + Y * np.sin(thetas[m])
+        u = t / T + K
+        inside = (u >= 0.0) & (u <= 2 * K)
+        i0 = np.clip(np.floor(u).astype(np.int64), 0, 2 * K - 1)
+        frac = u - i0
+        row = h.values[m]
+        vals = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
+        acc += np.where(inside, vals, 0.0)
+    acc *= T / (2.0 * M)
+    return acc

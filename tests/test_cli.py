@@ -53,6 +53,28 @@ class TestForwardChain:
         assert img.read_bytes().startswith(b"P5\n")
 
 
+def write_nonfinite_mrts(path):
+    """A .mrts sinogram (M=4, K=5, K'=8) with one NaN inside its [-K, K] block."""
+    from modradon.forward import SamplingParams, Sinogram, save_sinogram
+
+    p = SamplingParams(omega=20.0, T=0.05, lam=0.5, K=5, K_prime=8, M=4)
+    rows = np.ones((4, 14))
+    rows[2, 6] = np.nan
+    save_sinogram(Sinogram(p, rows), path)
+
+
+class TestFbpCommand:
+    def test_nonfinite_mrts_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "nan.mrts"
+        write_nonfinite_mrts(src)
+        code = run(["fbp", "--in", src, "--out", tmp_path / "img.pgm", "--size", 16])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "row 2, column 6: not a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "img.pgm").exists()
+
+
 class TestFoldCommand:
     def test_truncated_header_exits_2(self, tmp_path, capsys):
         full = tmp_path / "s.mrts"
@@ -149,6 +171,18 @@ class TestIngest:
                     "--K", 1, "--lam", 0.1, "--no-normalize", "--out", tmp_path / "s.mrts"])
         assert code == 2
         assert "row 1, column 2: not a finite number" in capsys.readouterr().err
+
+    def test_nonfinite_mrts_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "nan.mrts"
+        write_nonfinite_mrts(src)
+        out = tmp_path / "s.mrts"
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05, "--angles", 4,
+                    "--K", 5, "--lam", 0.1, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "row 2, column 6: not a finite number" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_csv_exits_nonzero(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from scipy.signal import fftconvolve
 
 from modradon.errors import SizeError
 from modradon.fbp import (
     COSINE,
     RAM_LAK,
+    FilteredProjections,
     FilterSpec,
     back_project,
     fbp_reconstruct,
@@ -18,7 +23,7 @@ from modradon.fbp import (
 from modradon.forward import SamplingParams, Sinogram, fold_sinogram, scan_forward
 from modradon.phantom import Ellipse, ImageGrid, Phantom, rasterize, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
-from oracles import kernel_quadrature_oracle
+from oracles import back_project_oracle, kernel_quadrature_oracle
 
 OMEGA = 60.0
 
@@ -90,6 +95,17 @@ class TestFilterProjections:
         interior = h.values[0][p.K // 2 : -p.K // 2]
         assert np.max(np.abs(interior)) <= 1e-2 * c * om**2 / (2 * np.pi)
 
+    @pytest.mark.parametrize("M", [1, 63, 64, 65, 130])
+    def test_blocked_matches_single_convolution(self, M):
+        p = self._params(M=M)
+        rows = np.random.default_rng(M).normal(size=(M, 2 * p.K + 1))
+        spec = FilterSpec(OMEGA, COSINE)
+        h = filter_projections(Sinogram(p, rows), spec)
+        kern = filter_kernel(spec, np.arange(-2 * p.K, 2 * p.K + 1) * p.T)
+        full = fftconvolve(rows, kern[None, :], axes=1)[:, 2 * p.K : 4 * p.K + 1]
+        assert h.values.tobytes() == full.tobytes()
+        assert h.values.base is None
+
     def test_linearity(self):
         rng = np.random.default_rng(8)
         p = self._params()
@@ -106,11 +122,51 @@ class TestFilterProjections:
 class TestBackProject:
     def test_zero_filtered_gives_zero_image(self):
         p = SamplingParams(omega=OMEGA, T=0.02, lam=1.0, K=30, K_prime=30, M=9)
-        from modradon.fbp import FilteredProjections
-
         h = FilteredProjections(p, np.zeros((9, 61)))
-        img = back_project(h, p, ImageGrid(32, 32))
+        [img] = back_project([h], p, ImageGrid(32, 32))
         np.testing.assert_array_equal(img.pixels, np.zeros((32, 32)))
+
+    @staticmethod
+    def _random_filtered(M, K=30, T=0.02, seed=0):
+        p = SamplingParams(omega=OMEGA, T=T, lam=1.0, K=K, K_prime=K, M=M)
+        rng = np.random.default_rng(seed)
+        return p, FilteredProjections(p, rng.normal(size=(M, 2 * K + 1)))
+
+    # (width, height, M): W != H, heights below/at/above/between multiples of the
+    # 64-row tile, M = 1 and odd M.  With K*T = 0.6 the image corners (radius up
+    # to sqrt(2)) project outside the detector lattice at every angle.
+    @pytest.mark.parametrize("width, height, M", [
+        (40, 23, 7), (17, 130, 1), (64, 64, 4), (9, 65, 13), (33, 200, 2),
+    ])
+    def test_matches_oracle_bitwise(self, width, height, M):
+        p, h = self._random_filtered(M)
+        grid = ImageGrid(width, height)
+        [img] = back_project([h], p, grid)
+        assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
+
+    def test_shared_pass_keeps_images_separate(self):
+        p, h1 = self._random_filtered(M=5)
+        changed = h1.values.copy()
+        changed[2, 31] += 1.0
+        h2 = FilteredProjections(p, changed)
+        grid = ImageGrid(48, 70)
+        img1, img2 = back_project([h1, h2], p, grid)
+        [alone1] = back_project([h1], p, grid)
+        [alone2] = back_project([h2], p, grid)
+        assert img1.pixels.tobytes() == alone1.pixels.tobytes()
+        assert img2.pixels.tobytes() == alone2.pixels.tobytes()
+        assert img1.pixels.tobytes() == back_project_oracle(h1, p, grid).tobytes()
+        assert not np.array_equal(img1.pixels, img2.pixels)
+
+    @pytest.mark.parametrize("change", [{"M": 6}, {"K": 31, "K_prime": 31}, {"T": 0.021}])
+    def test_geometry_mismatch_raises(self, change):
+        p, h1 = self._random_filtered(M=5)
+        q = replace(p, **change)
+        h2 = FilteredProjections(q, np.zeros((q.M, 2 * q.K + 1)))
+        with pytest.raises(SizeError):
+            back_project([h1, h2], p, ImageGrid(8, 8))
+        with pytest.raises(SizeError):
+            back_project([h2], p, ImageGrid(8, 8))
 
     def test_equal_rows_radially_invariant(self):
         # identical smooth rows for every angle: the image depends on radius only
@@ -151,8 +207,8 @@ class TestBackProject:
 
         spec = FilterSpec(om, COSINE)
         g = ImageGrid(192, 192)
-        img1 = fbp_reconstruct(s1, spec, g)
-        img2 = fbp_reconstruct(s2, spec, g)
+        [img1] = fbp_reconstruct([s1], spec, g)
+        [img2] = fbp_reconstruct([s2], spec, g)
         # sample img1 at back-rotated pixel positions (bilinear)
         X, Y = g.pixel_centers()
         c, sn = np.cos(-delta), np.sin(-delta)
@@ -181,16 +237,20 @@ class TestReconstruction:
         rec, _ = unfold_sinogram(fold_sinogram(s), cfg, p.K)
         spec = FilterSpec(p.omega, COSINE)
         g = ImageGrid(96, 96)
-        img_clean = fbp_reconstruct(s, spec, g)
-        img_rec = fbp_reconstruct(rec, spec, g)
+        [img_clean] = fbp_reconstruct([s], spec, g)
+        [img_rec] = fbp_reconstruct([rec], spec, g)
         assert np.array_equal(img_clean.pixels, img_rec.pixels)
+
+    def test_empty_sequence_raises(self):
+        with pytest.raises(SizeError):
+            fbp_reconstruct([], FilterSpec(OMEGA, COSINE), ImageGrid(8, 8))
 
     def test_rmse_decreases_with_bandwidth(self):
         truth = rasterize(shepp_logan(), ImageGrid(128, 128))
         errs = []
         for omega in (100.0, 200.0, 300.0):
             s = small_sinogram(lam=5.0, omega=omega)
-            img = fbp_reconstruct(s, FilterSpec(omega, COSINE), ImageGrid(128, 128))
+            [img] = fbp_reconstruct([s], FilterSpec(omega, COSINE), ImageGrid(128, 128))
             errs.append(rmse(img, truth))
         assert errs[0] > errs[1] > errs[2]
 

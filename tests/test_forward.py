@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.forward import (
@@ -10,6 +11,7 @@ from modradon.forward import (
     fold_sinogram,
     highband_energy_fraction,
     load_sinogram,
+    lowpass_kernel,
     random_lambda_exceedance,
     save_sinogram,
     scan_forward,
@@ -125,6 +127,17 @@ class TestFold:
 
 
 class TestScan:
+    @pytest.mark.parametrize("M", [1, 63, 64, 65, 130])
+    def test_blocked_prefilter_matches_single_convolution(self, M):
+        T, omega, k_half = 0.02, 60.0, 20
+        raw = np.random.default_rng(M).normal(size=(M, 2 * k_half + 1))
+        scan = scan_from_raw(raw, omega, T, radius=1.0)
+        k = scan.k_scan
+        kern = lowpass_kernel(np.arange(-k - k_half, k + k_half + 1) * T, omega)
+        conv = fftconvolve(raw, kern[None, :], axes=1)
+        full = T * conv[:, 2 * k_half : 2 * k_half + 2 * k + 1]
+        assert scan.rows.tobytes() == full.tobytes()
+
     def test_exceedance_zero_when_quiet(self):
         scan = scan_forward(UNIT_DISK, 60.0, small_params().T, 8, radius=3.0)
         assert scan.exceedance_index(2.5) == 0
@@ -253,6 +266,15 @@ class TestSinogramIO:
         save_sinogram(self._small_sinogram(), path)
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(ParseError, match="truncated header"):
+            load_sinogram(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_binary_nonfinite_sample(self, tmp_path, value):
+        s = self._small_sinogram()
+        s.rows[1, 7] = value  # inside the [-K, K] block (columns 3..27)
+        path = tmp_path / "s.mrts"
+        save_sinogram(s, path)
+        with pytest.raises(ParseError, match="row 1, column 7: not a finite number"):
             load_sinogram(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -3,6 +3,9 @@
 import importlib.util
 import os
 
+from modradon import experiments, fbp
+from modradon.phantom import shepp_logan
+
 BENCH_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
 
@@ -16,3 +19,19 @@ def test_traced_names_resolve():
                for owner, attr, _, _ in tracing.patch_table()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
+    # the benchmark's fbp.back_project span patches this module global; a call
+    # that bypassed it would silently drop out of the per-layer metrics
+    calls = []
+    inner = fbp.back_project
+
+    def counting(hs, params, grid):
+        calls.append(len(hs))
+        return inner(hs, params, grid)
+
+    monkeypatch.setattr(fbp, "back_project", counting)
+    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
+    assert calls == [2]
+    assert res.images_bit_identical
