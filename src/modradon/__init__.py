@@ -40,7 +40,6 @@ from .forward import (
     Sinogram,
     fold_sinogram,
     load_sinogram,
-    random_lambda_exceedance,
     save_sinogram,
     scan_forward,
 )

@@ -19,7 +19,7 @@ from .errors import ConfigError, ModRadonError
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import Sinogram, fold_sinogram, load_sinogram, save_sinogram
 from .phantom import NAMED_PHANTOMS, ImageGrid, load_phantom, rasterize, save_phantom
-from .unfold import COMPACT, GENERAL, UnfoldConfig, unfold_sinogram
+from .unfold import COMPACT, GENERAL, UnfoldConfig, unfold_sinogram, write_unfold_reports
 
 
 def _phantom_arg(spec: str):
@@ -28,8 +28,44 @@ def _phantom_arg(spec: str):
     return load_phantom(spec)
 
 
+def _k_prime_arg(text: str):
+    """``auto`` or a non-negative integer margin."""
+    if text == "auto":
+        return text
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a non-negative integer, "
+                                         f"got {text!r}")
+    return int(text)
+
+
+def _floats(text: str) -> tuple:
+    """Comma-separated numbers."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file with defaults for this command")
+
+
+def _add_forward_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``forward`` and ``pipeline`` share; see :func:`_forward_kwargs`."""
+    p.add_argument("--phantom", default="shepp-logan",
+                   help=f"named phantom ({', '.join(NAMED_PHANTOMS)}) or a table file")
+    p.add_argument("--omega", type=float, required=True, help="bandwidth (rad/unit)")
+    p.add_argument("--lam", type=float, required=True, help="fold threshold")
+    p.add_argument("--t-frac", type=float, default=0.5,
+                   help="T as a fraction of 1/(omega*e)")
+    p.add_argument("--T", type=float, help="explicit radial spacing (overrides --t-frac)")
+    p.add_argument("--angles", type=int, help="number of angles M (default: omega)")
+    p.add_argument("--K", type=int, help="detector index bound (default: ceil(1/T))")
+    p.add_argument("--k-prime", type=_k_prime_arg, default="auto",
+                   help="left margin bound, or 'auto' to derive from the tail scan")
+
+
+def _forward_kwargs(args) -> dict:
+    """``prepare_forward`` keywords from the flags of :func:`_add_forward_flags`."""
+    return dict(lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T,
+                M=args.angles, K=args.K, k_prime=args.k_prime)
 
 
 def _build_parser():
@@ -50,17 +86,7 @@ def _build_parser():
     subparsers["phantom"] = p
 
     p = sub.add_parser("forward", help="phantom to prefiltered sinogram file")
-    p.add_argument("--phantom", default="shepp-logan")
-    p.add_argument("--omega", type=float, required=True, help="bandwidth (rad/unit)")
-    p.add_argument("--lam", type=float, required=True, help="fold threshold")
-    p.add_argument("--t-frac", type=float, default=0.5,
-                   help="T as a fraction of 1/(omega*e)")
-    p.add_argument("--T", type=float, help="explicit radial spacing (overrides --t-frac)")
-    p.add_argument("--angles", type=int, help="number of angles M (default: omega)")
-    p.add_argument("--K", type=int, help="detector index bound (default: ceil(1/T))")
-    p.add_argument("--k-prime", default="auto",
-                   help="left margin bound, or 'auto' to derive from the tail scan")
-    p.add_argument("--scan-radius", type=float, default=4.0)
+    _add_forward_flags(p)
     p.add_argument("--out", required=True)
     subparsers["forward"] = p
 
@@ -92,18 +118,10 @@ def _build_parser():
     subparsers["fbp"] = p
 
     p = sub.add_parser("pipeline", help="forward + fold + unfold + both reconstructions")
-    p.add_argument("--phantom", default="shepp-logan")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--t-frac", type=float, default=0.5)
-    p.add_argument("--T", type=float)
-    p.add_argument("--angles", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--k-prime", default="auto")
+    _add_forward_flags(p)
     p.add_argument("--filter", dest="filter_window", choices=["ram_lak", "cosine"],
                    default="cosine")
     p.add_argument("--size", type=int, default=256)
-    p.add_argument("--scan-radius", type=float, default=4.0)
     p.add_argument("--normalize", action="store_true",
                    help="scale raw projections to unit sup-norm before filtering")
     p.add_argument("--ingest", help="run on an ingested sinogram file instead of a phantom")
@@ -124,8 +142,9 @@ def _build_parser():
     subparsers["ingest"] = p
 
     p = sub.add_parser("sweep-success", help="Monte-Carlo recovery success grid")
-    p.add_argument("--lams", default="0.1,0.05", help="comma-separated thresholds")
-    p.add_argument("--omegas-pi", default="10",
+    p.add_argument("--lams", type=_floats, default="0.1,0.05",
+                   help="comma-separated thresholds")
+    p.add_argument("--omegas-pi", type=_floats, default="10",
                    help="comma-separated bandwidths in multiples of pi")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tsteps", type=int, default=25)
@@ -195,13 +214,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    phantom = _phantom_arg(args.phantom)
-    setup = experiments.prepare_forward(
-        phantom, lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T,
-        M=args.angles, K=args.K,
-        k_prime=args.k_prime if args.k_prime == "auto" else int(args.k_prime),
-        scan_radius=args.scan_radius,
-    )
+    setup = experiments.prepare_forward(_phantom_arg(args.phantom), **_forward_kwargs(args))
     save_sinogram(setup.sinogram(), args.out)
     p = setup.params
     print(f"wrote {args.out}: M={p.M} K={p.K} K'={p.K_prime} "
@@ -225,10 +238,7 @@ def _cmd_unfold(args) -> int:
     out, reports = unfold_sinogram(ms, cfg, args.K)
     save_sinogram(out, args.out)
     if args.report:
-        with open(args.report, "w") as f:
-            f.write("row," + reports[0].CSV_HEADER + "\n")
-            for i, r in enumerate(reports):
-                f.write(f"{i},{r.to_csv_line()}\n")
+        write_unfold_reports(reports, args.report)
     bad = sum(1 for r in reports if not r.success)
     print(f"unfolded {p.M} rows (order {reports[0].n_used}); {bad} flagged")
     return 0 if bad == 0 else 3
@@ -253,12 +263,8 @@ def _cmd_pipeline(args) -> int:
     else:
         source = _phantom_arg(args.phantom)
     res = experiments.run_pipeline(
-        source, lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T,
-        M=args.angles, K=args.K,
-        k_prime=args.k_prime if args.k_prime == "auto" else int(args.k_prime),
-        filter_window=args.filter_window, grid_size=args.size,
-        scan_radius=args.scan_radius, normalize=args.normalize,
-        outdir=args.outdir, tag=args.tag,
+        source, **_forward_kwargs(args), filter_window=args.filter_window,
+        grid_size=args.size, normalize=args.normalize, outdir=args.outdir, tag=args.tag,
     )
     print(f"K'={res.params.K_prime} N={res.N} J={res.J} "
           f"extra_compact={res.extra_samples_compact} extra_general={res.extra_samples_general}")
@@ -279,16 +285,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.full:
-        trials, tsteps = 1000, 100
-        omegas = (10 * np.pi, 20 * np.pi, 30 * np.pi)
-    else:
-        trials, tsteps = args.trials, args.tsteps
-        omegas = tuple(float(v) * np.pi for v in args.omegas_pi.split(","))
-    lams = tuple(float(v) for v in args.lams.split(","))
-    cells = experiments.success_sweep(lams=lams, omegas=omegas, trials=trials,
-                                      tsteps=tsteps, seed=args.seed,
-                                      workers=args.workers, outdir=args.outdir)
+    # --full keeps success_sweep's own full-scale defaults
+    scale = {} if args.full else dict(trials=args.trials, tsteps=args.tsteps,
+                                      omegas=tuple(v * np.pi for v in args.omegas_pi))
+    cells = experiments.success_sweep(lams=args.lams, seed=args.seed, workers=args.workers,
+                                      outdir=args.outdir, **scale)
     for c in cells:
         print(f"lam={c.lam:g} omega={c.omega / np.pi:g}pi: "
               f"rate(T_us)={c.rates[0].tolist()} rate(T_shannon)={c.rates[-1].tolist()}")

@@ -82,29 +82,16 @@ class SampleSeq:
         """Absolute index of the last element."""
         return self.base_index + self.values.size - 1
 
-    def covers(self, k: int) -> bool:
-        return self.base_index <= k <= self.end_index
-
-    def at(self, k: int) -> float:
-        """Value at absolute index k."""
-        if not self.covers(k):
-            raise DomainError(f"index {k} outside [{self.base_index}, {self.end_index}]")
-        return float(self.values[k - self.base_index])
-
     def window(self, k_lo: int, k_hi: int) -> "SampleSeq":
         """Restriction to absolute indices [k_lo, k_hi]."""
         if k_lo > k_hi:
             raise SizeError(f"empty window [{k_lo}, {k_hi}]")
-        if not (self.covers(k_lo) and self.covers(k_hi)):
+        if not self.base_index <= k_lo <= k_hi <= self.end_index:
             raise DomainError(
                 f"window [{k_lo}, {k_hi}] outside [{self.base_index}, {self.end_index}]"
             )
         lo = k_lo - self.base_index
         return SampleSeq(k_lo, self.values[lo : k_hi - self.base_index + 1].copy())
-
-    def indices(self) -> np.ndarray:
-        """Absolute indices as an int array."""
-        return np.arange(self.base_index, self.base_index + self.values.size)
 
 
 def modulo_fold(t, thr: Threshold):

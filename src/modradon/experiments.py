@@ -21,12 +21,14 @@ from .forward import (
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
+    empty_csv_rows,
     fold_sinogram,
     load_sinogram,
     parse_csv_row,
     save_sinogram,
     scan_forward,
     scan_from_raw,
+    support_index,
 )
 from .phantom import ImageGrid, Phantom, rasterize
 from .unfold import (
@@ -40,6 +42,7 @@ from .unfold import (
     select_order,
     unfold_compact,
     unfold_sinogram,
+    write_unfold_reports,
 )
 
 METRICS_HEADER = (
@@ -47,6 +50,8 @@ METRICS_HEADER = (
     "extra_samples_compact,extra_samples_general,sino_parity_max,image_parity_max,"
     "images_bit_identical,rmse_clean,rmse_recovered,success"
 )
+#: Largest sample error at which a synthetic recovery still counts as exact.
+_SUCCESS_TOL = 1e-6
 
 
 @dataclass
@@ -89,9 +94,14 @@ class PipelineResult:
         ])
 
 
-def _scan_with_clear_tail(source, omega, T, M, lam, radius):
-    """Scan, widening the window until the exceedance region closes."""
-    while True:
+def _scan_with_clear_tail(source, omega, T, M, lam, k_min):
+    """Scan, widening the window until the exceedance region closes.
+
+    The first window reaches radius 4, or index ``k_min`` if that lies further
+    out; the radius doubles up to 32.
+    """
+    radius = max(4.0, k_min * T)
+    while radius <= 32.0:
         if isinstance(source, Phantom):
             scan = scan_forward(source, omega, T, M, radius=radius)
         else:
@@ -99,9 +109,9 @@ def _scan_with_clear_tail(source, omega, T, M, lam, radius):
         try:
             return scan, scan.exceedance_index(lam)
         except MarginError:
-            if radius >= 32.0:
-                raise
             radius *= 2.0
+    raise MarginError(f"no scan window within |t| <= 32 reaches index {k_min} and "
+                      f"bounds the samples at or above lam={lam}")
 
 
 @dataclass
@@ -125,7 +135,7 @@ class ForwardSetup:
 def prepare_forward(source, *, lam: float, omega: float | None = None,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
                     K: int | None = None, k_prime: int | str = "auto",
-                    scan_radius: float = 4.0, normalize: bool = False) -> ForwardSetup:
+                    normalize: bool = False) -> ForwardSetup:
     """Resolve parameters, scan the tails, and size the acquisition window.
 
     ``source`` is either a :class:`Phantom` (analytic forward model) or a raw
@@ -153,12 +163,13 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         if T is None:
             T = t_frac / (omega * np.e)
         if K is None:
-            K = int(guarded_ceil(1.0 / T))
+            K = support_index(T)
         if M is None:
             M = int(round(omega))
         scan_src = phantom
 
-    scan, kstar = _scan_with_clear_tail(scan_src, omega, T, M, lam, scan_radius)
+    k_min = K if k_prime == "auto" else max(K, int(k_prime))
+    scan, kstar = _scan_with_clear_tail(scan_src, omega, T, M, lam, k_min)
     norm_scale = 1.0 if phantom is not None else norm_scale
     if phantom is not None and normalize:
         norm_scale = scan.beta_raw
@@ -172,8 +183,8 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     rho = kstar * T
     K_prime = required_margin(rho, T, N, K) if k_prime == "auto" else int(k_prime)
     if K_prime > scan.k_scan:
-        raise MarginError(f"margin K'={K_prime} exceeds the scanned radius; "
-                          f"raise scan_radius")
+        raise MarginError(f"margin K'={K_prime} exceeds the scanned range "
+                          f"[-{scan.k_scan}, {scan.k_scan}]")
     params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M,
                             beta=beta, rho=rho, N=N)
     return ForwardSetup(phantom, scan, params, cfg, beta_grid, norm_scale)
@@ -182,12 +193,11 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
 def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: float = 0.5,
                  T: float | None = None, M: int | None = None, K: int | None = None,
                  k_prime: int | str = "auto", filter_window: str = "cosine",
-                 grid_size: int = 256, scan_radius: float = 4.0, normalize: bool = False,
+                 grid_size: int = 256, normalize: bool = False,
                  outdir: str | None = None, tag: str = "pipeline") -> PipelineResult:
     """End-to-end run: forward model, fold, unfold, and both reconstructions."""
     setup = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T, M=M,
-                            K=K, k_prime=k_prime, scan_radius=scan_radius,
-                            normalize=normalize)
+                            K=K, k_prime=k_prime, normalize=normalize)
     phantom, cfg, beta_grid = setup.phantom, setup.cfg, setup.beta_grid
     params = setup.params
     K, K_prime, N = params.K, params.K_prime, params.N
@@ -238,10 +248,7 @@ def _write_pipeline_outputs(res: PipelineResult, outdir: str) -> None:
         write_raw_f64(img, os.path.join(outdir, f"{tag}_{name}.f64"))
     with open(os.path.join(outdir, f"{tag}_metrics.csv"), "w") as f:
         f.write(METRICS_HEADER + "\n" + res.to_csv_row() + "\n")
-    with open(os.path.join(outdir, f"{tag}_unfold_reports.csv"), "w") as f:
-        f.write("row," + res.reports[0].CSV_HEADER + "\n")
-        for i, r in enumerate(res.reports):
-            f.write(f"{i},{r.to_csv_line()}\n")
+    write_unfold_reports(res.reports, os.path.join(outdir, f"{tag}_unfold_reports.csv"))
 
 
 def base_order(lam: float, omega: float) -> int:
@@ -284,7 +291,7 @@ def _median3(r: np.ndarray) -> np.ndarray:
 
 
 def _sweep_cell(args) -> SweepCell:
-    lam, omega, trials, tsteps, seed, success_tol = args
+    lam, omega, trials, tsteps, seed = args
     t_us = 1.0 / (omega * np.e)
     t_sh = np.pi / omega
     nb = base_order(lam, omega)
@@ -294,7 +301,7 @@ def _sweep_cell(args) -> SweepCell:
     for trial in range(trials):
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([seed, trial]))
         for it, T in enumerate(ts):
-            K = int(guarded_ceil(1.0 / T))
+            K = support_index(T)
             kstar = sig.exceedance_index(T, lam)
             k_lo = -required_margin(kstar * T, T, max(orders), K)
             wide = sig.samples(T, k_lo, K)
@@ -307,25 +314,23 @@ def _sweep_cell(args) -> SweepCell:
                 cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam), omega=omega,
                                    T=T, mode=COMPACT, order_override=N)
                 rec, _ = unfold_compact(y, cfg, K)
-                if np.max(np.abs(rec.values - truth_sym)) < success_tol:
+                if np.max(np.abs(rec.values - truth_sym)) < _SUCCESS_TOL:
                     hits[it, iN] += 1
     rates = hits / float(trials)
     smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
     return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)
 
 
-def success_sweep(*, lams=(0.1, 0.05), omegas=None, trials: int = 1000,
-                  tsteps: int = 100, seed: int = 42, workers: int = 1,
-                  success_tol: float = 1e-6, outdir: str | None = None) -> list[SweepCell]:
+def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.pi),
+                  trials: int = 1000, tsteps: int = 100, seed: int = 42, workers: int = 1,
+                  outdir: str | None = None) -> list[SweepCell]:
     """Success-rate grid over sampling rates from the guaranteed spacing to the
     Nyquist spacing, for three difference orders per (lam, omega) cell.
 
     Per-trial signals come from PCG64 streams seeded by (seed, trial), so
     results do not depend on cell evaluation order or on the worker count.
     """
-    if omegas is None:
-        omegas = (10 * np.pi, 20 * np.pi, 30 * np.pi)
-    jobs = [(lam, om, trials, tsteps, seed, success_tol) for lam in lams for om in omegas]
+    jobs = [(lam, om, trials, tsteps, seed) for lam in lams for om in omegas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_sweep_cell, jobs))
@@ -357,8 +362,8 @@ class DemoAttempt:
                 f"{self.mse!r},{self.max_err!r},{int(self.success)}")
 
 
-def _demo_attempt(stage, sig, T, lam, omega, N, success_tol=1e-6) -> DemoAttempt:
-    K = int(guarded_ceil(1.0 / T))
+def _demo_attempt(stage, sig, T, lam, omega, N) -> DemoAttempt:
+    K = support_index(T)
     kstar = sig.exceedance_index(T, lam)
     K_prime = required_margin(kstar * T, T, N, K)
     truth = sig.samples(T, -K_prime, K)
@@ -370,7 +375,7 @@ def _demo_attempt(stage, sig, T, lam, omega, N, success_tol=1e-6) -> DemoAttempt
     ref = truth.window(-K, K).values
     err = np.abs(rec.values - ref)
     return DemoAttempt(stage, T, N, folds, float(np.mean(err**2)), float(np.max(err)),
-                       bool(np.max(err) < success_tol))
+                       bool(np.max(err) < _SUCCESS_TOL))
 
 
 def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 0,
@@ -407,6 +412,7 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
     input, and all-zero input that cannot be normalized, raise
     :class:`ParseError`; CSV errors name the offending row and column.
     """
+    params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K, M=M)
     if str(path).endswith(".mrts"):
         rows = load_sinogram(path).symmetric_rows().copy()
     else:
@@ -416,16 +422,14 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
         if peak == 0.0:
             raise ParseError(f"{path}: all samples are zero; cannot normalize")
         rows /= peak
-    params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K, M=M,
-                            beta=float(np.max(np.abs(rows))))
-    return Sinogram(params, rows)
+    return Sinogram(replace(params, beta=float(np.max(np.abs(rows)))), rows)
 
 
 def _read_raw_csv(path: str, M: int, width: int) -> np.ndarray:
     """M data rows of ``width`` columns; blank lines and ``#`` comments skipped."""
-    rows = np.empty((M, width))
     m = 0
-    with open(path) as f:
+    with open(path, errors="replace") as f:
+        rows = empty_csv_rows(f, path, M, width)
         for lineno, line in enumerate(f, start=1):
             body = line.strip()
             if not body or body.startswith("#"):

@@ -10,6 +10,7 @@ function, which is what the recovery guarantees operate on.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -18,7 +19,7 @@ from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from .core import SampleSeq, Threshold, guarded_ceil, modulo_fold
-from .errors import ConfigError, DomainError, MarginError, NumericError, ParseError, SizeError
+from .errors import ConfigError, MarginError, NumericError, ParseError, SizeError
 from .phantom import Phantom, radon_phantom
 
 _MAGIC = b"MRTS"
@@ -26,6 +27,8 @@ _VERSION = 1
 _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
 #: Rows per FFT convolution block in :func:`convolve_rows`.
 _CONV_ROWS = 64
+#: Outermost lattice positions of a tail scan that must stay below lam.
+_CLEAR_BAND = 32
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,12 @@ class SamplingParams:
         ``M = omega`` rounded, margin defaulting to the symmetric grid."""
         T = t_frac / (omega * np.e)
         if K is None:
-            K = int(guarded_ceil(1.0 / T))
+            K = support_index(T)
         if M is None:
             M = int(round(omega))
         if K_prime is None:
             K_prime = K
         return cls(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
-
-    @property
-    def t_shannon(self) -> float:
-        return np.pi / self.omega
 
     @property
     def t_us(self) -> float:
@@ -105,10 +104,6 @@ class SamplingParams:
 
     def thetas(self) -> np.ndarray:
         return np.arange(self.M) * (np.pi / self.M)
-
-    def fbp_conditions_ok(self) -> bool:
-        """Classical sampling conditions for filtered back projection."""
-        return self.M >= self.omega and self.K >= 1.0 / self.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,17 +209,17 @@ class ForwardScan:
     rows: np.ndarray
     beta_raw: float
 
-    def exceedance_index(self, lam: float, clear_band: int = 32) -> int:
+    def exceedance_index(self, lam: float) -> int:
         """Largest |k| whose sample magnitude reaches lam, over all angles.
 
         Raises
         ------
         MarginError
-            If the outermost ``clear_band`` lattice positions are not strictly
+            If the outermost ``_CLEAR_BAND`` lattice positions are not strictly
             below lam (the scan window was too narrow to bound the tails).
         """
         exc = np.abs(self.rows) >= lam
-        if np.any(exc[:, :clear_band]) or np.any(exc[:, -clear_band:]):
+        if np.any(exc[:, :_CLEAR_BAND]) or np.any(exc[:, -_CLEAR_BAND:]):
             raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
         cols = np.nonzero(exc.any(axis=0))[0]
         if cols.size == 0:
@@ -318,51 +313,25 @@ class RandomBandlimitedSignal:
         k = np.arange(k_lo, k_hi + 1)
         return SampleSeq(k_lo, self.sample(k * T))
 
-    def sup_norm(self, step_frac: float = 1 / 32, pad: float = 2.0) -> float:
-        """Max magnitude on a fine grid (step = step_frac * pi/omega)."""
-        step = step_frac * np.pi / self.omega
-        t = np.arange(-1.0 - pad, 1.0 + pad + step, step)
+    def sup_norm(self) -> float:
+        """Max magnitude on a fine grid over [-3, 3] (step pi/(32*omega))."""
+        step = np.pi / 32 / self.omega
+        t = np.arange(-3.0, 3.0 + step, step)
         return float(np.max(np.abs(self.sample(t))))
 
-    def exceedance_index(self, T: float, lam: float, clear_band: int = 32,
-                         max_radius: float = 64.0) -> int:
-        """Largest lattice |k| with |g(kT)| >= lam, with a verified clear tail."""
+    def exceedance_index(self, T: float, lam: float) -> int:
+        """Largest lattice |k| with |g(kT)| >= lam, with a verified clear tail
+        (scan radius doubled from 3 up to 64)."""
         radius = 3.0
-        while radius <= max_radius:
+        while radius <= 64.0:
             kw = int(np.ceil(radius / T))
             g = self.sample(np.arange(-kw, kw + 1) * T)
             exc = np.abs(g) >= lam
-            if not (np.any(exc[:clear_band]) or np.any(exc[-clear_band:])):
+            if not (np.any(exc[:_CLEAR_BAND]) or np.any(exc[-_CLEAR_BAND:])):
                 cols = np.nonzero(exc)[0]
                 return int(np.max(np.abs(cols - kw))) if cols.size else 0
             radius *= 2.0
         raise NumericError("exceedance region did not close within the scan limit")
-
-
-def random_lambda_exceedance(omega: float, lam: float, seed: int,
-                             T: float | None = None):
-    """Seeded random band-limited signal of compact fold exceedance.
-
-    Returns
-    -------
-    seq : SampleSeq
-        Samples at spacing ``T`` (default ``0.5/(omega*e)``) over a window
-        that provably contains the exceedance region with a clear tail.
-    signal : RandomBandlimitedSignal
-        The generating signal, carrying the exact sampler; its measured
-        ``sup_norm()`` and ``exceedance_index()`` describe the realization.
-
-    Determinism: identical (omega, lam, seed, T) always produce identical
-    output (PCG64 stream seeded from ``seed``).
-    """
-    if omega <= 0 or lam <= 0:
-        raise DomainError("omega and lam must be positive")
-    if T is None:
-        T = 0.5 / (omega * np.e)
-    sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
-    kstar = sig.exceedance_index(T, lam)
-    kw = kstar + 32
-    return sig.samples(T, -kw, kw), sig
 
 
 def save_sinogram(s: Sinogram, path: str) -> None:
@@ -400,12 +369,15 @@ def _load_binary(path) -> Sinogram:
     if version != _VERSION:
         raise ParseError(f"{path}: unsupported version {version}")
     omega, T, lam = struct.unpack("<ddd", blob[20:44])
+    try:
+        params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: bad header field ({exc})") from None
     n = M * (K_prime + K + 1)
-    data = np.frombuffer(blob[44:], dtype="<f8")
-    if data.size != n:
-        raise ParseError(f"{path}: expected {n} samples, found {data.size}")
-    params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
-    rows = data.reshape(M, K_prime + K + 1).astype(float)
+    if len(blob) - _HEADER_BYTES != 8 * n:
+        raise ParseError(f"{path}: expected {n} samples ({8 * n} bytes) after the header, "
+                         f"found {len(blob) - _HEADER_BYTES} bytes")
+    rows = np.frombuffer(blob[44:], dtype="<f8").reshape(M, K_prime + K + 1).astype(float)
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         m, i = bad[0]
@@ -424,7 +396,7 @@ def _save_csv(s, path):
 
 
 def _load_csv(path) -> Sinogram:
-    with open(path) as f:
+    with open(path, errors="replace") as f:
         head = f.readline().strip()
         if not head.startswith("# modradon-sinogram"):
             raise ParseError(f"{path}: line 1: missing sinogram header")
@@ -439,13 +411,26 @@ def _load_csv(path) -> Sinogram:
             )
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: line 1: bad header field ({exc})") from None
-        rows = np.empty((params.M, params.K_prime + params.K + 1))
+        rows = empty_csv_rows(f, path, params.M, params.K_prime + params.K + 1)
         for m in range(params.M):
             line = f.readline()
             if not line:
                 raise ParseError(f"{path}: row {m}: unexpected end of file")
             parse_csv_row(line, rows[m], path, m)
     return Sinogram(params, rows)
+
+
+def empty_csv_rows(f, path, M: int, width: int) -> np.ndarray:
+    """Uninitialised (M, width) buffer for the data rows of the open CSV ``f``.
+
+    Every value takes at least two bytes (a digit and a separator), so a
+    declared shape that the file is too small to hold raises
+    :class:`ParseError` before anything of that size is allocated.
+    """
+    size = os.fstat(f.fileno()).st_size
+    if 2 * M * width - 1 > size:
+        raise ParseError(f"{path}: {M} rows of {width} values cannot fit in {size} bytes")
+    return np.empty((M, width))
 
 
 def parse_csv_row(line: str, out: np.ndarray, path, m: int) -> None:

@@ -87,11 +87,6 @@ class ImageGrid:
                 raise SizeError(f"pixel array shape {arr.shape} != {(self.height, self.width)}")
             object.__setattr__(self, "pixels", arr)
 
-    @property
-    def extent(self):
-        """((xmin, xmax), (ymin, ymax)) of the mapped square."""
-        return ((-1.0, 1.0), (-1.0, 1.0))
-
     def pixel_axes(self):
         """1-D pixel-center coordinates: x per column (width), y per row (height)."""
         x = -1.0 + (np.arange(self.width) + 0.5) * (2.0 / self.width)

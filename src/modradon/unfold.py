@@ -114,6 +114,14 @@ class UnfoldReport:
         return f"{self.n_used},{j},{self.residual_grid_deviation!r},{int(self.success)},{t}"
 
 
+def write_unfold_reports(reports, path) -> None:
+    """Per-row report CSV: a ``row,`` + ``CSV_HEADER`` line, then one line per row."""
+    with open(path, "w") as f:
+        f.write("row," + UnfoldReport.CSV_HEADER + "\n")
+        for i, r in enumerate(reports):
+            f.write(f"{i},{r.to_csv_line()}\n")
+
+
 def grid_upper_bound(beta: float, lam: float) -> float:
     """Round an amplitude bound up to the next even multiple of lam."""
     grid = 2.0 * lam

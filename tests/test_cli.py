@@ -63,6 +63,16 @@ def write_nonfinite_mrts(path):
     save_sinogram(Sinogram(p, rows), path)
 
 
+def write_partial_sample_mrts(path):
+    """A valid .mrts sinogram (M=4, K=5, K'=8) followed by 3 stray bytes."""
+    from modradon.forward import SamplingParams, Sinogram, save_sinogram
+
+    p = SamplingParams(omega=20.0, T=0.05, lam=0.5, K=5, K_prime=8, M=4)
+    save_sinogram(Sinogram(p, np.ones((4, 14))), path)
+    with open(path, "ab") as f:
+        f.write(b"\x00\x01\x02")
+
+
 class TestFbpCommand:
     def test_nonfinite_mrts_exits_2(self, tmp_path, capsys):
         src = tmp_path / "nan.mrts"
@@ -73,6 +83,40 @@ class TestFbpCommand:
         assert "error:" in err and "row 2, column 6: not a finite number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "img.pgm").exists()
+
+    def test_partial_sample_mrts_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "odd.mrts"
+        write_partial_sample_mrts(src)
+        code = run(["fbp", "--in", src, "--out", tmp_path / "img.pgm", "--size", 16])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "expected 56 samples" in err
+        assert "Traceback" not in err
+
+
+class TestForwardCommand:
+    def test_K_beyond_default_scan(self, tmp_path):
+        # K=500 reaches past radius 4 at this spacing; the scan widens to cover it
+        out = tmp_path / "s.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--K", 500, "--out", out]) == 0
+        assert load_sinogram(out).params.K == 500
+
+    def test_no_scan_radius_flag(self, capsys):
+        for command in ("forward", "pipeline"):
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            assert "--scan-radius" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, out", [("forward", "--out"), ("pipeline", "--outdir")])
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_k_prime_exits_2(self, tmp_path, capsys, command, out, value):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--omega", 20, "--lam", 0.05, "--k-prime", value,
+                 out, tmp_path / "x"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument --k-prime: expected 'auto' or a non-negative integer" in err
+        assert "Traceback" not in err
 
 
 class TestFoldCommand:
@@ -192,6 +236,33 @@ class TestIngest:
         assert code == 2
         assert "row 1, column 1" in capsys.readouterr().err
 
+    def test_partial_sample_mrts_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "odd.mrts"
+        write_partial_sample_mrts(src)
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05, "--angles", 4,
+                    "--K", 5, "--lam", 0.1, "--out", tmp_path / "s.mrts"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "expected 56 samples" in err
+        assert "Traceback" not in err
+
+    def test_declared_shape_larger_than_file_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text("1.0,2.0,3.0\n")
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05,
+                    "--angles", 1000000000000, "--K", 1, "--lam", 0.1,
+                    "--out", tmp_path / "s.mrts"])
+        assert code == 2
+        assert "cannot fit in 12 bytes" in capsys.readouterr().err
+
+    def test_negative_angles_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text("1.0,2.0,3.0\n")
+        code = run(["ingest", "--in", src, "--omega", 20, "--T", 0.05, "--angles", -1,
+                    "--K", 1, "--lam", 0.1, "--out", tmp_path / "s.mrts"])
+        assert code == 2
+        assert "M must be a positive integer" in capsys.readouterr().err
+
     def test_empty_file_exits_nonzero(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
         src.write_text("")
@@ -212,6 +283,12 @@ class TestSweepCommand:
         for a, b in zip(seq, par):
             assert (a.lam, a.omega) == (b.lam, b.omega)
             np.testing.assert_array_equal(a.rates, b.rates)
+
+    def test_bad_lams_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep-success", "--lams", "0.1,abc", "--outdir", tmp_path])
+        assert exc.value.code == 2
+        assert "argument --lams" in capsys.readouterr().err
 
     def test_tiny_sweep_deterministic(self, tmp_path):
         out1 = tmp_path / "sw1"

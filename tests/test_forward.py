@@ -1,3 +1,5 @@
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +8,13 @@ from scipy.signal import fftconvolve
 
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.forward import (
+    RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
     fold_sinogram,
     highband_energy_fraction,
     load_sinogram,
     lowpass_kernel,
-    random_lambda_exceedance,
     save_sinogram,
     scan_forward,
     scan_from_raw,
@@ -41,6 +43,10 @@ def prefiltered_row(p, theta, params):
     return scan.sinogram(replace(params, M=1)).row(0)
 
 
+def draw_signal(omega, seed):
+    return RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
+
+
 class TestSamplingParams:
     def test_design_matches_reference_choice(self):
         p = SamplingParams.design(300.0, lam=0.025)
@@ -48,7 +54,8 @@ class TestSamplingParams:
         assert p.K == 1631
         assert p.M == 300
         assert p.oversampling == pytest.approx(0.5)
-        assert p.fbp_conditions_ok()
+        # classical sampling conditions for filtered back projection
+        assert p.M >= p.omega and p.K >= 1.0 / p.T
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -58,7 +65,6 @@ class TestSamplingParams:
 
     def test_rate_landmarks(self):
         p = small_params()
-        assert p.t_shannon == pytest.approx(np.pi / 60.0)
         assert p.t_us == pytest.approx(1.0 / (60.0 * np.e))
 
 
@@ -71,7 +77,7 @@ class TestPrefilter:
     def test_unit_disk_center_value(self):
         p = SamplingParams.design(300.0, lam=0.05)
         seq = prefiltered_row(UNIT_DISK, 0.0, p)
-        assert seq.at(0) == pytest.approx(2.0, abs=0.05)
+        assert seq.values[-seq.base_index] == pytest.approx(2.0, abs=0.05)
 
     def test_rows_are_band_limited(self):
         p = small_params()
@@ -85,8 +91,8 @@ class TestPrefilter:
         back = prefiltered_row(shepp_logan(), 0.7 + np.pi, p)
         # row at theta+pi equals the offset-reversed row at theta
         lo, hi = -p.K, min(p.K, p.K_prime)
-        a = np.array([fwd.at(k) for k in range(lo, hi + 1)])
-        b = np.array([back.at(-k) for k in range(lo, hi + 1)])
+        a = fwd.window(lo, hi).values
+        b = back.window(-hi, -lo).values[::-1]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_make_sinogram_shape_and_beta(self):
@@ -177,36 +183,39 @@ class TestScan:
 
 class TestRandomSignal:
     def test_deterministic_in_seed(self):
-        a, sa = random_lambda_exceedance(10 * np.pi, 0.1, seed=123)
-        b, sb = random_lambda_exceedance(10 * np.pi, 0.1, seed=123)
-        assert a.base_index == b.base_index
-        np.testing.assert_array_equal(a.values, b.values)
+        T = 0.5 / (10 * np.pi * np.e)
+        sa, sb = draw_signal(10 * np.pi, 123), draw_signal(10 * np.pi, 123)
+        kw = sa.exceedance_index(T, 0.1) + 32
+        assert sb.exceedance_index(T, 0.1) + 32 == kw
+        np.testing.assert_array_equal(sa.samples(T, -kw, kw).values,
+                                      sb.samples(T, -kw, kw).values)
         np.testing.assert_array_equal(sa.levels, sb.levels)
 
     def test_different_seeds_differ(self):
-        a, _ = random_lambda_exceedance(10 * np.pi, 0.1, seed=1)
-        b, _ = random_lambda_exceedance(10 * np.pi, 0.1, seed=2)
+        T = 0.5 / (10 * np.pi * np.e)
+        a = draw_signal(10 * np.pi, 1).samples(T, -100, 100)
+        b = draw_signal(10 * np.pi, 2).samples(T, -100, 100)
         assert not np.array_equal(a.values, b.values)
 
     def test_sup_norm_stays_near_profile_range(self):
         # levels live in [-1, 1]; ringing overshoot stays bounded
         for seed in range(8):
-            _, sig = random_lambda_exceedance(10 * np.pi, 0.1, seed=seed)
-            assert sig.sup_norm() <= 1.4
+            assert draw_signal(10 * np.pi, seed).sup_norm() <= 1.4
 
     def test_quiet_beyond_reported_exceedance(self):
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
-        seq, sig = random_lambda_exceedance(omega, lam, seed=5, T=T)
+        sig = draw_signal(omega, 5)
         kstar = sig.exceedance_index(T, lam)
-        k = seq.indices()
+        seq = sig.samples(T, -kstar - 32, kstar + 32)
+        k = np.arange(-kstar - 32, kstar + 33)
         outside = np.abs(k) > kstar
         assert np.all(np.abs(seq.values[outside]) < lam)
         inside_peak = np.max(np.abs(seq.values[~outside])) if kstar > 0 else 0.0
         assert inside_peak >= lam
 
     def test_samples_match_signal(self):
-        _, sig = random_lambda_exceedance(20 * np.pi, 0.05, seed=9)
+        sig = draw_signal(20 * np.pi, 9)
         T = 0.01
         seq = sig.samples(T, -5, 5)
         np.testing.assert_allclose(seq.values, sig.sample(np.arange(-5, 6) * T), atol=0)
@@ -300,6 +309,39 @@ class TestSinogramIO:
         lines[3] = ",".join(cols)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="row 2, column 5"):
+            load_sinogram(path)
+
+    def test_binary_partial_sample(self, tmp_path):
+        path = tmp_path / "s.mrts"
+        save_sinogram(self._small_sinogram(), path)
+        path.write_bytes(path.read_bytes() + b"\x00\x01\x02")
+        with pytest.raises(ParseError, match="expected 168 samples"):
+            load_sinogram(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("M", 0), ("K_prime", 11), ("omega", -25.0), ("lam", np.nan)])
+    def test_binary_invalid_header_value(self, tmp_path, field, value):
+        p = self._small_sinogram().params
+        head = dict(M=p.M, K=p.K, K_prime=p.K_prime, omega=p.omega, T=p.T, lam=p.lam)
+        head[field] = value
+        path = tmp_path / "s.mrts"
+        path.write_bytes(b"MRTS" + struct.pack("<IIII", 1, head["M"], head["K"], head["K_prime"])
+                         + struct.pack("<ddd", head["omega"], head["T"], head["lam"]))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: bad header field")):
+            load_sinogram(path)
+
+    def test_csv_declared_shape_larger_than_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# modradon-sinogram omega=25.0 T=0.02 lambda=0.125"
+                        " M=1000000000000 K=12 K_prime=15\n1.0\n")
+        with pytest.raises(ParseError, match="cannot fit in"):
+            load_sinogram(path)
+
+    def test_csv_not_utf8(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"# modradon-sinogram omega=25.0 T=0.02 lambda=0.125 M=1 K=1"
+                         b" K_prime=1\n0.5,\xff\xfe,0.5\n")
+        with pytest.raises(ParseError, match="row 0, column 1: not a number"):
             load_sinogram(path)
 
     def test_fold_unfold_round_trip_via_files(self, tmp_path):

@@ -1,9 +1,10 @@
 """Guards for the benchmark harness that lives next to the package."""
 
 import importlib.util
+import inspect
 import os
 
-from modradon import experiments, fbp
+from modradon import cli, experiments, fbp
 from modradon.phantom import shepp_logan
 
 BENCH_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -19,6 +20,26 @@ def test_traced_names_resolve():
                for owner, attr, _, _ in tracing.patch_table()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_benchmark_calls_bind():
+    # the exact calls of bench/workloads.py: a parameter or flag the frozen
+    # benchmark still passes must not disappear from the program
+    inspect.signature(experiments.run_pipeline).bind(
+        shepp_logan(), lam=0.025, omega=300, t_frac=0.5, filter_window="cosine",
+        grid_size=256)
+    inspect.signature(experiments.success_sweep).bind(
+        lams=(0.1, 0.05), omegas=(1.0, 2.0), trials=12, tsteps=25, seed=1, workers=1,
+        outdir="sweep")
+    parser, subparsers = cli._build_parser()
+    for argv in (["ingest", "--in", "raw.csv", "--omega", "300.0", "--T", "0.001",
+                  "--angles", "600", "--K", "1128", "--lam", "0.025", "--out", "w.mrts"],
+                 ["pipeline", "--ingest", "w.mrts", "--lam", "0.025", "--normalize",
+                  "--omega", "300.0", "--outdir", "out"]):
+        parser.parse_args(argv)
+        # argparse accepts prefixes of longer flags, so check the names too
+        flags = {s for a in subparsers[argv[0]]._actions for s in a.option_strings}
+        assert {a for a in argv if a.startswith("--")} <= flags
 
 
 def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):

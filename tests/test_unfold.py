@@ -3,7 +3,7 @@ import pytest
 
 from modradon.core import SampleSeq, Threshold, modulo_fold
 from modradon.errors import ConditionError, ConfigError, MarginError, SizeError
-from modradon.forward import RandomBandlimitedSignal, random_lambda_exceedance
+from modradon.forward import RandomBandlimitedSignal
 from modradon.unfold import (
     COMPACT,
     GENERAL,
@@ -307,7 +307,7 @@ class TestDifferenceBound:
         omega = 10 * np.pi
         T = 0.3 * np.pi / omega
         for seed in range(20):
-            _, sig = random_lambda_exceedance(omega, 0.1, seed=seed, T=T)
+            sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
             sup = sig.sup_norm()
             g = sig.samples(T, -400, 400).values
             for n in range(1, 7):
