@@ -94,6 +94,21 @@ class PipelineResult:
         ])
 
 
+def _check_positive(**values) -> None:
+    """Raise :class:`ConfigError` naming the first value that is given (not
+    None) but is not a positive finite number."""
+    for name, v in values.items():
+        if v is not None and not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be positive and finite, got {v}")
+
+
+def _check_counts(**values) -> None:
+    """Raise :class:`ConfigError` naming the first given count below 1."""
+    for name, n in values.items():
+        if n is not None and n < 1:
+            raise ConfigError(f"{name} must be at least 1, got {n}")
+
+
 def _scan_with_clear_tail(source, omega, T, M, lam, k_min):
     """Scan, widening the window until the exceedance region closes.
 
@@ -142,8 +157,11 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     :class:`Sinogram` of measured projection samples (e.g. from ingest), which
     is band-limited the same way.  With ``normalize=True`` the raw samples are
     scaled to unit sup-norm before the anti-aliasing filter (the convention
-    for measured datasets).
+    for measured datasets).  A value that is not positive and finite, or a
+    count below 1, raises :class:`ConfigError` before anything is scanned.
     """
+    _check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
+    _check_counts(M=M, K=K)
     if isinstance(source, Sinogram):
         sp = source.params
         omega = sp.omega if omega is None else omega
@@ -167,6 +185,9 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         if M is None:
             M = int(round(omega))
         scan_src = phantom
+    # T and M may have been derived from t_frac and omega
+    _check_positive(T=T)
+    _check_counts(M=M)
 
     k_min = K if k_prime == "auto" else max(K, int(k_prime))
     scan, kstar = _scan_with_clear_tail(scan_src, omega, T, M, lam, k_min)
@@ -290,6 +311,21 @@ def _median3(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lattice_samples(sig: RandomBandlimitedSignal, T: float, scanned: SampleSeq,
+                     k_lo: int, k_hi: int) -> SampleSeq:
+    """``sig.samples(T, k_lo, k_hi)`` cut from the exceedance scan's samples.
+
+    ``k_hi`` must lie inside ``scanned``.  Only a margin reaching left of it,
+    which an order beyond the clear band can need, is evaluated anew; the same
+    integer index times the same ``T`` gives the same bits either way.
+    """
+    lo = scanned.base_index
+    if k_lo >= lo:
+        return scanned.window(k_lo, k_hi)
+    head = sig.samples(T, k_lo, lo - 1).values
+    return SampleSeq(k_lo, np.concatenate([head, scanned.window(lo, k_hi).values]))
+
+
 def _sweep_cell(args) -> SweepCell:
     lam, omega, trials, tsteps, seed = args
     t_us = 1.0 / (omega * np.e)
@@ -302,9 +338,9 @@ def _sweep_cell(args) -> SweepCell:
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([seed, trial]))
         for it, T in enumerate(ts):
             K = support_index(T)
-            kstar = sig.exceedance_index(T, lam)
+            kstar, scanned = sig.scan_exceedance(T, lam)
             k_lo = -required_margin(kstar * T, T, max(orders), K)
-            wide = sig.samples(T, k_lo, K)
+            wide = _lattice_samples(sig, T, scanned, k_lo, K)
             folded = modulo_fold(wide.values, Threshold(lam))
             truth_sym = wide.values[-K - k_lo :]
             for iN, N in enumerate(orders):
@@ -329,7 +365,14 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
 
     Per-trial signals come from PCG64 streams seeded by (seed, trial), so
     results do not depend on cell evaluation order or on the worker count.
+    A threshold or bandwidth that is not positive and finite, or fewer than
+    one trial or rate step, raises :class:`ConfigError`.
     """
+    for lam in lams:
+        _check_positive(lam=lam)
+    for om in omegas:
+        _check_positive(omega=om)
+    _check_counts(trials=trials, tsteps=tsteps)
     jobs = [(lam, om, trials, tsteps, seed) for lam in lams for om in omegas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -364,9 +407,9 @@ class DemoAttempt:
 
 def _demo_attempt(stage, sig, T, lam, omega, N) -> DemoAttempt:
     K = support_index(T)
-    kstar = sig.exceedance_index(T, lam)
+    kstar, scanned = sig.scan_exceedance(T, lam)
     K_prime = required_margin(kstar * T, T, N, K)
-    truth = sig.samples(T, -K_prime, K)
+    truth = _lattice_samples(sig, T, scanned, -K_prime, K)
     y = SampleSeq(-K_prime, modulo_fold(truth.values, Threshold(lam)))
     folds = int(np.count_nonzero(fold_count(truth.values, Threshold(lam))))
     cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(sig.sup_norm(), lam), omega=omega,

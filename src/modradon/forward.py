@@ -299,14 +299,18 @@ class RandomBandlimitedSignal:
         return cls(omega, edges, levels)
 
     def sample(self, t) -> np.ndarray:
-        """Evaluate the signal at times t (exact, via the sine integral)."""
+        """Evaluate the signal at times t (exact, via the sine integral).
+
+        One ``sici`` call covers every edge; each level then adds
+        ``c_i * (Si_i - Si_{i+1})`` in level order.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
+        x = t - self.edges.reshape((-1,) + (1,) * t.ndim)
+        x *= self.omega
+        si = sici(x, out=(x, np.empty_like(x)))[0]  # Si overwrites x; Ci is dropped
         acc = np.zeros_like(t)
         for i, c in enumerate(self.levels):
-            acc += c * (
-                sici(self.omega * (t - self.edges[i]))[0]
-                - sici(self.omega * (t - self.edges[i + 1]))[0]
-            )
+            acc += c * (si[i] - si[i + 1])
         return acc / np.pi
 
     def samples(self, T: float, k_lo: int, k_hi: int) -> SampleSeq:
@@ -319,19 +323,30 @@ class RandomBandlimitedSignal:
         t = np.arange(-3.0, 3.0 + step, step)
         return float(np.max(np.abs(self.sample(t))))
 
-    def exceedance_index(self, T: float, lam: float) -> int:
-        """Largest lattice |k| with |g(kT)| >= lam, with a verified clear tail
-        (scan radius doubled from 3 up to 64)."""
+    def scan_exceedance(self, T: float, lam: float) -> tuple[int, SampleSeq]:
+        """Largest lattice |k| with |g(kT)| >= lam, and the samples scanned to find it.
+
+        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``; while one of the
+        outermost ``_CLEAR_BAND`` samples reaches lam, the radius doubles from 3
+        up to 64 and only the lattice points outside the previous scan are
+        evaluated.
+        """
         radius = 3.0
-        while radius <= 64.0:
-            kw = int(np.ceil(radius / T))
-            g = self.sample(np.arange(-kw, kw + 1) * T)
+        kw = int(np.ceil(radius / T))
+        g = self.sample(np.arange(-kw, kw + 1) * T)
+        while True:
             exc = np.abs(g) >= lam
             if not (np.any(exc[:_CLEAR_BAND]) or np.any(exc[-_CLEAR_BAND:])):
                 cols = np.nonzero(exc)[0]
-                return int(np.max(np.abs(cols - kw))) if cols.size else 0
+                kstar = int(np.max(np.abs(cols - kw))) if cols.size else 0
+                return kstar, SampleSeq(-kw, g)
             radius *= 2.0
-        raise NumericError("exceedance region did not close within the scan limit")
+            if radius > 64.0:
+                raise NumericError("exceedance region did not close within the scan limit")
+            ext = np.arange(kw + 1, int(np.ceil(radius / T)) + 1)
+            flanks = self.sample(np.concatenate([-ext[::-1], ext]) * T)
+            g = np.concatenate([flanks[: ext.size], g, flanks[ext.size :]])
+            kw += ext.size
 
 
 def save_sinogram(s: Sinogram, path: str) -> None:
@@ -417,6 +432,9 @@ def _load_csv(path) -> Sinogram:
             if not line:
                 raise ParseError(f"{path}: row {m}: unexpected end of file")
             parse_csv_row(line, rows[m], path, m)
+        for lineno, line in enumerate(f, start=params.M + 2):
+            if line.strip():
+                raise ParseError(f"{path}: line {lineno}: more than {params.M} data rows")
     return Sinogram(params, rows)
 
 

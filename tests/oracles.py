@@ -4,9 +4,24 @@ These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
 transform; back projection is the plain per-angle loop over the whole image.
+The sweep sampler is the two-call-per-level sine-integral loop, and the sweep
+cell scans for the exceedance and then evaluates its window a second time.
 """
 
 import numpy as np
+from scipy.special import sici
+
+from modradon.core import SampleSeq, Threshold, modulo_fold
+from modradon.errors import NumericError
+from modradon.experiments import _SUCCESS_TOL, SweepCell, _median3, base_order
+from modradon.forward import RandomBandlimitedSignal, support_index
+from modradon.unfold import (
+    COMPACT,
+    UnfoldConfig,
+    grid_upper_bound,
+    required_margin,
+    unfold_compact,
+)
 
 
 def line_integral_oracle(ellipse, theta, t, step=1e-5, span=2.0, bisect_tol=1e-13):
@@ -79,3 +94,64 @@ def back_project_oracle(h, params, grid):
         acc += np.where(inside, vals, 0.0)
     acc *= T / (2.0 * M)
     return acc
+
+
+def sample_oracle(sig, t):
+    """``RandomBandlimitedSignal.sample`` with both sine integrals of every level
+    evaluated on their own: 42 ``sici`` calls for the 21 levels."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    acc = np.zeros_like(t)
+    for i, c in enumerate(sig.levels):
+        acc += c * (
+            sici(sig.omega * (t - sig.edges[i]))[0]
+            - sici(sig.omega * (t - sig.edges[i + 1]))[0]
+        )
+    return acc / np.pi
+
+
+def exceedance_index_oracle(sig, T, lam):
+    """Largest lattice |k| with |g(kT)| >= lam and the outermost 32 samples on
+    each side below it; every doubled scan (radius 3 up to 64) evaluates its
+    whole lattice again."""
+    radius = 3.0
+    while radius <= 64.0:
+        kw = int(np.ceil(radius / T))
+        g = sample_oracle(sig, np.arange(-kw, kw + 1) * T)
+        exc = np.abs(g) >= lam
+        if not (np.any(exc[:32]) or np.any(exc[-32:])):
+            cols = np.nonzero(exc)[0]
+            return int(np.max(np.abs(cols - kw))) if cols.size else 0
+        radius *= 2.0
+    raise NumericError("exceedance region did not close within the scan limit")
+
+
+def sweep_cell_oracle(args):
+    """One success-sweep cell that scans for the exceedance and then samples
+    the margin window ``[k_lo, K]`` a second time, with :func:`sample_oracle`."""
+    lam, omega, trials, tsteps, seed = args
+    t_us = 1.0 / (omega * np.e)
+    t_sh = np.pi / omega
+    nb = base_order(lam, omega)
+    orders = (nb, 2 * nb, 3 * nb)
+    ts = np.linspace(t_us, t_sh, tsteps)
+    hits = np.zeros((tsteps, len(orders)), dtype=np.int64)
+    for trial in range(trials):
+        sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([seed, trial]))
+        for it, T in enumerate(ts):
+            K = support_index(T)
+            kstar = exceedance_index_oracle(sig, T, lam)
+            k_lo = -required_margin(kstar * T, T, max(orders), K)
+            wide = sample_oracle(sig, np.arange(k_lo, K + 1) * T)
+            folded = modulo_fold(wide, Threshold(lam))
+            truth_sym = wide[-K - k_lo :]
+            for iN, N in enumerate(orders):
+                K_prime = required_margin(kstar * T, T, N, K)
+                y = SampleSeq(-K_prime, folded[-K_prime - k_lo :])
+                cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam), omega=omega,
+                                   T=T, mode=COMPACT, order_override=N)
+                rec, _ = unfold_compact(y, cfg, K)
+                if np.max(np.abs(rec.values - truth_sym)) < _SUCCESS_TOL:
+                    hits[it, iN] += 1
+    rates = hits / float(trials)
+    smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
+    return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modradon import experiments
 from modradon.cli import main
 from modradon.forward import load_sinogram
 from modradon.phantom import load_phantom
@@ -117,6 +118,24 @@ class TestForwardCommand:
         assert exc.value.code == 2
         assert "argument --k-prime: expected 'auto' or a non-negative integer" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--T", "0", "T"), ("--T", "-0.01", "T"), ("--omega", "0", "omega"),
+        ("--omega", "nan", "omega"), ("--t-frac", "0", "t_frac"), ("--angles", "0", "M"),
+        ("--lam", "0", "lam"),
+    ])
+    def test_bad_value_exits_2_before_scanning(self, tmp_path, capsys, monkeypatch,
+                                               flag, value, name):
+        scans = []
+        monkeypatch.setattr(experiments, "scan_forward", lambda *a, **k: scans.append(a))
+        out = tmp_path / "f.mrts"
+        argv = ["forward", "--omega", 20, "--lam", 0.05, "--out", out]
+        code = run(argv + [flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {name} must be " in err and value in err
+        assert "Traceback" not in err
+        assert scans == [] and not out.exists()
 
 
 class TestFoldCommand:
@@ -289,6 +308,23 @@ class TestSweepCommand:
             run(["sweep-success", "--lams", "0.1,abc", "--outdir", tmp_path])
         assert exc.value.code == 2
         assert "argument --lams" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be at least 1, got 0"),
+        ("--tsteps", "0", "tsteps must be at least 1, got 0"),
+        ("--lams", "0", "lam must be positive and finite, got 0.0"),
+        ("--lams", "-0.1", "lam must be positive and finite, got -0.1"),
+        ("--omegas-pi", "0", "omega must be positive and finite, got 0.0"),
+    ])
+    def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
+        outdir = tmp_path / "sw"
+        code = run(["sweep-success", "--trials", 2, "--tsteps", 2, flag, value,
+                    "--outdir", outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
     def test_tiny_sweep_deterministic(self, tmp_path):
         out1 = tmp_path / "sw1"

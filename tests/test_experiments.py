@@ -1,0 +1,46 @@
+import numpy as np
+import pytest
+
+from modradon import experiments
+from modradon.forward import RandomBandlimitedSignal
+from oracles import sample_oracle, sweep_cell_oracle
+
+# (lam, omega, trials, tsteps, seed); the last cell's order 3*11 = 33 exceeds the
+# 32-sample clear band, and at T = pi/omega its margin K' = 181 reaches one index
+# past the scanned lattice [-180, 180]
+SWEEP_CELLS = [
+    (0.1, 10 * np.pi, 3, 5, 1),
+    (0.05, 30 * np.pi, 2, 6, 5),
+    (0.01, 20 * np.pi, 2, 4, 9),
+    (9e-4, 30 * np.pi, 1, 3, 46),
+]
+
+
+class TestSweepCell:
+    @pytest.mark.parametrize("cell", SWEEP_CELLS, ids=lambda c: f"lam{c[0]:g}")
+    def test_rates_match_oracle(self, cell):
+        got, want = experiments._sweep_cell(cell), sweep_cell_oracle(cell)
+        assert got.orders == want.orders
+        assert got.rates.tobytes() == want.rates.tobytes()
+        assert got.to_csv() == want.to_csv()
+
+    def test_margin_past_scanned_lattice_samples_only_the_missing_head(self, monkeypatch):
+        heads = []
+        samples = RandomBandlimitedSignal.samples
+
+        def recording(self, T, k_lo, k_hi):
+            heads.append((k_lo, k_hi))
+            return samples(self, T, k_lo, k_hi)
+
+        monkeypatch.setattr(RandomBandlimitedSignal, "samples", recording)
+        experiments._sweep_cell(SWEEP_CELLS[-1])
+        assert heads == [(-181, -181)]
+
+
+class TestDownsampleDemo:
+    def test_csv_matches_oracle_sampler(self, tmp_path, monkeypatch):
+        experiments.downsample_demo(outdir=tmp_path / "new")
+        monkeypatch.setattr(RandomBandlimitedSignal, "sample", sample_oracle)
+        experiments.downsample_demo(outdir=tmp_path / "oracle")
+        name = "downsample_demo.csv"
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()

@@ -22,6 +22,7 @@ from modradon.forward import (
 )
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
+from oracles import exceedance_index_oracle, sample_oracle
 
 UNIT_DISK = Phantom((Ellipse((0.0, 0.0), (1.0, 1.0), 0.0, 1.0),))
 
@@ -185,8 +186,8 @@ class TestRandomSignal:
     def test_deterministic_in_seed(self):
         T = 0.5 / (10 * np.pi * np.e)
         sa, sb = draw_signal(10 * np.pi, 123), draw_signal(10 * np.pi, 123)
-        kw = sa.exceedance_index(T, 0.1) + 32
-        assert sb.exceedance_index(T, 0.1) + 32 == kw
+        kw = sa.scan_exceedance(T, 0.1)[0] + 32
+        assert sb.scan_exceedance(T, 0.1)[0] + 32 == kw
         np.testing.assert_array_equal(sa.samples(T, -kw, kw).values,
                                       sb.samples(T, -kw, kw).values)
         np.testing.assert_array_equal(sa.levels, sb.levels)
@@ -206,7 +207,7 @@ class TestRandomSignal:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, 5)
-        kstar = sig.exceedance_index(T, lam)
+        kstar, _ = sig.scan_exceedance(T, lam)
         seq = sig.samples(T, -kstar - 32, kstar + 32)
         k = np.arange(-kstar - 32, kstar + 33)
         outside = np.abs(k) > kstar
@@ -219,6 +220,30 @@ class TestRandomSignal:
         T = 0.01
         seq = sig.samples(T, -5, 5)
         np.testing.assert_allclose(seq.values, sig.sample(np.arange(-5, 6) * T), atol=0)
+
+    @pytest.mark.parametrize("t", [0.3, np.empty(0), np.linspace(-2.0, 2.0, 41),
+                                   np.linspace(-3.0, 3.0, 60).reshape(6, 10)],
+                             ids=["scalar", "empty", "1d", "2d"])
+    def test_sample_matches_oracle_bitwise(self, t):
+        sig = draw_signal(10 * np.pi, 4)
+        got, want = sig.sample(t), sample_oracle(sig, t)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, lam", [(5, 0.1), (6, 0.05), (3, 0.01)])
+    def test_scan_exceedance_returns_scanned_lattice(self, seed, lam):
+        # the exceedance matches the full-rescan oracle, and the returned
+        # samples are the whole lattice, bit for bit; (3, 0.01) doubles the
+        # radius twice, so its lattice is assembled from three calls
+        omega = 10 * np.pi
+        T = 0.5 / (omega * np.e)
+        sig = draw_signal(omega, seed)
+        kstar, scanned = sig.scan_exceedance(T, lam)
+        assert kstar == exceedance_index_oracle(sig, T, lam)
+        kw = -scanned.base_index
+        assert scanned.end_index == kw and kw >= int(np.ceil(3.0 / T))
+        want = sample_oracle(sig, np.arange(-kw, kw + 1) * T)
+        assert scanned.values.tobytes() == want.tobytes()
 
 
 class TestSinogramIO:
@@ -329,6 +354,19 @@ class TestSinogramIO:
                          + struct.pack("<ddd", head["omega"], head["T"], head["lam"]))
         with pytest.raises(ParseError, match=re.escape(f"{path}: bad header field")):
             load_sinogram(path)
+
+    def test_csv_rows_beyond_header_count(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# modradon-sinogram omega=25.0 T=0.02 lambda=0.1 M=1 K=1 K_prime=1\n"
+                        "0.1,0.2,0.3\n0.4,0.5,0.6\nnot,a,row\n")
+        with pytest.raises(ParseError, match=r"line 3: more than 1 data rows"):
+            load_sinogram(path)
+
+    def test_csv_trailing_blank_lines_load(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# modradon-sinogram omega=25.0 T=0.02 lambda=0.1 M=1 K=1 K_prime=1\n"
+                        "0.1,0.2,0.3\n\n  \n")
+        assert load_sinogram(path).rows.tolist() == [[0.1, 0.2, 0.3]]
 
     def test_csv_declared_shape_larger_than_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -4,7 +4,9 @@ import importlib.util
 import inspect
 import os
 
-from modradon import cli, experiments, fbp
+import numpy as np
+
+from modradon import cli, experiments, fbp, forward
 from modradon.phantom import shepp_logan
 
 BENCH_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
@@ -56,3 +58,37 @@ def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
     assert calls == [2]
     assert res.images_bit_identical
+
+
+def test_sweep_samples_each_lattice_point_once(monkeypatch):
+    # the benchmark's forward.sampler span patches RandomBandlimitedSignal.sample;
+    # a sweep cell scans each (trial, T) lattice once and slices its unfold
+    # window from those samples
+    signal = forward.RandomBandlimitedSignal
+    scan, sample = signal.scan_exceedance, signal.sample
+    scans = []  # [T, scanned half-width, [t of every sample call]] per scan
+
+    def counting_scan(self, T, lam):
+        scans.append([T, None, []])
+        kstar, scanned = scan(self, T, lam)
+        scans[-1][1] = -scanned.base_index
+        return kstar, scanned
+
+    def counting_sample(self, t):
+        scans[-1][2].append(np.atleast_1d(t))
+        return sample(self, t)
+
+    monkeypatch.setattr(signal, "scan_exceedance", counting_scan)
+    monkeypatch.setattr(signal, "sample", counting_sample)
+    experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi,), trials=3, tsteps=4,
+                              seed=1)
+    assert len(scans) == 2 * 3 * 4
+    for T, kw, calls in scans:
+        # one call at radius 3, and one more per doubling of the radius
+        assert kw == int(np.ceil(3.0 * 2 ** (len(calls) - 1) / T))
+        # each later call only reaches past everything evaluated before it
+        for i in range(1, len(calls)):
+            assert np.min(np.abs(calls[i])) > np.max(np.abs(np.concatenate(calls[:i])))
+        every = np.concatenate(calls)
+        assert np.unique(every).size == every.size == 2 * kw + 1
+    assert any(len(calls) > 1 for _, _, calls in scans)

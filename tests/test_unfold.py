@@ -113,7 +113,7 @@ class TestUnfoldCompact:
         T = 0.5 / (omega * np.e)
         for seed in range(25):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([99, seed]))
-            kstar = sig.exceedance_index(T, lam)
+            kstar, _ = sig.scan_exceedance(T, lam)
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
@@ -138,7 +138,7 @@ class TestUnfoldCompact:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(7))
-        kstar = sig.exceedance_index(T, lam)
+        kstar, _ = sig.scan_exceedance(T, lam)
         Kp = kstar + 4 + 8
         truth = sig.samples(T, -Kp, Kp)
         cfg = compact_cfg(lam, grid_upper_bound(sig.sup_norm(), lam), omega, T, order=4)
@@ -164,7 +164,7 @@ class TestUnfoldGeneral:
     def _signal_window(self, seed, lam, omega, T, N, beta_grid):
         """Window [-K, K_ext] hosting the probe span and a settled tail."""
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
-        kstar = sig.exceedance_index(T, lam)
+        kstar, _ = sig.scan_exceedance(T, lam)
         J = cost_j(beta_grid, lam)
         k_right = max(J + N - 1, kstar + 16)
         k_left = -(kstar + N + 16)
@@ -267,7 +267,7 @@ class TestRouteEquivalence:
         T = 0.5 / (omega * np.e)
         for seed in range(10):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([55, seed]))
-            kstar = sig.exceedance_index(T, lam)
+            kstar, _ = sig.scan_exceedance(T, lam)
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
