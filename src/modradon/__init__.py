@@ -11,7 +11,6 @@ from .core import (
     anti_diff,
     anti_diff_bilateral,
     modulo_fold,
-    round_to_2lambda,
 )
 from .errors import (
     ConditionError,

@@ -1,5 +1,5 @@
-"""Scalar and sequence primitives: centered modulo folding, running sums
-(anti-differences), and rounding onto the fold grid.
+"""Scalar and sequence primitives: centered modulo folding and running sums
+(anti-differences).
 
 Everything downstream is built from these operators.  All functions are pure
 and accept either scalars or numpy arrays where that makes sense; sequences
@@ -97,8 +97,9 @@ class SampleSeq:
 def modulo_fold(t, thr: Threshold):
     """Centered fold of t into [-lam, lam).
 
-    Computes ``t - 2*lam*floor((t + lam) / (2*lam))`` elementwise.  Scalars
-    return a float, arrays an array of the same shape.
+    Computes ``t - 2*lam*floor((t + lam) / (2*lam))`` elementwise; a value
+    that rounding puts a few ulps outside [-lam, lam) is pinned to the nearer
+    end.  Scalars return a float, arrays an array of the same shape.
 
     Raises
     ------
@@ -111,6 +112,7 @@ def modulo_fold(t, thr: Threshold):
         raise DomainError("modulo_fold requires finite input")
     two_lam = 2.0 * lam
     out = arr - two_lam * np.floor((arr + lam) / two_lam)
+    out = np.minimum(np.maximum(out, -lam), np.nextafter(lam, -np.inf))
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -158,19 +160,3 @@ def anti_diff_bilateral(a: np.ndarray, base: int) -> np.ndarray:
     # subtracting the cumulative value at index 0 re-anchors the sum there
     return c - c[-base]
 
-
-def round_to_2lambda(x, thr: Threshold):
-    """Round onto the grid of even multiples of lam: ``2*lam*ceil(floor(x/lam)/2)``.
-
-    Values already on the grid are fixed points; guard bands keep float
-    representations of grid points from flipping to a neighbour.
-    """
-    lam = thr.lam
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("round_to_2lambda requires finite input")
-    m = guarded_ceil(guarded_floor(arr / lam) / 2.0)
-    out = (2.0 * lam) * m
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out

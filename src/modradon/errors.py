@@ -1,5 +1,7 @@
 """Exception types raised by the modradon package."""
 
+import numpy as np
+
 
 class ModRadonError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,21 @@ class SizeError(ModRadonError, ValueError):
 
 class ConfigError(ModRadonError, ValueError):
     """A configuration value violates a structural requirement."""
+
+
+def check_positive(**values) -> None:
+    """Raise :class:`ConfigError` naming the first value that is given (not
+    None) but is not a positive finite number."""
+    for name, v in values.items():
+        if v is not None and not (np.isfinite(v) and v > 0):
+            raise ConfigError(f"{name} must be positive and finite, got {v}")
+
+
+def check_counts(**values) -> None:
+    """Raise :class:`ConfigError` naming the first given count below 1."""
+    for name, n in values.items():
+        if n is not None and n < 1:
+            raise ConfigError(f"{name} must be at least 1, got {n}")
 
 
 class ConditionError(ModRadonError, ValueError):

@@ -14,19 +14,19 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SampleSeq, Threshold, fold_count, guarded_ceil, modulo_fold
-from .errors import ConfigError, MarginError, ParseError
+from .errors import ConfigError, MarginError, ParseError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
     ForwardScan,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
-    empty_csv_rows,
     fold_sinogram,
     load_sinogram,
-    parse_csv_row,
+    phantom_rows,
+    read_csv_rows,
     save_sinogram,
-    scan_forward,
+    scan_forward,  # unused here; bench/tracing.py's patch table names it
     scan_from_raw,
     support_index,
 )
@@ -94,33 +94,15 @@ class PipelineResult:
         ])
 
 
-def _check_positive(**values) -> None:
-    """Raise :class:`ConfigError` naming the first value that is given (not
-    None) but is not a positive finite number."""
-    for name, v in values.items():
-        if v is not None and not (np.isfinite(v) and v > 0):
-            raise ConfigError(f"{name} must be positive and finite, got {v}")
-
-
-def _check_counts(**values) -> None:
-    """Raise :class:`ConfigError` naming the first given count below 1."""
-    for name, n in values.items():
-        if n is not None and n < 1:
-            raise ConfigError(f"{name} must be at least 1, got {n}")
-
-
-def _scan_with_clear_tail(source, omega, T, M, lam, k_min):
-    """Scan, widening the window until the exceedance region closes.
+def _scan_with_clear_tail(raw, omega, T, lam, k_min):
+    """Scan the raw rows, widening the window until the exceedance region closes.
 
     The first window reaches radius 4, or index ``k_min`` if that lies further
     out; the radius doubles up to 32.
     """
     radius = max(4.0, k_min * T)
     while radius <= 32.0:
-        if isinstance(source, Phantom):
-            scan = scan_forward(source, omega, T, M, radius=radius)
-        else:
-            scan = scan_from_raw(source, omega, T, radius=radius)
+        scan = scan_from_raw(raw, omega, T, radius=radius)
         try:
             return scan, scan.exceedance_index(lam)
         except MarginError:
@@ -143,9 +125,6 @@ class ForwardSetup:
     def sinogram(self) -> Sinogram:
         return self.scan.sinogram(self.params)
 
-    def sinogram_symmetric(self) -> Sinogram:
-        return self.scan.sinogram(replace(self.params, K_prime=self.params.K))
-
 
 def prepare_forward(source, *, lam: float, omega: float | None = None,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
@@ -157,22 +136,18 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     :class:`Sinogram` of measured projection samples (e.g. from ingest), which
     is band-limited the same way.  With ``normalize=True`` the raw samples are
     scaled to unit sup-norm before the anti-aliasing filter (the convention
-    for measured datasets).  A value that is not positive and finite, or a
-    count below 1, raises :class:`ConfigError` before anything is scanned.
+    for measured datasets).  A value that is not positive and finite, a
+    count below 1, or an all-zero source to normalize raises
+    :class:`ConfigError` before anything is scanned.
     """
-    _check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
-    _check_counts(M=M, K=K)
+    check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
+    check_counts(M=M, K=K)
     if isinstance(source, Sinogram):
         sp = source.params
         omega = sp.omega if omega is None else omega
         T = sp.T if T is None else T
         M = sp.M if M is None else M
         K = sp.K if K is None else K
-        raw = source.symmetric_rows().copy()
-        norm_scale = float(np.max(np.abs(raw))) if normalize else 1.0
-        if normalize:
-            raw /= norm_scale
-        scan_src = raw
         phantom = None
     else:
         phantom = source
@@ -184,19 +159,19 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
             K = support_index(T)
         if M is None:
             M = int(round(omega))
-        scan_src = phantom
     # T and M may have been derived from t_frac and omega
-    _check_positive(T=T)
-    _check_counts(M=M)
+    check_positive(T=T)
+    check_counts(M=M)
 
+    raw = source.symmetric_rows().copy() if phantom is None else phantom_rows(phantom, T, M)
+    norm_scale = 1.0
+    if normalize:
+        norm_scale = float(np.max(np.abs(raw)))
+        if norm_scale == 0.0:
+            raise ConfigError("all raw samples are zero; cannot normalize")
+        raw /= norm_scale
     k_min = K if k_prime == "auto" else max(K, int(k_prime))
-    scan, kstar = _scan_with_clear_tail(scan_src, omega, T, M, lam, k_min)
-    norm_scale = 1.0 if phantom is not None else norm_scale
-    if phantom is not None and normalize:
-        norm_scale = scan.beta_raw
-        scan = ForwardScan(omega, T, M, scan.k_scan, scan.rows / norm_scale, 1.0)
-        kstar = scan.exceedance_index(lam)
-
+    scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min)
     beta = scan.beta_raw
     beta_grid = grid_upper_bound(beta, lam)
     cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=COMPACT)
@@ -223,7 +198,7 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     params = setup.params
     K, K_prime, N = params.K, params.K_prime, params.N
     clean = setup.sinogram()
-    clean_sym = setup.sinogram_symmetric()
+    clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
     folded = fold_sinogram(clean)
     unfolded, reports = unfold_sinogram(folded, cfg, K)
 
@@ -365,14 +340,17 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
 
     Per-trial signals come from PCG64 streams seeded by (seed, trial), so
     results do not depend on cell evaluation order or on the worker count.
-    A threshold or bandwidth that is not positive and finite, or fewer than
-    one trial or rate step, raises :class:`ConfigError`.
+    A threshold that is not in (0, 1), a bandwidth that is not positive and
+    finite, or fewer than one trial or rate step, raises :class:`ConfigError`.
     """
     for lam in lams:
-        _check_positive(lam=lam)
+        check_positive(lam=lam)
+        if lam >= 1.0:
+            # base_order would be 0 or negative
+            raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
-        _check_positive(omega=om)
-    _check_counts(trials=trials, tsteps=tsteps)
+        check_positive(omega=om)
+    check_counts(trials=trials, tsteps=tsteps)
     jobs = [(lam, om, trials, tsteps, seed) for lam in lams for om in omegas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -428,8 +406,10 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
 
     At the base rate a first-order recovery succeeds; after downsampling by
     ``factor`` the first differences exceed the fold threshold and order 1
-    fails, while order 2 recovers the samples exactly.
+    fails, while order 2 recovers the samples exactly.  A parameter that is
+    not positive and finite raises :class:`ConfigError`.
     """
+    check_positive(omega=omega, lam=lam, t0_frac=t0_frac, factor=factor)
     sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
     t0 = t0_frac / (omega * np.e)
     attempts = [
@@ -459,7 +439,8 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
     if str(path).endswith(".mrts"):
         rows = load_sinogram(path).symmetric_rows().copy()
     else:
-        rows = _read_raw_csv(path, M, 2 * K + 1)
+        with open(path, errors="replace") as f:
+            rows = read_csv_rows(f, path, M, 2 * K + 1, 1)
     if normalize:
         peak = np.max(np.abs(rows))
         if peak == 0.0:
@@ -467,20 +448,3 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
         rows /= peak
     return Sinogram(replace(params, beta=float(np.max(np.abs(rows)))), rows)
 
-
-def _read_raw_csv(path: str, M: int, width: int) -> np.ndarray:
-    """M data rows of ``width`` columns; blank lines and ``#`` comments skipped."""
-    m = 0
-    with open(path, errors="replace") as f:
-        rows = empty_csv_rows(f, path, M, width)
-        for lineno, line in enumerate(f, start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            if m >= M:
-                raise ParseError(f"{path}: line {lineno}: more than {M} data rows")
-            parse_csv_row(body, rows[m], path, m)
-            m += 1
-    if m != M:
-        raise ParseError(f"{path}: expected {M} data rows, found {m}")
-    return rows

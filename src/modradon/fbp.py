@@ -208,16 +208,3 @@ def write_raw_f64(grid: ImageGrid, path: str) -> None:
         f.write(f"width {grid.width}\nheight {grid.height}\nextent -1 1 -1 1\n"
                 f"dtype float64-le\norder row-major\n")
 
-
-def read_raw_f64(path: str) -> ImageGrid:
-    """Read back a raw dump written by :func:`write_raw_f64`."""
-    meta = {}
-    with open(str(path) + ".hdr") as f:
-        for line in f:
-            key, _, val = line.strip().partition(" ")
-            meta[key] = val
-    width, height = int(meta["width"]), int(meta["height"])
-    data = np.fromfile(path, dtype="<f8")
-    if data.size != width * height:
-        raise SizeError(f"{path}: expected {width * height} pixels, found {data.size}")
-    return ImageGrid(width, height, data.reshape(height, width).astype(float))

@@ -19,7 +19,14 @@ from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from .core import SampleSeq, Threshold, guarded_ceil, modulo_fold
-from .errors import ConfigError, MarginError, NumericError, ParseError, SizeError
+from .errors import (
+    ConfigError,
+    MarginError,
+    NumericError,
+    ParseError,
+    SizeError,
+    check_positive,
+)
 from .phantom import Phantom, radon_phantom
 
 _MAGIC = b"MRTS"
@@ -68,10 +75,7 @@ class SamplingParams:
     N: int | None = None
 
     def __post_init__(self):
-        for name in ("omega", "T", "lam"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+        check_positive(omega=self.omega, T=self.T, lam=self.lam)
         for name in ("K", "K_prime", "M"):
             v = getattr(self, name)
             if int(v) != v or v < 1:
@@ -79,28 +83,6 @@ class SamplingParams:
             object.__setattr__(self, name, int(v))
         if self.K_prime < self.K:
             raise ConfigError(f"K_prime ({self.K_prime}) must be >= K ({self.K})")
-
-    @classmethod
-    def design(cls, omega, lam, t_frac=0.5, M=None, K=None, K_prime=None):
-        """Standard parameter choice: ``T = t_frac / (omega*e)``, ``K = ceil(1/T)``,
-        ``M = omega`` rounded, margin defaulting to the symmetric grid."""
-        T = t_frac / (omega * np.e)
-        if K is None:
-            K = support_index(T)
-        if M is None:
-            M = int(round(omega))
-        if K_prime is None:
-            K_prime = K
-        return cls(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
-
-    @property
-    def t_us(self) -> float:
-        return 1.0 / (self.omega * np.e)
-
-    @property
-    def oversampling(self) -> float:
-        """T * omega * e; exact-recovery guarantees need this below 1."""
-        return self.T * self.omega * np.e
 
     def thetas(self) -> np.ndarray:
         return np.arange(self.M) * (np.pi / self.M)
@@ -175,8 +157,10 @@ def _prefilter_batch(raw: np.ndarray, omega: float, T: float, k_half_in: int,
     return out
 
 
-def _raw_rows(p: Phantom, T: float, M: int, k_half: int) -> np.ndarray:
-    """Analytic projection samples at t = k*T, k in [-k_half, k_half], per angle."""
+def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
+    """Analytic projection samples at t = k*T, |k| <= ceil(1/T), for each of the
+    M angles: the raw rows that :func:`scan_from_raw` band-limits."""
+    k_half = support_index(T)
     t = np.arange(-k_half, k_half + 1) * T
     rows = np.empty((M, t.size))
     for m in range(M):
@@ -210,22 +194,8 @@ class ForwardScan:
     beta_raw: float
 
     def exceedance_index(self, lam: float) -> int:
-        """Largest |k| whose sample magnitude reaches lam, over all angles.
-
-        Raises
-        ------
-        MarginError
-            If the outermost ``_CLEAR_BAND`` lattice positions are not strictly
-            below lam (the scan window was too narrow to bound the tails).
-        """
-        exc = np.abs(self.rows) >= lam
-        if np.any(exc[:, :_CLEAR_BAND]) or np.any(exc[:, -_CLEAR_BAND:]):
-            raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
-        cols = np.nonzero(exc.any(axis=0))[0]
-        if cols.size == 0:
-            return 0
-        k = cols - self.k_scan
-        return int(np.max(np.abs(k)))
+        """:func:`clear_band_exceedance` of the scanned rows."""
+        return clear_band_exceedance(self.rows, lam)
 
     def sinogram(self, params: SamplingParams) -> Sinogram:
         """Slice the scan down to the [-K_prime, K] acquisition window."""
@@ -238,9 +208,31 @@ class ForwardScan:
         return Sinogram(replace(params, beta=self.beta_raw), self.rows[:, lo:hi].copy())
 
 
+def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
+    """Largest |k| whose sample magnitude reaches lam, over every row.
+
+    ``rows`` (one row, or one per angle) covers a symmetric lattice window
+    [-k, k] in its last axis.
+
+    Raises
+    ------
+    MarginError
+        If the outermost ``_CLEAR_BAND`` lattice positions on either side are
+        not strictly below lam (the window was too narrow to bound the tails).
+    """
+    exc = np.abs(rows) >= lam
+    if np.any(exc[..., :_CLEAR_BAND]) or np.any(exc[..., -_CLEAR_BAND:]):
+        raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
+    width = exc.shape[-1]
+    cols = np.nonzero(exc.reshape(-1, width).any(axis=0))[0]
+    if cols.size == 0:
+        return 0
+    return int(np.max(np.abs(cols - (width - 1) // 2)))
+
+
 def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0) -> ForwardScan:
     """Materialize prefiltered rows over |t| <= radius for tail measurement."""
-    return scan_from_raw(_raw_rows(p, T, M, support_index(T)), omega, T, radius)
+    return scan_from_raw(phantom_rows(p, T, M), omega, T, radius)
 
 
 def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
@@ -258,17 +250,6 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
     rows = _prefilter_batch(raw_rows, omega, T, k_half, -k_scan, k_scan)
     return ForwardScan(omega, T, raw_rows.shape[0], k_scan, rows,
                        float(np.max(np.abs(raw_rows))))
-
-
-def highband_energy_fraction(values: np.ndarray, T: float, omega: float) -> float:
-    """Fraction of DFT energy at frequencies above omega (band-limit check)."""
-    v = np.asarray(values, dtype=float)
-    spec = np.abs(np.fft.rfft(v)) ** 2
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(v.size, d=T)
-    total = float(np.sum(spec))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(spec[freqs > omega]) / total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,20 +307,19 @@ class RandomBandlimitedSignal:
     def scan_exceedance(self, T: float, lam: float) -> tuple[int, SampleSeq]:
         """Largest lattice |k| with |g(kT)| >= lam, and the samples scanned to find it.
 
-        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``; while one of the
-        outermost ``_CLEAR_BAND`` samples reaches lam, the radius doubles from 3
-        up to 64 and only the lattice points outside the previous scan are
-        evaluated.
+        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``; while
+        :func:`clear_band_exceedance` finds the window too narrow, the radius
+        doubles from 3 up to 64 and only the lattice points outside the
+        previous scan are evaluated.
         """
         radius = 3.0
         kw = int(np.ceil(radius / T))
         g = self.sample(np.arange(-kw, kw + 1) * T)
         while True:
-            exc = np.abs(g) >= lam
-            if not (np.any(exc[:_CLEAR_BAND]) or np.any(exc[-_CLEAR_BAND:])):
-                cols = np.nonzero(exc)[0]
-                kstar = int(np.max(np.abs(cols - kw))) if cols.size else 0
-                return kstar, SampleSeq(-kw, g)
+            try:
+                return clear_band_exceedance(g, lam), SampleSeq(-kw, g)
+            except MarginError:
+                pass
             radius *= 2.0
             if radius > 64.0:
                 raise NumericError("exceedance region did not close within the scan limit")
@@ -426,29 +406,36 @@ def _load_csv(path) -> Sinogram:
             )
         except (KeyError, ValueError) as exc:
             raise ParseError(f"{path}: line 1: bad header field ({exc})") from None
-        rows = empty_csv_rows(f, path, params.M, params.K_prime + params.K + 1)
-        for m in range(params.M):
-            line = f.readline()
-            if not line:
-                raise ParseError(f"{path}: row {m}: unexpected end of file")
-            parse_csv_row(line, rows[m], path, m)
-        for lineno, line in enumerate(f, start=params.M + 2):
-            if line.strip():
-                raise ParseError(f"{path}: line {lineno}: more than {params.M} data rows")
+        rows = read_csv_rows(f, path, params.M, params.K_prime + params.K + 1, 2)
     return Sinogram(params, rows)
 
 
-def empty_csv_rows(f, path, M: int, width: int) -> np.ndarray:
-    """Uninitialised (M, width) buffer for the data rows of the open CSV ``f``.
+def read_csv_rows(f, path, M: int, width: int, first_line: int) -> np.ndarray:
+    """The M data rows of ``width`` values left in the open CSV ``f``.
 
-    Every value takes at least two bytes (a digit and a separator), so a
-    declared shape that the file is too small to hold raises
-    :class:`ParseError` before anything of that size is allocated.
+    ``first_line`` is the file line number of the next line of ``f``.  Blank
+    lines and ``#`` comment lines are skipped.  A row beyond the M-th raises
+    :class:`ParseError` naming its file line, and so does a file with fewer
+    than M rows.  Every value takes at least two bytes (a digit and a
+    separator), so a declared shape that the file is too small to hold is
+    rejected before anything of that size is allocated.
     """
     size = os.fstat(f.fileno()).st_size
     if 2 * M * width - 1 > size:
         raise ParseError(f"{path}: {M} rows of {width} values cannot fit in {size} bytes")
-    return np.empty((M, width))
+    rows = np.empty((M, width))
+    m = 0
+    for lineno, line in enumerate(f, start=first_line):
+        body = line.strip()
+        if not body or body.startswith("#"):
+            continue
+        if m >= M:
+            raise ParseError(f"{path}: line {lineno}: more than {M} data rows")
+        parse_csv_row(body, rows[m], path, m)
+        m += 1
+    if m != M:
+        raise ParseError(f"{path}: expected {M} data rows, found {m}")
+    return rows
 
 
 def parse_csv_row(line: str, out: np.ndarray, path, m: int) -> None:

@@ -32,7 +32,14 @@ from .core import (
     guarded_floor,
     modulo_fold,
 )
-from .errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
+from .errors import (
+    ConditionError,
+    ConfigError,
+    DomainError,
+    MarginError,
+    SizeError,
+    check_positive,
+)
 from .forward import Sinogram
 
 GENERAL = "general"
@@ -68,10 +75,7 @@ class UnfoldConfig:
     order_override: int | None = None
 
     def __post_init__(self):
-        for name in ("lam", "beta", "omega", "T"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
+        check_positive(lam=self.lam, beta=self.beta, omega=self.omega, T=self.T)
         if self.mode not in (GENERAL, COMPACT):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == GENERAL:

@@ -6,15 +6,18 @@ bisection; filter kernels come from brute trapezoid quadrature of the inverse
 transform; back projection is the plain per-angle loop over the whole image.
 The sweep sampler is the two-call-per-level sine-integral loop, and the sweep
 cell scans for the exceedance and then evaluates its window a second time.
+Rounding onto the 2*lam grid, the band-limit energy check, the raw image
+reader and the standard parameter choice serve the tests as references only.
 """
 
 import numpy as np
 from scipy.special import sici
 
-from modradon.core import SampleSeq, Threshold, modulo_fold
-from modradon.errors import NumericError
+from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
+from modradon.errors import DomainError, NumericError, SizeError
 from modradon.experiments import _SUCCESS_TOL, SweepCell, _median3, base_order
-from modradon.forward import RandomBandlimitedSignal, support_index
+from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
+from modradon.phantom import ImageGrid
 from modradon.unfold import (
     COMPACT,
     UnfoldConfig,
@@ -155,3 +158,58 @@ def sweep_cell_oracle(args):
     rates = hits / float(trials)
     smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
     return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)
+
+
+def round_to_2lambda(x, thr: Threshold):
+    """Round onto the grid of even multiples of lam: ``2*lam*ceil(floor(x/lam)/2)``.
+
+    Values already on the grid are fixed points; guard bands keep float
+    representations of grid points from flipping to a neighbour.
+    """
+    lam = thr.lam
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("round_to_2lambda requires finite input")
+    m = guarded_ceil(guarded_floor(arr / lam) / 2.0)
+    out = (2.0 * lam) * m
+    if np.isscalar(x) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def highband_energy_fraction(values: np.ndarray, T: float, omega: float) -> float:
+    """Fraction of DFT energy at frequencies above omega (band-limit check)."""
+    v = np.asarray(values, dtype=float)
+    spec = np.abs(np.fft.rfft(v)) ** 2
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(v.size, d=T)
+    total = float(np.sum(spec))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(spec[freqs > omega]) / total)
+
+
+def read_raw_f64(path: str) -> ImageGrid:
+    """Read back a raw dump written by ``modradon.fbp.write_raw_f64``."""
+    meta = {}
+    with open(str(path) + ".hdr") as f:
+        for line in f:
+            key, _, val = line.strip().partition(" ")
+            meta[key] = val
+    width, height = int(meta["width"]), int(meta["height"])
+    data = np.fromfile(path, dtype="<f8")
+    if data.size != width * height:
+        raise SizeError(f"{path}: expected {width * height} pixels, found {data.size}")
+    return ImageGrid(width, height, data.reshape(height, width).astype(float))
+
+
+def design_params(omega, lam, t_frac=0.5, M=None, K=None, K_prime=None) -> SamplingParams:
+    """Standard parameter choice: ``T = t_frac / (omega*e)``, ``K = ceil(1/T)``,
+    ``M = omega`` rounded, margin defaulting to the symmetric grid."""
+    T = t_frac / (omega * np.e)
+    if K is None:
+        K = support_index(T)
+    if M is None:
+        M = int(round(omega))
+    if K_prime is None:
+        K_prime = K
+    return SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)

@@ -315,6 +315,8 @@ class TestSweepCommand:
         ("--lams", "0", "lam must be positive and finite, got 0.0"),
         ("--lams", "-0.1", "lam must be positive and finite, got -0.1"),
         ("--omegas-pi", "0", "omega must be positive and finite, got 0.0"),
+        ("--lams", "1", "lam must be below 1, got 1.0"),
+        ("--lams", "2", "lam must be below 1, got 2.0"),
     ])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
         outdir = tmp_path / "sw"
@@ -347,6 +349,22 @@ class TestDemoCommand:
         assert lines[0] == "stage,T,order,fold_count,mse,max_err,success"
         flags = [line.split(",")[-1] for line in lines[1:]]
         assert flags == ["1", "0", "1"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--factor", "0", "factor must be positive and finite, got 0"),
+        ("--t0-frac", "0", "t0_frac must be positive and finite, got 0.0"),
+        ("--omega-pi", "0", "omega must be positive and finite, got 0.0"),
+        ("--lam", "0", "lam must be positive and finite, got 0.0"),
+        ("--lam", "nan", "lam must be positive and finite, got nan"),
+    ])
+    def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
+        outdir = tmp_path / "demo"
+        code = run(["downsample-demo", flag, value, "--outdir", outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
 
 class TestConfigFile:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from modradon import experiments
+from modradon.errors import ConfigError
 from modradon.forward import RandomBandlimitedSignal
+from modradon.phantom import Ellipse, Phantom
 from oracles import sample_oracle, sweep_cell_oracle
 
 # (lam, omega, trials, tsteps, seed); the last cell's order 3*11 = 33 exceeds the
@@ -35,6 +37,24 @@ class TestSweepCell:
         monkeypatch.setattr(RandomBandlimitedSignal, "samples", recording)
         experiments._sweep_cell(SWEEP_CELLS[-1])
         assert heads == [(-181, -181)]
+
+
+def disk(intensity):
+    return Phantom((Ellipse((0.0, 0.0), (1.0, 1.0), 0.0, intensity),))
+
+
+class TestPrepareForward:
+    def test_normalized_dim_phantom_matches_unit_phantom(self):
+        # normalised before the filter, a dim disk scans like the unit disk
+        kw = dict(lam=0.001, omega=20.0, normalize=True)
+        unit = experiments.prepare_forward(disk(1.0), **kw)
+        dim = experiments.prepare_forward(disk(0.001), **kw)
+        assert (dim.params.K_prime, dim.params.N) == (unit.params.K_prime, unit.params.N)
+        assert dim.norm_scale == pytest.approx(0.001 * unit.norm_scale)
+
+    def test_all_zero_source_cannot_normalize(self):
+        with pytest.raises(ConfigError, match="all raw samples are zero"):
+            experiments.prepare_forward(Phantom(()), lam=0.1, omega=20.0, normalize=True)
 
 
 class TestDownsampleDemo:

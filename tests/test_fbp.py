@@ -15,7 +15,6 @@ from modradon.fbp import (
     fbp_reconstruct,
     filter_kernel,
     filter_projections,
-    read_raw_f64,
     rmse,
     write_pgm16,
     write_raw_f64,
@@ -23,7 +22,12 @@ from modradon.fbp import (
 from modradon.forward import SamplingParams, Sinogram, fold_sinogram, scan_forward
 from modradon.phantom import Ellipse, ImageGrid, Phantom, rasterize, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
-from oracles import back_project_oracle, kernel_quadrature_oracle
+from oracles import (
+    back_project_oracle,
+    design_params,
+    kernel_quadrature_oracle,
+    read_raw_f64,
+)
 
 OMEGA = 60.0
 
@@ -33,7 +37,7 @@ def phantom_sinogram(phantom, p):
 
 
 def small_sinogram(lam=0.05, omega=OMEGA, M=None):
-    p = SamplingParams.design(omega, lam=lam, M=M)
+    p = design_params(omega, lam=lam, M=M)
     return phantom_sinogram(shepp_logan(), p)
 
 
@@ -196,7 +200,7 @@ class TestBackProject:
             (0.3 * np.cos(delta) - 0.1 * np.sin(delta),
              0.3 * np.sin(delta) + 0.1 * np.cos(delta)),
             (0.25, 0.45), 0.5 + delta, 1.0)
-        p = SamplingParams.design(om, lam=1.0, M=M)
+        p = design_params(om, lam=1.0, M=M)
         s1 = phantom_sinogram(Phantom((base,)), p)
         s2 = phantom_sinogram(Phantom((rot,)), p)
         # row m of the rotated phantom equals row m-1 of the original;

@@ -7,12 +7,12 @@ import pytest
 from scipy.signal import fftconvolve
 
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
+from modradon.experiments import ingest_raw_csv, prepare_forward
 from modradon.forward import (
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
     fold_sinogram,
-    highband_energy_fraction,
     load_sinogram,
     lowpass_kernel,
     save_sinogram,
@@ -22,13 +22,18 @@ from modradon.forward import (
 )
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
-from oracles import exceedance_index_oracle, sample_oracle
+from oracles import (
+    design_params,
+    exceedance_index_oracle,
+    highband_energy_fraction,
+    sample_oracle,
+)
 
 UNIT_DISK = Phantom((Ellipse((0.0, 0.0), (1.0, 1.0), 0.0, 1.0),))
 
 
 def small_params(omega=60.0, lam=0.05, **kw):
-    return SamplingParams.design(omega, lam=lam, **kw)
+    return design_params(omega, lam=lam, **kw)
 
 
 def phantom_sinogram(p, params):
@@ -50,11 +55,11 @@ def draw_signal(omega, seed):
 
 class TestSamplingParams:
     def test_design_matches_reference_choice(self):
-        p = SamplingParams.design(300.0, lam=0.025)
+        p = prepare_forward(shepp_logan(), lam=0.025, omega=300).params
         assert p.T == pytest.approx(1.0 / (600.0 * np.e))
         assert p.K == 1631
         assert p.M == 300
-        assert p.oversampling == pytest.approx(0.5)
+        assert p.T * p.omega * np.e == pytest.approx(0.5)
         # classical sampling conditions for filtered back projection
         assert p.M >= p.omega and p.K >= 1.0 / p.T
 
@@ -64,10 +69,6 @@ class TestSamplingParams:
         with pytest.raises(ConfigError):
             SamplingParams(omega=1, T=0.1, lam=0.1, K=5, K_prime=4, M=3)
 
-    def test_rate_landmarks(self):
-        p = small_params()
-        assert p.t_us == pytest.approx(1.0 / (60.0 * np.e))
-
 
 class TestPrefilter:
     def test_zero_phantom_zero_rows(self):
@@ -76,7 +77,7 @@ class TestPrefilter:
         np.testing.assert_array_equal(seq.values, np.zeros(len(seq)))
 
     def test_unit_disk_center_value(self):
-        p = SamplingParams.design(300.0, lam=0.05)
+        p = design_params(300.0, lam=0.05)
         seq = prefiltered_row(UNIT_DISK, 0.0, p)
         assert seq.values[-seq.base_index] == pytest.approx(2.0, abs=0.05)
 
@@ -367,6 +368,28 @@ class TestSinogramIO:
         path.write_text("# modradon-sinogram omega=25.0 T=0.02 lambda=0.1 M=1 K=1 K_prime=1\n"
                         "0.1,0.2,0.3\n\n  \n")
         assert load_sinogram(path).rows.tolist() == [[0.1, 0.2, 0.3]]
+
+    def test_csv_comment_and_blank_lines_between_rows(self, tmp_path):
+        s = self._small_sinogram()
+        path = tmp_path / "s.csv"
+        save_sinogram(s, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + ["# a note\n", "\n"] + lines[3:]))
+        r = load_sinogram(path)
+        assert np.array_equal(r.rows, s.rows)
+
+    def test_csv_short_file_counts_rows(self, tmp_path):
+        # the sinogram loader and the raw ingest share one row reader
+        rows = "0.1,0.2,0.3\n0.4,0.5,0.6\n"
+        sino = tmp_path / "s.csv"
+        sino.write_text("# modradon-sinogram omega=25.0 T=0.02 lambda=0.1 M=3 K=1"
+                        " K_prime=1\n" + rows)
+        with pytest.raises(ParseError, match="expected 3 data rows, found 2"):
+            load_sinogram(sino)
+        raw = tmp_path / "raw.csv"
+        raw.write_text(rows)
+        with pytest.raises(ParseError, match="expected 3 data rows, found 2"):
+            ingest_raw_csv(raw, omega=25.0, T=0.02, M=3, K=1, lam=0.1)
 
     def test_csv_declared_shape_larger_than_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -1,5 +1,7 @@
 """Guards for the benchmark harness that lives next to the package."""
 
+import ast
+import glob
 import importlib.util
 import inspect
 import os
@@ -9,7 +11,8 @@ import numpy as np
 from modradon import cli, experiments, fbp, forward
 from modradon.phantom import shepp_logan
 
-BENCH_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+BENCH_TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
 def test_traced_names_resolve():
@@ -92,3 +95,42 @@ def test_sweep_samples_each_lattice_point_once(monkeypatch):
         every = np.concatenate(calls)
         assert np.unique(every).size == every.size == 2 * kw + 1
     assert any(len(calls) > 1 for _, _, calls in scans)
+
+
+def _parse(pattern):
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, pattern))):
+        if os.path.basename(path) != "__init__.py":
+            with open(path) as f:
+                trees[path] = ast.parse(f.read(), path)
+    return trees
+
+
+def test_every_definition_has_a_program_caller():
+    # code that only the tests reach is dead weight; the package's re-exports
+    # in __init__.py do not count as a use
+    program = _parse("src/modradon/*.py")
+    used = set()
+    for tree in [*program.values(), *_parse("bench/*.py").values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # bench/tracing.py names attributes by string
+    defined = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    unused = []
+    for tree in program.values():
+        for node in tree.body:
+            if not isinstance(node, defined):
+                continue
+            if node.name not in used:
+                unused.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, defined) and not m.name.startswith("__")
+                           and m.name not in used]
+    assert unused == []

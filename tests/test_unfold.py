@@ -17,6 +17,7 @@ from modradon.unfold import (
     unfold_compact,
     unfold_general,
 )
+from oracles import design_params, round_to_2lambda
 
 
 def compact_cfg(lam, beta, omega, T, order=None):
@@ -214,11 +215,11 @@ class TestUnfoldGeneral:
         # full-scale projection row: folds every few samples, recovered exactly
         from dataclasses import replace
 
-        from modradon.forward import SamplingParams, scan_from_raw, support_index
+        from modradon.forward import scan_from_raw, support_index
         from modradon.phantom import radon_phantom, shepp_logan
 
         lam = 0.025
-        p = SamplingParams.design(300.0, lam=lam)
+        p = design_params(300.0, lam=lam)
         ks = support_index(p.T)
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
         row = scan_from_raw(raw[None, :], p.omega, p.T).sinogram(replace(p, M=1)).row(0)
@@ -249,8 +250,6 @@ class TestUnfoldGeneral:
 def _unfold_compact_float_staged(y, lam, N, K):
     """Literal float staging: cumulative sums rounded onto the fold grid at
     every stage.  Reference route for the packaged integer bookkeeping."""
-    from modradon.core import round_to_2lambda
-
     thr = Threshold(lam)
     d = np.diff(y.values, n=N)
     s = modulo_fold(d, thr) - d
@@ -283,12 +282,12 @@ class TestUnfoldSinogram:
     def test_general_route_matches_compact_on_shared_ground(self):
         # both algorithms recover the same rows when both sets of
         # preconditions hold (decaying tail and quiet left margin)
-        from modradon.forward import SamplingParams, fold_sinogram, scan_forward
+        from modradon.forward import fold_sinogram, scan_forward
         from modradon.phantom import shepp_logan
         from modradon.unfold import unfold_sinogram
 
         lam = 0.05
-        p = SamplingParams.design(60.0, lam=lam, M=12)
+        p = design_params(60.0, lam=lam, M=12)
         s = scan_forward(shepp_logan(), p.omega, p.T, p.M).sinogram(p)
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
