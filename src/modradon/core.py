@@ -112,10 +112,10 @@ def modulo_fold(t, thr: Threshold):
         raise DomainError("modulo_fold requires finite input")
     two_lam = 2.0 * lam
     out = arr - two_lam * np.floor((arr + lam) / two_lam)
-    out = np.minimum(np.maximum(out, -lam), np.nextafter(lam, -np.inf))
+    top = np.nextafter(lam, -np.inf)
     if np.isscalar(t) or arr.ndim == 0:
-        return float(out)
-    return out
+        return float(min(max(out, -lam), top))
+    return np.clip(out, -lam, top, out=out)
 
 
 def fold_count(t, thr: Threshold):

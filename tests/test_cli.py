@@ -127,7 +127,8 @@ class TestForwardCommand:
     def test_bad_value_exits_2_before_scanning(self, tmp_path, capsys, monkeypatch,
                                                flag, value, name):
         scans = []
-        monkeypatch.setattr(experiments, "scan_forward", lambda *a, **k: scans.append(a))
+        for scan in ("phantom_rows", "scan_from_raw"):
+            monkeypatch.setattr(experiments, scan, lambda *a, **k: scans.append(a))
         out = tmp_path / "f.mrts"
         argv = ["forward", "--omega", 20, "--lam", 0.05, "--out", out]
         code = run(argv + [flag, value])
