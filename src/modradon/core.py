@@ -9,6 +9,7 @@ with an explicit (possibly negative) base index are carried by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +113,11 @@ def modulo_fold(t, thr: Threshold):
         raise DomainError("modulo_fold requires finite input")
     two_lam = 2.0 * lam
     out = arr - two_lam * np.floor((arr + lam) / two_lam)
-    top = np.nextafter(lam, -np.inf)
+    top = math.nextafter(lam, -math.inf)
     if np.isscalar(t) or arr.ndim == 0:
         return float(min(max(out, -lam), top))
-    return np.clip(out, -lam, top, out=out)
+    np.maximum(out, -lam, out=out)
+    return np.minimum(out, top, out=out)
 
 
 def fold_count(t, thr: Threshold):

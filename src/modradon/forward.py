@@ -223,11 +223,10 @@ def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
     exc = np.abs(rows) >= lam
     if np.any(exc[..., :_CLEAR_BAND]) or np.any(exc[..., -_CLEAR_BAND:]):
         raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
-    width = exc.shape[-1]
-    cols = np.nonzero(exc.reshape(-1, width).any(axis=0))[0]
+    cols = np.nonzero(exc if exc.ndim == 1 else exc.any(axis=0))[0]
     if cols.size == 0:
         return 0
-    return int(np.max(np.abs(cols - (width - 1) // 2)))
+    return int(np.max(np.abs(cols - (exc.shape[-1] - 1) // 2)))
 
 
 def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0) -> ForwardScan:
