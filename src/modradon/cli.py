@@ -172,11 +172,13 @@ def _build_parser():
 
 def _load_config_file(path: str) -> dict:
     cfg = {}
-    with open(path) as f:
+    with open(path, errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
+            if "\ufffd" in body:  # a byte that is not UTF-8, replaced on reading
+                raise ConfigError(f"{path}: line {lineno}: not UTF-8 text")
             key, sep, val = body.partition("=")
             if not sep:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")

@@ -120,13 +120,6 @@ def modulo_fold(t, thr: Threshold):
     return np.minimum(out, top, out=out)
 
 
-def fold_count(t, thr: Threshold):
-    """Integer fold count n with ``t == modulo_fold(t) + 2*lam*n``."""
-    lam = thr.lam
-    arr = np.asarray(t, dtype=float)
-    return np.floor((arr + lam) / (2.0 * lam)).astype(np.int64)
-
-
 def anti_diff(a: np.ndarray) -> np.ndarray:
     """Running sum starting at zero, one sample longer than the input.
 

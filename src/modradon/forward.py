@@ -297,12 +297,6 @@ class RandomBandlimitedSignal:
         k = np.arange(k_lo, k_hi + 1)
         return SampleSeq(k_lo, self.sample(k * T))
 
-    def sup_norm(self) -> float:
-        """Max magnitude on a fine grid over [-3, 3] (step pi/(32*omega))."""
-        step = np.pi / 32 / self.omega
-        t = np.arange(-3.0, 3.0 + step, step)
-        return float(np.max(np.abs(self.sample(t))))
-
     def scan_exceedance(self, T: float, lam: float) -> tuple[int, SampleSeq]:
         """Largest lattice |k| with |g(kT)| >= lam, and the samples scanned to find it.
 

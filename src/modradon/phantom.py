@@ -226,7 +226,7 @@ def save_phantom(p: Phantom, path) -> None:
 def load_phantom(path) -> Phantom:
     """Read the plain-text ellipse table written by :func:`save_phantom`."""
     ellipses = []
-    with open(path) as f:
+    with open(path, errors="replace") as f:
         for lineno, line in enumerate(f, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -238,6 +238,8 @@ def load_phantom(path) -> Phantom:
                 cx, cy, a, b, rot_deg, inten = (float(c) for c in cols)
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: non-numeric column ({exc})") from None
+            if not np.all(np.isfinite([cx, cy, a, b, rot_deg, inten])):
+                raise ParseError(f"{path}: line {lineno}: non-finite column in {body!r}")
             ellipses.append(Ellipse((cx, cy), (a, b), np.deg2rad(rot_deg), inten))
     if not ellipses:
         raise ParseError(f"{path}: no ellipses found")

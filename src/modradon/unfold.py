@@ -7,7 +7,9 @@ Two unfolding strategies are provided:
   (the kappa correction) and a tail limit.
 * ``unfold_compact`` — for signals whose magnitude exceeds the fold threshold
   only inside a compact region; an extended left margin of quiet samples
-  anchors every running sum, which removes all integration ambiguities.
+  anchors every running sum, which removes all integration ambiguities.  Its
+  core, ``compact_counts``, unfolds right-aligned rows with per-row margins in
+  one block; the synthetic sweep and demo share it for all their trials.
 
 Both reduce folding to integer bookkeeping: the fold-count residual of the
 N-th forward difference is snapped to integer multiples of 2*lam once and all
@@ -26,7 +28,6 @@ import numpy as np
 from .core import (
     SampleSeq,
     Threshold,
-    anti_diff,
     anti_diff_bilateral,
     guarded_ceil,
     guarded_floor,
@@ -38,6 +39,7 @@ from .errors import (
     DomainError,
     MarginError,
     SizeError,
+    check_counts,
     check_positive,
 )
 from .forward import Sinogram
@@ -184,13 +186,27 @@ def cost_j(beta_grid: float, lam: float) -> int:
     return int(round(6.0 * beta_grid / lam))
 
 
-def _fold_residual_ints(y_values: np.ndarray, lam: float, N: int):
-    """Integer fold-count residual of the N-th difference, plus its snap error."""
-    d = np.diff(y_values, n=N)
+def _fold_residual_ints(values: np.ndarray, lam: float, N: int):
+    """Integer fold-count residual of the N-th difference (last axis), plus each snap error."""
+    d = np.diff(values, n=N)
     e0 = modulo_fold(d, Threshold(lam)) - d
     m = np.rint(e0 / (2.0 * lam))
-    residual = float(np.max(np.abs(e0 - 2.0 * lam * m))) if m.size else 0.0
-    return m.astype(np.int64), residual
+    return m.astype(np.int64), np.abs(e0 - 2.0 * lam * m)
+
+
+def compact_counts(rows: np.ndarray, lam: float, N: int, start):
+    """int64 fold counts of folded rows, row r starting at column ``start[r]``, and
+    each row's largest snap error.  Residuals whose stencil reaches the padding
+    left of ``start[r]`` are zeroed before the N running sums, so every row
+    comes out as if unfolded on its own."""
+    m, dev = _fold_residual_ints(rows, lam, N)
+    pad = np.arange(m.shape[1]) < np.asarray(start)[:, None]
+    m[pad] = 0
+    counts = np.zeros(rows.shape, dtype=np.int64)
+    counts[:, N:] = m
+    for _ in range(N):
+        np.cumsum(counts, axis=1, out=counts)
+    return counts, np.max(dev, axis=1, where=~pad, initial=0.0)
 
 
 def unfold_general(y: SampleSeq, cfg: UnfoldConfig):
@@ -229,7 +245,8 @@ def unfold_general(y: SampleSeq, cfg: UnfoldConfig):
     if len(y) <= N:
         raise SizeError(f"need more than {N} samples, got {len(y)}")
 
-    m, residual = _fold_residual_ints(y.values, lam, N)
+    m, dev = _fold_residual_ints(y.values, lam, N)
+    residual = float(np.max(dev))
     for _ in range(N - 1):
         u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
         v = anti_diff_bilateral(u, base)
@@ -281,13 +298,10 @@ def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
     if len(y) <= N:
         raise SizeError(f"need more than {N} samples, got {len(y)}")
 
-    m, residual = _fold_residual_ints(y.values, lam, N)
-    for _ in range(N - 1):
-        m = anti_diff(m)  # rounding onto the grid is exact here
-    counts = anti_diff(m)
+    [counts], [residual] = compact_counts(y.values[None, :], lam, N, [0])
     gamma = y.values + (2.0 * lam) * counts
-    ok = residual < 1e-9 * lam
-    report = UnfoldReport(N, None, residual, ok)
+    ok = bool(residual < 1e-9 * lam)
+    report = UnfoldReport(N, None, float(residual), ok)
     return SampleSeq(y.base_index, gamma).window(-K, K), report
 
 
@@ -301,11 +315,14 @@ def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
     ------
     DomainError
         If a sample lies outside the folded range [-lam, lam).
+    ConfigError
+        If K is below 1.
     """
     p = ms.params
     if np.max(np.abs(ms.rows)) > p.lam * (1.0 + 1e-12):
         raise DomainError("folded values must lie within [-lam, lam)")
     K = p.K if K is None else int(K)
+    check_counts(K=K)
     out = np.empty((p.M, 2 * K + 1))
     reports = []
     for mi in range(p.M):

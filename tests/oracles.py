@@ -4,8 +4,9 @@ These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
 transform; back projection is the plain per-angle loop over the whole image.
-The sweep sampler is the two-call-per-level sine-integral loop, and the sweep
-cell scans for the exceedance and then evaluates its window a second time.
+The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
+and the downsample demo scan for the exceedance, evaluate each window a second
+time and unfold one row at a time.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
 reader and the standard parameter choice serve the tests as references only.
 """
@@ -15,7 +16,7 @@ from scipy.special import sici
 
 from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, SizeError
-from modradon.experiments import _SUCCESS_TOL, SweepCell, _median3, base_order
+from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
 from modradon.phantom import ImageGrid
 from modradon.unfold import (
@@ -112,6 +113,14 @@ def sample_oracle(sig, t):
     return acc / np.pi
 
 
+def sup_norm_oracle(sig):
+    """Max magnitude of a ``RandomBandlimitedSignal`` on a fine grid over [-3, 3]
+    (step pi/(32*omega))."""
+    step = np.pi / 32 / sig.omega
+    t = np.arange(-3.0, 3.0 + step, step)
+    return float(np.max(np.abs(sig.sample(t))))
+
+
 def exceedance_index_oracle(sig, T, lam):
     """Largest lattice |k| with |g(kT)| >= lam and the outermost 32 samples on
     each side below it; every doubled scan (radius 3 up to 64) evaluates its
@@ -158,6 +167,24 @@ def sweep_cell_oracle(args):
     rates = hits / float(trials)
     smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
     return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)
+
+
+def demo_attempt_oracle(stage, sig, T, lam, N):
+    """One downsample-demo attempt on its own row: the window ``[-K', K]`` is
+    sampled with :func:`sample_oracle`, its folds are counted with the floor
+    formula ``floor((t + lam) / (2*lam))`` and it is unfolded by ``unfold_compact``."""
+    K = support_index(T)
+    kstar = exceedance_index_oracle(sig, T, lam)
+    K_prime = required_margin(kstar * T, T, N, K)
+    truth = sample_oracle(sig, np.arange(-K_prime, K + 1) * T)
+    fold_count = np.floor((truth + lam) / (2.0 * lam)).astype(np.int64)
+    y = SampleSeq(-K_prime, modulo_fold(truth, Threshold(lam)))
+    cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(sup_norm_oracle(sig), lam),
+                       omega=sig.omega, T=T, mode=COMPACT, order_override=N)
+    rec, _ = unfold_compact(y, cfg, K)
+    err = np.abs(rec.values - truth[K_prime - K :])
+    return DemoAttempt(stage, T, N, int(np.count_nonzero(fold_count)), float(np.mean(err**2)),
+                       float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL))
 
 
 def round_to_2lambda(x, thr: Threshold):

@@ -26,6 +26,28 @@ class TestPhantomCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, message", [
+        (b"0 0 nan 0.5 0 1\n", "line 1: non-finite column"),
+        (b"0 0 0.5 0.5 0 1\n0 0 0.5 0.5 0 inf\n", "line 2: non-finite column"),
+        (b"0 0 0.5 0.5 0 \xff\n", "line 1: non-numeric column"),
+    ], ids=["nan", "inf", "not-utf8"])
+    @pytest.mark.parametrize("command, out", [
+        ("phantom", ["--out", "o.txt", "--raster", "r.pgm"]),
+        ("forward", ["--omega", 20, "--lam", 0.05, "--out", "f.mrts"]),
+        ("pipeline", ["--omega", 20, "--lam", 0.05, "--outdir", "p"]),
+    ], ids=["phantom", "forward", "pipeline"])
+    def test_bad_table_exits_2(self, tmp_path, capsys, monkeypatch, table, message,
+                               command, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_bytes(table)
+        flag = "--name" if command == "phantom" else "--phantom"
+        code = run([command, flag, "t.txt", *out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: t.txt: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
 
 class TestForwardChain:
     def test_forward_fold_unfold_fbp(self, tmp_path):
@@ -93,6 +115,21 @@ class TestFbpCommand:
         assert code == 2
         assert "error:" in err and "expected 56 samples" in err
         assert "Traceback" not in err
+
+
+class TestUnfoldCommand:
+    @pytest.mark.parametrize("K", ["-3", "0"])
+    def test_bad_K_exits_2(self, tmp_path, capsys, K):
+        sino, folded = tmp_path / "s.mrts", tmp_path / "m.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--out", sino]) == 0
+        assert run(["fold", "--in", sino, "--out", folded]) == 0
+        out = tmp_path / "r.mrts"
+        code = run(["unfold", "--in", folded, "--beta", 0.6, "--K", K, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: K must be at least 1, got {K}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestForwardCommand:
@@ -387,3 +424,16 @@ class TestConfigFile:
         code = run(["downsample-demo", "--config", cfg, "--outdir", tmp_path / "x"])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_non_utf8_byte_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a string value would otherwise carry the replacement character on
+        # into a file name
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_bytes(b"# \xff in a comment is ignored\n"
+                                           b"size = 16\nraster = r\xff.pgm\n")
+        code = run(["phantom", "--config", "bad.cfg", "--out", "o.txt"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: bad.cfg: line 3: not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]

@@ -5,7 +5,7 @@ from modradon import experiments
 from modradon.errors import ConfigError
 from modradon.forward import RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom
-from oracles import sample_oracle, sweep_cell_oracle
+from oracles import demo_attempt_oracle, sample_oracle, sweep_cell_oracle
 
 # (lam, omega, trials, tsteps, seed); the last cell's order 3*11 = 33 exceeds the
 # 32-sample clear band, and at T = pi/omega its margin K' = 181 reaches one index
@@ -64,3 +64,16 @@ class TestDownsampleDemo:
         experiments.downsample_demo(outdir=tmp_path / "oracle")
         name = "downsample_demo.csv"
         assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+    @pytest.mark.parametrize("seed, factor", [(0, 2), (1, 3), (5, 2), (11, 4)])
+    def test_csv_matches_per_row_oracle(self, tmp_path, seed, factor):
+        experiments.downsample_demo(seed=seed, factor=factor, outdir=tmp_path)
+        omega, lam = 10 * np.pi, 0.1
+        sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
+        t0 = 0.5 / (omega * np.e)
+        attempts = [demo_attempt_oracle("base_rate", sig, t0, lam, 1),
+                    demo_attempt_oracle("downsampled", sig, factor * t0, lam, 1),
+                    demo_attempt_oracle("downsampled", sig, factor * t0, lam, 2)]
+        want = "".join(line + "\n" for line in
+                       [experiments.DemoAttempt.CSV_HEADER, *(a.to_csv_line() for a in attempts)])
+        assert (tmp_path / "downsample_demo.csv").read_bytes() == want.encode()

@@ -169,6 +169,20 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 1"):
             load_phantom(path)
 
+    @pytest.mark.parametrize("line", ["0 0 nan 0.5 0 1", "0 0 0.5 0.5 0 inf",
+                                      "-inf 0 0.5 0.5 0 1"])
+    def test_non_finite(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0 0.5 0.5 0 1\n" + line + "\n")
+        with pytest.raises(ParseError, match="line 2: non-finite column"):
+            load_phantom(path)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# \xff in a comment is ignored\n0 0 0.5 0.5 0 1\xff\n")
+        with pytest.raises(ParseError, match="line 2: non-numeric column"):
+            load_phantom(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# just a comment\n")

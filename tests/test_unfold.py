@@ -8,6 +8,7 @@ from modradon.unfold import (
     COMPACT,
     GENERAL,
     UnfoldConfig,
+    compact_counts,
     cost_j,
     grid_upper_bound,
     required_margin,
@@ -17,7 +18,7 @@ from modradon.unfold import (
     unfold_compact,
     unfold_general,
 )
-from oracles import design_params, round_to_2lambda
+from oracles import design_params, round_to_2lambda, sup_norm_oracle
 
 
 def compact_cfg(lam, beta, omega, T, order=None):
@@ -119,7 +120,8 @@ class TestUnfoldCompact:
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
             y = fold_seq(truth, lam)
-            cfg = compact_cfg(lam, grid_upper_bound(sig.sup_norm(), lam), omega, T, order=N)
+            cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
+                              order=N)
             rec, rep = unfold_compact(y, cfg, kstar)
             assert np.array_equal(rec.values, truth.window(-kstar, kstar).values)
             assert rep.success
@@ -134,6 +136,34 @@ class TestUnfoldCompact:
         m = resid / (2 * lam)
         assert np.max(np.abs(m - np.round(m))) <= 1e-9
 
+    @pytest.mark.parametrize("garbage", [False, True], ids=["signals", "garbage"])
+    def test_counts_of_right_aligned_rows_match_single_rows(self, garbage):
+        # rows with different margins, zero-padded on the left into one block,
+        # unfold bit for bit like each row on its own
+        lam, omega, N, K = 0.1, 10 * np.pi, 4, 40
+        T = 0.5 / (omega * np.e)
+        rng = np.random.default_rng(3)
+        margins = [K, 55, 93, 61, 120]
+        width = max(margins) + K + 1
+        block = np.zeros((len(margins), width))
+        for r, Kp in enumerate(margins):
+            if garbage:
+                row = rng.uniform(-lam, lam, size=Kp + K + 1)
+            else:
+                sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([31, r]))
+                row = modulo_fold(sig.samples(T, -Kp, K).values, Threshold(lam))
+            block[r, width - row.size :] = row
+        start = width - (np.array(margins) + K + 1)
+        counts, residual = compact_counts(block, lam, N, start)
+        assert counts.dtype == np.int64
+        cfg = compact_cfg(lam, 1.2, omega, T, order=N)
+        for r, Kp in enumerate(margins):
+            assert not np.any(counts[r, : start[r]])
+            rec, rep = unfold_compact(SampleSeq(-Kp, block[r, start[r] :]), cfg, K)
+            got = block[r, -(2 * K + 1) :] + (2.0 * lam) * counts[r, -(2 * K + 1) :]
+            assert got.tobytes() == rec.values.tobytes()
+            assert residual[r] == rep.residual_grid_deviation
+
     def test_idempotent(self):
         # unfold(fold(unfold(fold(x)))) == unfold(fold(x)) on a full window
         lam, omega = 0.1, 10 * np.pi
@@ -142,7 +172,7 @@ class TestUnfoldCompact:
         kstar, _ = sig.scan_exceedance(T, lam)
         Kp = kstar + 4 + 8
         truth = sig.samples(T, -Kp, Kp)
-        cfg = compact_cfg(lam, grid_upper_bound(sig.sup_norm(), lam), omega, T, order=4)
+        cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T, order=4)
         rec1, _ = unfold_compact(fold_seq(truth, lam), cfg, Kp)
         rec2, _ = unfold_compact(fold_seq(rec1, lam), cfg, Kp)
         np.testing.assert_array_equal(rec1.values, rec2.values)
@@ -271,7 +301,7 @@ class TestRouteEquivalence:
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
             y = fold_seq(truth, lam)
-            cfg = compact_cfg(lam, grid_upper_bound(sig.sup_norm(), lam), omega, T,
+            cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
             rec, _ = unfold_compact(y, cfg, kstar)
             ref = _unfold_compact_float_staged(y, lam, N, kstar)
@@ -307,7 +337,7 @@ class TestDifferenceBound:
         T = 0.3 * np.pi / omega
         for seed in range(20):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
-            sup = sig.sup_norm()
+            sup = sup_norm_oracle(sig)
             g = sig.samples(T, -400, 400).values
             for n in range(1, 7):
                 lhs = np.max(np.abs(np.diff(g, n=n)))
