@@ -127,6 +127,16 @@ class ForwardSetup:
         return self.scan.sinogram(self.params)
 
 
+def _source_omega(source, omega: float | None) -> float:
+    """The run's bandwidth: ``omega``, else the one a sinogram source carries."""
+    if omega is None:
+        if not isinstance(source, Sinogram):
+            raise ConfigError("omega is required for a phantom source")
+        omega = source.params.omega
+    check_positive(omega=omega)
+    return omega
+
+
 def prepare_forward(source, *, lam: float, omega: float | None = None,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
                     K: int | None = None, k_prime: int | str = "auto",
@@ -141,19 +151,18 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     count below 1, or an all-zero source to normalize raises
     :class:`ConfigError` before anything is scanned.
     """
-    check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
+    check_positive(lam=lam, t_frac=t_frac)
+    omega = _source_omega(source, omega)
+    check_positive(T=T)
     check_counts(M=M, K=K)
     if isinstance(source, Sinogram):
         sp = source.params
-        omega = sp.omega if omega is None else omega
         T = sp.T if T is None else T
         M = sp.M if M is None else M
         K = sp.K if K is None else K
         phantom = None
     else:
         phantom = source
-        if omega is None:
-            raise ConfigError("omega is required for a phantom source")
         if T is None:
             T = t_frac / (omega * np.e)
         if K is None:
@@ -192,7 +201,12 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
                  k_prime: int | str = "auto", filter_window: str = "cosine",
                  grid_size: int = 256, normalize: bool = False,
                  outdir: str | None = None, tag: str = "pipeline") -> PipelineResult:
-    """End-to-end run: forward model, fold, unfold, and both reconstructions."""
+    """End-to-end run: forward model, fold, unfold, and both reconstructions.
+
+    A bad reconstruction setting (window, grid size, bandwidth) raises before
+    the forward model runs."""
+    grid = ImageGrid(grid_size, grid_size)
+    spec = FilterSpec(_source_omega(source, omega), filter_window)
     setup = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T, M=M,
                             K=K, k_prime=k_prime, normalize=normalize)
     phantom, cfg, beta_grid = setup.phantom, setup.cfg, setup.beta_grid
@@ -204,8 +218,6 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     unfolded, reports = unfold_sinogram(folded, cfg, K)
 
     sino_parity = float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
-    spec = FilterSpec(params.omega, filter_window)
-    grid = ImageGrid(grid_size, grid_size)
     img_clean, img_recovered = fbp_reconstruct([clean_sym, unfolded], spec, grid)
     image_parity = float(np.max(np.abs(img_clean.pixels - img_recovered.pixels)))
     bit_identical = bool(np.array_equal(img_clean.pixels, img_recovered.pixels))

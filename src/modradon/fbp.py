@@ -9,9 +9,11 @@ with the 1/2 of the inversion formula and the angular average enter once, as
 the T/(2M) prefactor of the back projection.
 
 Reconstruction takes a sequence of sinograms that share one (M, K, T) and
-returns one image per sinogram.  Back projection computes each angle's
-geometry (detector coordinate, interpolation index and weight, inside mask)
-once per tile of image rows and applies it to every sinogram of the sequence;
+returns one image per sinogram.  Sinograms with bitwise-identical rows (a
+clean sinogram and its exact recovery) are filtered and back-projected once,
+and the image is copied to each of them.  Back projection computes each
+angle's geometry (detector coordinate, interpolation index and weight, inside
+mask) once per tile of image rows and applies it to every distinct sinogram;
 each image still sums its own filtered rows over the angles in the order
 m = 0..M-1, so its pixels are the same whether it is reconstructed alone or
 together with others.
@@ -166,15 +168,42 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
     return [ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M))) for acc in accs]
 
 
+def _same_bits(a: Sinogram, b: Sinogram) -> bool:
+    """Whether two sinograms have equal (M, K, T) and bitwise-equal [-K, K] rows.
+
+    The rows are compared as uint64 views: a float comparison takes -0.0 for
+    +0.0, and the sign of a zero can move image bits.
+    """
+    p, q = a.params, b.params
+    return ((p.M, p.K, p.T) == (q.M, q.K, q.T)
+            and np.array_equal(a.symmetric_rows().view(np.uint64),
+                               b.symmetric_rows().view(np.uint64)))
+
+
 def fbp_reconstruct(sinograms, spec: FilterSpec, grid: ImageGrid) -> list[ImageGrid]:
-    """Filter each sinogram's rows, then back-project all of them in one pass.
+    """Filter the rows of each distinct sinogram, then back-project all of them
+    in one pass.
 
     The sinograms must share (M, K, T); one image is returned per sinogram.
+    Bitwise-identical sinograms (see :func:`_same_bits`), such as a clean
+    sinogram and its exact recovery, are filtered and back-projected once;
+    since an image does not depend on the others in its pass, every image is
+    the one its sinogram would get alone.  Each returned image owns its pixels.
     """
     if not sinograms:
         raise SizeError("no sinogram to reconstruct")
-    hs = [filter_projections(s, spec) for s in sinograms]
-    return back_project(hs, sinograms[0].params, grid)
+    distinct, which = [], []
+    for s in sinograms:
+        j = next((j for j, d in enumerate(distinct) if _same_bits(s, d)), len(distinct))
+        if j == len(distinct):
+            distinct.append(s)
+        which.append(j)
+    hs = [filter_projections(s, spec) for s in distinct]
+    images = back_project(hs, sinograms[0].params, grid)
+    # the first input of each group takes its image, every repeat a copy
+    return [images[j] if which.index(j) == i
+            else ImageGrid(grid.width, grid.height, images[j].pixels.copy())
+            for i, j in enumerate(which)]
 
 
 def rmse(a: ImageGrid, b: ImageGrid) -> float:

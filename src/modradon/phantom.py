@@ -36,6 +36,10 @@ class Ellipse:
     intensity: float
 
     def __post_init__(self):
+        for name in ("center", "semi_axes", "rotation", "intensity"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} must be finite, got {value}")
         a, b = self.semi_axes
         if a <= 0 or b <= 0:
             raise DomainError(f"semi-axes must be positive, got {self.semi_axes}")
@@ -240,7 +244,10 @@ def load_phantom(path) -> Phantom:
                 raise ParseError(f"{path}: line {lineno}: non-numeric column ({exc})") from None
             if not np.all(np.isfinite([cx, cy, a, b, rot_deg, inten])):
                 raise ParseError(f"{path}: line {lineno}: non-finite column in {body!r}")
-            ellipses.append(Ellipse((cx, cy), (a, b), np.deg2rad(rot_deg), inten))
+            try:
+                ellipses.append(Ellipse((cx, cy), (a, b), np.deg2rad(rot_deg), inten))
+            except DomainError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
     if not ellipses:
         raise ParseError(f"{path}: no ellipses found")
     return Phantom(tuple(ellipses))

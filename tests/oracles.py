@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
-transform; back projection is the plain per-angle loop over the whole image.
+transform; back projection is the plain per-angle loop over the whole image,
+and reconstruction filters and back-projects every sinogram, equal or not.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
 time and unfold one row at a time.
@@ -16,6 +17,7 @@ from scipy.special import sici
 
 from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, SizeError
+from modradon.fbp import back_project, filter_projections
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
 from modradon.phantom import ImageGrid
@@ -98,6 +100,13 @@ def back_project_oracle(h, params, grid):
         acc += np.where(inside, vals, 0.0)
     acc *= T / (2.0 * M)
     return acc
+
+
+def fbp_every_sinogram_oracle(sinograms, spec, grid):
+    """Filter every sinogram and back-project them all in one shared pass, with
+    no check for repeats."""
+    hs = [filter_projections(s, spec) for s in sinograms]
+    return back_project(hs, sinograms[0].params, grid)
 
 
 def sample_oracle(sig, t):

@@ -30,7 +30,10 @@ class TestPhantomCommand:
         (b"0 0 nan 0.5 0 1\n", "line 1: non-finite column"),
         (b"0 0 0.5 0.5 0 1\n0 0 0.5 0.5 0 inf\n", "line 2: non-finite column"),
         (b"0 0 0.5 0.5 0 \xff\n", "line 1: non-numeric column"),
-    ], ids=["nan", "inf", "not-utf8"])
+        (b"0 0 0.5 0.5 0 1\n0 0 -0.5 0.5 0 1\n",
+         "line 2: semi-axes must be positive, got (-0.5, 0.5)"),
+        (b"0.6 0 0.5 0.5 0 1\n", "line 1: ellipse is not contained in the closed unit disk"),
+    ], ids=["nan", "inf", "not-utf8", "negative-axis", "outside-disk"])
     @pytest.mark.parametrize("command, out", [
         ("phantom", ["--out", "o.txt", "--raster", "r.pgm"]),
         ("forward", ["--omega", 20, "--lam", 0.05, "--out", "f.mrts"]),
@@ -209,6 +212,20 @@ class TestPipelineCommand:
         assert metrics["images_bit_identical"] == "1"
         assert float(metrics["sino_parity_max"]) < 1e-9
         assert metrics["success"] == "1"
+
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_bad_size_exits_2_before_forward(self, tmp_path, capsys, monkeypatch, size):
+        calls = []
+        monkeypatch.setattr(experiments, "prepare_forward", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        code = run(["pipeline", "--omega", 300, "--lam", 0.025, "--size", size,
+                    "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: image grid must have at least one pixel per axis" in err
+        assert "Traceback" not in err
+        assert calls == [] and not out.exists()
 
 
 class TestIngest:

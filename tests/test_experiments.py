@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modradon import experiments
-from modradon.errors import ConfigError
+from modradon.errors import ConfigError, DomainError
 from modradon.forward import RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom
 from oracles import demo_attempt_oracle, sample_oracle, sweep_cell_oracle
@@ -55,6 +55,23 @@ class TestPrepareForward:
     def test_all_zero_source_cannot_normalize(self):
         with pytest.raises(ConfigError, match="all raw samples are zero"):
             experiments.prepare_forward(Phantom(()), lam=0.1, omega=20.0, normalize=True)
+
+
+class TestRunPipeline:
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"filter_window": "hann"}, ConfigError, "unknown window 'hann'"),
+        ({"grid_size": 0}, DomainError, "at least one pixel"),
+        ({"grid_size": -3}, DomainError, "at least one pixel"),
+        ({"omega": None}, ConfigError, "omega is required"),
+    ], ids=["window", "size-0", "size-neg", "no-omega"])
+    def test_bad_reconstruction_setting_fails_before_forward(self, monkeypatch, kwargs,
+                                                            error, message):
+        calls = []
+        monkeypatch.setattr(experiments, "prepare_forward", lambda *a, **k: calls.append(a))
+        kw = {"lam": 0.025, "omega": 300.0, **kwargs}
+        with pytest.raises(error, match=message):
+            experiments.run_pipeline(disk(1.0), **kw)
+        assert calls == []
 
 
 class TestDownsampleDemo:

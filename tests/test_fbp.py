@@ -6,6 +6,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from modradon.errors import SizeError
+from modradon import fbp
 from modradon.fbp import (
     COSINE,
     RAM_LAK,
@@ -25,6 +26,7 @@ from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sino
 from oracles import (
     back_project_oracle,
     design_params,
+    fbp_every_sinogram_oracle,
     kernel_quadrature_oracle,
     read_raw_f64,
 )
@@ -244,6 +246,67 @@ class TestReconstruction:
         [img_clean] = fbp_reconstruct([s], spec, g)
         [img_rec] = fbp_reconstruct([rec], spec, g)
         assert np.array_equal(img_clean.pixels, img_rec.pixels)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"filter": 0, "row_sets": []}
+        filt, bp = fbp.filter_projections, fbp.back_project
+
+        def counting_filter(s, spec):
+            calls["filter"] += 1
+            return filt(s, spec)
+
+        def counting_bp(hs, params, grid):
+            calls["row_sets"].append(len(hs))
+            return bp(hs, params, grid)
+
+        monkeypatch.setattr(fbp, "filter_projections", counting_filter)
+        monkeypatch.setattr(fbp, "back_project", counting_bp)
+        return calls
+
+    def test_identical_sinograms_reconstructed_once(self, monkeypatch):
+        s = small_sinogram(M=12)
+        twin = Sinogram(s.params, s.rows.copy())
+        spec, g = FilterSpec(OMEGA, COSINE), ImageGrid(40, 33)
+        want = fbp_every_sinogram_oracle([s, twin], spec, g)
+        calls = self._spy(monkeypatch)
+        got = fbp_reconstruct([s, twin], spec, g)
+        assert calls == {"filter": 1, "row_sets": [1]}
+        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
+        assert not np.shares_memory(got[0].pixels, got[1].pixels)
+
+    @pytest.mark.parametrize("change", ["one_sample", "zero_sign"])
+    def test_different_sinograms_keep_their_own_rows(self, monkeypatch, change):
+        s = small_sinogram(M=12)
+        a, b = s.rows.copy(), s.rows.copy()
+        m, k = 4, s.params.K_prime  # the sample at t = 0
+        if change == "one_sample":
+            b[m, k] += 1e-3
+        else:
+            a[m, k], b[m, k] = 0.0, -0.0
+        assert np.array_equal(a, b) is (change == "zero_sign")
+        a, b = Sinogram(s.params, a), Sinogram(s.params, b)
+        spec, g = FilterSpec(OMEGA, COSINE), ImageGrid(40, 33)
+        want = fbp_every_sinogram_oracle([a, b], spec, g)
+        calls = self._spy(monkeypatch)
+        got = fbp_reconstruct([a, b], spec, g)
+        assert calls == {"filter": 2, "row_sets": [2]}
+        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
+
+    def test_repeats_among_three(self, monkeypatch):
+        s = small_sinogram(M=12)
+        other = Sinogram(s.params, 2.0 * s.rows)
+        # a cropped view with a wider margin holds the same [-K, K] rows
+        p = s.params
+        wide = np.zeros((p.M, p.K_prime + p.K + 4))
+        wide[:, 3:] = s.rows
+        s_wide = Sinogram(replace(p, K_prime=p.K_prime + 3), wide)
+        spec, g = FilterSpec(OMEGA, RAM_LAK), ImageGrid(24, 24)
+        want = fbp_every_sinogram_oracle([s, other, s_wide], spec, g)
+        calls = self._spy(monkeypatch)
+        got = fbp_reconstruct([s, other, s_wide], spec, g)
+        assert calls == {"filter": 2, "row_sets": [2]}
+        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
 
     def test_empty_sequence_raises(self):
         with pytest.raises(SizeError):

@@ -119,6 +119,15 @@ class TestPhantoms:
             Ellipse((0.0, 0.0), (0.0, 0.1), 0.0, 1.0)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["center", "semi_axes", "rotation", "intensity"])
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = dict(center=(0.0, 0.0), semi_axes=(0.5, 0.5), rotation=0.0, intensity=1.0)
+        fields[field] = (bad, 0.5) if field in ("center", "semi_axes") else bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            Ellipse(**fields)
+
+
 class TestRasterize:
     def test_empty_phantom_zero_image(self):
         img = rasterize(Phantom(()), ImageGrid(16, 16))
@@ -175,6 +184,16 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("0 0 0.5 0.5 0 1\n" + line + "\n")
         with pytest.raises(ParseError, match="line 2: non-finite column"):
+            load_phantom(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0 0 -0.5 0.5 0 1", r"semi-axes must be positive, got \(-0.5, 0.5\)"),
+        ("0.6 0 0.5 0.5 0 1", "ellipse is not contained in the closed unit disk"),
+    ], ids=["negative-axis", "outside-disk"])
+    def test_rejected_ellipse_names_line(self, tmp_path, line, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0 0.5 0.5 0 1\n" + line + "\n")
+        with pytest.raises(ParseError, match=f"bad.txt: line 2: {reason}"):
             load_phantom(path)
 
     def test_non_utf8_byte(self, tmp_path):

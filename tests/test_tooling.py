@@ -47,9 +47,7 @@ def test_benchmark_calls_bind():
         assert {a for a in argv if a.startswith("--")} <= flags
 
 
-def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
-    # the benchmark's fbp.back_project span patches this module global; a call
-    # that bypassed it would silently drop out of the per-layer metrics
+def _count_back_projected_row_sets(monkeypatch):
     calls = []
     inner = fbp.back_project
 
@@ -58,9 +56,32 @@ def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
         return inner(hs, params, grid)
 
     monkeypatch.setattr(fbp, "back_project", counting)
+    return calls
+
+
+def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
+    # the benchmark's fbp.back_project span patches this module global; a call
+    # that bypassed it would silently drop out of the per-layer metrics.  An
+    # exact recovery is the clean sinogram, so one filtered row set serves both.
+    calls = _count_back_projected_row_sets(monkeypatch)
+    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
+    assert calls == [1]
+    assert res.images_bit_identical
+
+
+def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
+    calls = _count_back_projected_row_sets(monkeypatch)
+    unfold = experiments.unfold_sinogram
+
+    def corrupting(folded, cfg, K):
+        out, reports = unfold(folded, cfg, K)
+        out.rows[3, 5] += 2.0 * cfg.lam
+        return out, reports
+
+    monkeypatch.setattr(experiments, "unfold_sinogram", corrupting)
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
     assert calls == [2]
-    assert res.images_bit_identical
+    assert not res.images_bit_identical
 
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
