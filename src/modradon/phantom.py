@@ -74,6 +74,7 @@ class ImageGrid:
 
     Pixel (i, j) has its center at ``x = -1 + (j + 1/2) * 2/width`` and
     ``y = 1 - (i + 1/2) * 2/height`` (row 0 is the top of the image).
+    Without ``pixels`` the grid reads as zeros through a read-only view.
     """
 
     width: int
@@ -84,7 +85,9 @@ class ImageGrid:
         if self.width < 1 or self.height < 1:
             raise DomainError("image grid must have at least one pixel per axis")
         if self.pixels is None:
-            object.__setattr__(self, "pixels", np.zeros((self.height, self.width)))
+            # a grid that only gives an image's geometry holds no pixel buffer
+            # (the pipeline keeps its grid alive through the forward model)
+            object.__setattr__(self, "pixels", np.broadcast_to(0.0, (self.height, self.width)))
         else:
             arr = np.asarray(self.pixels, dtype=float)
             if arr.shape != (self.height, self.width):

@@ -128,6 +128,13 @@ class TestPhantoms:
             Ellipse(**fields)
 
 
+class TestImageGrid:
+    def test_geometry_grid_holds_no_pixel_buffer(self):
+        g = ImageGrid(4096, 3000)
+        assert g.pixels.shape == (3000, 4096) and g.pixels.strides == (0, 0)
+        assert g.pixels[2999, 4095] == 0.0 and not g.pixels.flags.writeable
+
+
 class TestRasterize:
     def test_empty_phantom_zero_image(self):
         img = rasterize(Phantom(()), ImageGrid(16, 16))
