@@ -171,8 +171,8 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
 def _same_bits(a: Sinogram, b: Sinogram) -> bool:
     """Whether two sinograms have equal (M, K, T) and bitwise-equal [-K, K] rows.
 
-    The rows are compared as uint64 views: a float comparison takes -0.0 for
-    +0.0, and the sign of a zero can move image bits.
+    The rows are compared as uint64 views, so equal means the same bits and
+    hence the same image; a float comparison would take -0.0 for +0.0.
     """
     p, q = a.params, b.params
     return ((p.M, p.K, p.T) == (q.M, q.K, q.T)
@@ -181,14 +181,13 @@ def _same_bits(a: Sinogram, b: Sinogram) -> bool:
 
 
 def fbp_reconstruct(sinograms, spec: FilterSpec, grid: ImageGrid) -> list[ImageGrid]:
-    """Filter the rows of each distinct sinogram, then back-project all of them
-    in one pass.
+    """Filter each distinct sinogram's rows, then back-project them in one pass.
 
-    The sinograms must share (M, K, T); one image is returned per sinogram.
-    Bitwise-identical sinograms (see :func:`_same_bits`), such as a clean
-    sinogram and its exact recovery, are filtered and back-projected once;
-    since an image does not depend on the others in its pass, every image is
-    the one its sinogram would get alone.  Each returned image owns its pixels.
+    The sinograms must share (M, K, T); one image, with its own pixel array,
+    is returned per sinogram.  Bitwise-identical sinograms (a clean sinogram
+    and its exact recovery) are filtered and back-projected once; an image
+    does not depend on the others in its pass, so each is the one its
+    sinogram would get alone.
     """
     if not sinograms:
         raise SizeError("no sinogram to reconstruct")

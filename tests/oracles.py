@@ -17,8 +17,8 @@ from scipy.special import sici
 
 from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, SizeError
-from modradon.fbp import back_project, filter_projections
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
+from modradon.fbp import back_project, filter_projections
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
 from modradon.phantom import ImageGrid
 from modradon.unfold import (

@@ -213,7 +213,6 @@ class TestPipelineCommand:
         assert float(metrics["sino_parity_max"]) < 1e-9
         assert metrics["success"] == "1"
 
-
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_bad_size_exits_2_before_forward(self, tmp_path, capsys, monkeypatch, size):
         calls = []

@@ -5,8 +5,8 @@ import pytest
 
 from scipy.signal import fftconvolve
 
-from modradon.errors import SizeError
 from modradon import fbp
+from modradon.errors import SizeError
 from modradon.fbp import (
     COSINE,
     RAM_LAK,
@@ -296,7 +296,7 @@ class TestReconstruction:
     def test_repeats_among_three(self, monkeypatch):
         s = small_sinogram(M=12)
         other = Sinogram(s.params, 2.0 * s.rows)
-        # a cropped view with a wider margin holds the same [-K, K] rows
+        # a wider left margin around the same [-K, K] rows is still a repeat
         p = s.params
         wide = np.zeros((p.M, p.K_prime + p.K + 4))
         wide[:, 3:] = s.rows

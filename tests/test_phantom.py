@@ -118,7 +118,6 @@ class TestPhantoms:
         with pytest.raises(DomainError):
             Ellipse((0.0, 0.0), (0.0, 0.1), 0.0, 1.0)
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("field", ["center", "semi_axes", "rotation", "intensity"])
     def test_non_finite_field_rejected(self, field, bad):
