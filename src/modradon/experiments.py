@@ -210,9 +210,10 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     setup = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T, M=M,
                             K=K, k_prime=k_prime, normalize=normalize)
     phantom, cfg, beta_grid = setup.phantom, setup.cfg, setup.beta_grid
-    params = setup.params
+    params, norm_scale = setup.params, setup.norm_scale
     K, K_prime, N = params.K, params.K_prime, params.N
     clean = setup.sinogram()
+    del setup  # frees the wide scan rows before fold, unfold and FBP allocate
     clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
     folded = fold_sinogram(clean)
     unfolded, reports = unfold_sinogram(folded, cfg, K)
@@ -225,7 +226,7 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     rmse_clean = rmse_recovered = None
     if phantom is not None:
         truth = rasterize(phantom, grid)
-        ref = ImageGrid(grid.width, grid.height, truth.pixels / setup.norm_scale)
+        ref = ImageGrid(grid.width, grid.height, truth.pixels / norm_scale)
         rmse_clean = rmse(img_clean, ref)
         rmse_recovered = rmse(img_recovered, ref)
 
@@ -435,12 +436,20 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
     [-K, K] block of a ``.mrts`` sinogram.
 
     With ``normalize=True`` the data is scaled to unit sup-norm.  Malformed
-    input, and all-zero input that cannot be normalized, raise
+    input, a ``.mrts`` source whose header T, M or K differs from the one
+    given, and all-zero input that cannot be normalized, raise
     :class:`ParseError`; CSV errors name the offending row and column.
     """
     params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K, M=M)
     if str(path).endswith(".mrts"):
-        rows = load_sinogram(path).symmetric_rows().copy()
+        src = load_sinogram(path)
+        sp = src.params
+        if sp.T != T:
+            raise ParseError(f"{path}: header T={sp.T!r} differs from the given T={T!r}")
+        if (sp.M, sp.K) != (M, K):
+            raise ParseError(f"{path}: header M={sp.M}, K={sp.K} differs from the given "
+                             f"M={M}, K={K}")
+        rows = src.symmetric_rows().copy()
     else:
         with open(path, errors="replace") as f:
             rows = read_csv_rows(f, path, M, 2 * K + 1, 1)

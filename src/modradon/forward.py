@@ -11,7 +11,9 @@ function, which is what the recovery guarantees operate on.
 from __future__ import annotations
 
 import os
+import stat
 import struct
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -220,7 +222,8 @@ def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
         If the outermost ``_CLEAR_BAND`` lattice positions on either side are
         not strictly below lam (the window was too narrow to bound the tails).
     """
-    exc = np.abs(rows) >= lam
+    exc = rows >= lam  # |rows| >= lam without a float copy of rows
+    exc |= rows <= -lam
     if np.any(exc[..., :_CLEAR_BAND]) or np.any(exc[..., -_CLEAR_BAND:]):
         raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
     cols = np.nonzero(exc if exc.ndim == 1 else exc.any(axis=0))[0]
@@ -348,27 +351,39 @@ def _save_binary(s, path):
 
 def _load_binary(path) -> Sinogram:
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MAGIC:
-        raise ParseError(f"{path}: bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    if len(blob) < _HEADER_BYTES:
-        raise ParseError(f"{path}: truncated header: {len(blob)} of {_HEADER_BYTES} bytes")
-    version, M, K, K_prime = struct.unpack("<IIII", blob[4:20])
-    if version != _VERSION:
-        raise ParseError(f"{path}: unsupported version {version}")
-    omega, T, lam = struct.unpack("<ddd", blob[20:44])
-    try:
-        params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
-    except ConfigError as exc:
-        raise ParseError(f"{path}: bad header field ({exc})") from None
-    n = M * (K_prime + K + 1)
-    if len(blob) - _HEADER_BYTES != 8 * n:
+        head = f.read(_HEADER_BYTES)
+        if head[:4] != _MAGIC:
+            raise ParseError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        if len(head) < _HEADER_BYTES:
+            raise ParseError(f"{path}: truncated header: {len(head)} of {_HEADER_BYTES} bytes")
+        version, M, K, K_prime = struct.unpack("<IIII", head[4:20])
+        if version != _VERSION:
+            raise ParseError(f"{path}: unsupported version {version}")
+        omega, T, lam = struct.unpack("<ddd", head[20:44])
+        try:
+            params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
+        except ConfigError as exc:
+            raise ParseError(f"{path}: bad header field ({exc})") from None
+        n = M * (K_prime + K + 1)
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            # sized before the rows are allocated, so a header cannot claim
+            # more samples than the file holds
+            found = st.st_size - _HEADER_BYTES
+            if found == 8 * n:
+                rows = np.empty((M, K_prime + K + 1), dtype="<f8")
+                found = f.readinto(rows)
+        else:  # a pipe has no size: read what it holds
+            body = bytearray(f.read())
+            found = len(body)
+            if found == 8 * n:
+                rows = np.frombuffer(body, dtype="<f8").reshape(M, K_prime + K + 1)
+    if found != 8 * n:
         raise ParseError(f"{path}: expected {n} samples ({8 * n} bytes) after the header, "
-                         f"found {len(blob) - _HEADER_BYTES} bytes")
-    rows = np.frombuffer(blob[44:], dtype="<f8").reshape(M, K_prime + K + 1).astype(float)
-    bad = np.argwhere(~np.isfinite(rows))
-    if bad.size:
-        m, i = bad[0]
+                         f"found {found} bytes")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        m, i = np.argwhere(~finite)[0]
         raise ParseError(f"{path}: row {m}, column {i}: not a finite number ({rows[m, i]})")
     return Sinogram(params, rows)
 
@@ -412,10 +427,20 @@ def read_csv_rows(f, path, M: int, width: int, first_line: int) -> np.ndarray:
     than M rows.  Every value takes at least two bytes (a digit and a
     separator), so a declared shape that the file is too small to hold is
     rejected before anything of that size is allocated.
+
+    numpy's C reader parses the data lines in one pass.  A file it rejects,
+    or whose rows are not M rows of ``width`` finite values, is read again
+    cell by cell with :func:`parse_csv_row`, so every error names its row and
+    column or its file line.
     """
     size = os.fstat(f.fileno()).st_size
     if 2 * M * width - 1 > size:
         raise ParseError(f"{path}: {M} rows of {width} values cannot fit in {size} bytes")
+    start = f.tell()
+    rows = _loadtxt_rows(f, M + 1)
+    if rows is not None and rows.shape == (M, width) and np.isfinite(rows).all():
+        return rows
+    f.seek(start)
     rows = np.empty((M, width))
     m = 0
     for lineno, line in enumerate(f, start=first_line):
@@ -429,6 +454,23 @@ def read_csv_rows(f, path, M: int, width: int, first_line: int) -> np.ndarray:
     if m != M:
         raise ParseError(f"{path}: expected {M} data rows, found {m}")
     return rows
+
+
+def _loadtxt_rows(f, max_rows: int) -> np.ndarray | None:
+    """Up to ``max_rows`` data lines of ``f`` parsed by ``np.loadtxt``, as a 2-D
+    float array, or None where it fails or warns (as on a file with no data).
+
+    Blank and ``#`` lines are dropped here, by the rule of
+    :func:`read_csv_rows`; ``loadtxt`` strips no inline comment.
+    """
+    lines = (line for line in f if (body := line.strip()) and not body.startswith("#"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                              max_rows=max_rows)
+    except (ValueError, Warning):
+        return None
 
 
 def parse_csv_row(line: str, out: np.ndarray, path, m: int) -> None:

@@ -10,13 +10,16 @@ and the downsample demo scan for the exceedance, evaluate each window a second
 time and unfold one row at a time.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
 reader and the standard parameter choice serve the tests as references only.
+The CSV row reader parses one cell at a time with ``float()``.
 """
+
+import os
 
 import numpy as np
 from scipy.special import sici
 
 from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
-from modradon.errors import DomainError, NumericError, SizeError
+from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.fbp import back_project, filter_projections
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
@@ -249,3 +252,35 @@ def design_params(omega, lam, t_frac=0.5, M=None, K=None, K_prime=None) -> Sampl
     if K_prime is None:
         K_prime = K
     return SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M)
+
+
+def read_csv_rows_oracle(f, path, M: int, width: int, first_line: int) -> np.ndarray:
+    """``forward.read_csv_rows`` one cell at a time: every data line is split on
+    commas and each cell parsed by ``float()``, with the same checks and
+    messages."""
+    size = os.fstat(f.fileno()).st_size
+    if 2 * M * width - 1 > size:
+        raise ParseError(f"{path}: {M} rows of {width} values cannot fit in {size} bytes")
+    rows = np.empty((M, width))
+    m = 0
+    for lineno, line in enumerate(f, start=first_line):
+        body = line.strip()
+        if not body or body.startswith("#"):
+            continue
+        if m >= M:
+            raise ParseError(f"{path}: line {lineno}: more than {M} data rows")
+        cols = body.split(",")
+        if len(cols) != width:
+            raise ParseError(f"{path}: row {m}: expected {width} columns, got {len(cols)}")
+        for i, c in enumerate(cols):
+            try:
+                rows[m, i] = float(c)
+            except ValueError:
+                raise ParseError(f"{path}: row {m}, column {i}: not a number") from None
+        for i, c in enumerate(cols):
+            if not np.isfinite(rows[m, i]):
+                raise ParseError(f"{path}: row {m}, column {i}: not a finite number ({c})")
+        m += 1
+    if m != M:
+        raise ParseError(f"{path}: expected {M} data rows, found {m}")
+    return rows

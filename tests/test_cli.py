@@ -270,6 +270,27 @@ class TestIngest:
         assert r.max_abs() == pytest.approx(1.0)
         assert r.params.lam == 0.1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", 0.1, "--angles", 4, "--K", 5], "header T=0.05 differs from the given T=0.1"),
+        (["--T", 0.05, "--angles", 5, "--K", 5],
+         "header M=4, K=5 differs from the given M=5, K=5"),
+        (["--T", 0.05, "--angles", 4, "--K", 4],
+         "header M=4, K=5 differs from the given M=4, K=4"),
+    ], ids=["T", "M", "K"])
+    def test_mrts_header_differing_from_flags_exits_2(self, tmp_path, capsys, flags, message):
+        from modradon.forward import SamplingParams, Sinogram, save_sinogram
+
+        p = SamplingParams(omega=20.0, T=0.05, lam=0.5, K=5, K_prime=8, M=4)
+        src = tmp_path / "s.mrts"
+        save_sinogram(Sinogram(p, np.ones((4, 14))), src)
+        out = tmp_path / "out.mrts"
+        code = run(["ingest", "--in", src, "--omega", 20, *flags, "--lam", 0.1, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {src}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_all_zero_mrts_exits_nonzero(self, tmp_path, capsys):
         from modradon.forward import SamplingParams, Sinogram, save_sinogram
 

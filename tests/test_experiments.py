@@ -1,9 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from modradon import experiments
 from modradon.errors import ConfigError, DomainError
-from modradon.forward import RandomBandlimitedSignal
+from modradon.forward import ForwardScan, RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom
 from oracles import demo_attempt_oracle, sample_oracle, sweep_cell_oracle
 
@@ -72,6 +74,26 @@ class TestRunPipeline:
         with pytest.raises(error, match=message):
             experiments.run_pipeline(disk(1.0), **kw)
         assert calls == []
+
+    def test_scan_is_freed_before_the_fold(self, monkeypatch):
+        # the wide scan rows are several times the sinogram; none may stay
+        # alive through fold, unfold and FBP
+        scans, alive_at_fold = [], []
+        slice_scan, fold = ForwardScan.sinogram, experiments.fold_sinogram
+
+        def recording_slice(scan, params):
+            scans.append(weakref.ref(scan))
+            return slice_scan(scan, params)
+
+        def checking_fold(s):
+            alive_at_fold.append([ref() is not None for ref in scans])
+            return fold(s)
+
+        monkeypatch.setattr(ForwardScan, "sinogram", recording_slice)
+        monkeypatch.setattr(experiments, "fold_sinogram", checking_fold)
+        res = experiments.run_pipeline(disk(1.0), lam=0.1, omega=20.0, grid_size=16)
+        assert res.success
+        assert alive_at_fold == [[False]]
 
 
 class TestDownsampleDemo:

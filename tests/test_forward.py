@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 from dataclasses import replace
@@ -296,6 +297,22 @@ class TestSinogramIO:
         path.write_bytes(blob[:-16])
         with pytest.raises(ParseError, match="samples"):
             load_sinogram(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_binary_from_a_pipe(self, tmp_path):
+        # a pipe has no file size; its body is read as it comes
+        s = self._small_sinogram()
+        path = tmp_path / "s.mrts"
+        save_sinogram(s, path)
+        r, w = os.pipe()
+        try:
+            with open(w, "wb") as f:
+                f.write(path.read_bytes())  # 1,388 bytes: fits the pipe buffer
+            loaded = load_sinogram(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert np.array_equal(loaded.rows, s.rows)
+        assert loaded.params.T == s.params.T
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "s.mrts"
