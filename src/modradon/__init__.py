@@ -62,7 +62,6 @@ from .unfold import (
     samples_general,
     select_order,
     unfold_compact,
-    unfold_general,
     unfold_sinogram,
 )
 

@@ -78,22 +78,6 @@ class SampleSeq:
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def end_index(self) -> int:
-        """Absolute index of the last element."""
-        return self.base_index + self.values.size - 1
-
-    def window(self, k_lo: int, k_hi: int) -> "SampleSeq":
-        """Restriction to absolute indices [k_lo, k_hi]."""
-        if k_lo > k_hi:
-            raise SizeError(f"empty window [{k_lo}, {k_hi}]")
-        if not self.base_index <= k_lo <= k_hi <= self.end_index:
-            raise DomainError(
-                f"window [{k_lo}, {k_hi}] outside [{self.base_index}, {self.end_index}]"
-            )
-        lo = k_lo - self.base_index
-        return SampleSeq(k_lo, self.values[lo : k_hi - self.base_index + 1].copy())
-
 
 def modulo_fold(t, thr: Threshold):
     """Centered fold of t into [-lam, lam).
@@ -121,22 +105,24 @@ def modulo_fold(t, thr: Threshold):
 
 
 def anti_diff(a: np.ndarray) -> np.ndarray:
-    """Running sum starting at zero, one sample longer than the input.
+    """Running sum along the last axis starting at zero, one sample longer than
+    the input.
 
     Keeps the input dtype (int64 fold counts stay exact) and inverts
     ``np.diff`` up to the first value: ``anti_diff(np.diff(x)) == x - x[0]``.
     """
     a = np.asarray(a)
-    out = np.empty(a.size + 1, dtype=a.dtype)
-    out[0] = 0
-    np.cumsum(a, out=out[1:])
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    out[..., 0] = 0
+    np.cumsum(a, axis=-1, out=out[..., 1:])
     return out
 
 
 def anti_diff_bilateral(a: np.ndarray, base: int) -> np.ndarray:
-    """Running sum anchored at absolute index 0, extended to both sides.
+    """Running sum along the last axis anchored at absolute index 0, extended
+    to both sides.
 
-    ``a[i]`` sits at absolute index ``base + i``.  ``result[0] = 0``;
+    ``a[..., i]`` sits at absolute index ``base + i``.  ``result[0] = 0``;
     ``result[k] = sum_{j=0}^{k-1} a[j]`` for k > 0 and
     ``result[k] = -sum_{j=k}^{-1} a[j]`` for k < 0.  The result covers
     ``[base, base+len]`` and keeps the input dtype.
@@ -147,11 +133,11 @@ def anti_diff_bilateral(a: np.ndarray, base: int) -> np.ndarray:
         If the input does not cover index 0 (``base <= 0 < base+len``).
     """
     a = np.asarray(a)
-    if not (base <= 0 < base + a.size):
+    n = a.shape[-1]
+    if not (base <= 0 < base + n):
         raise DomainError(
-            f"bilateral running sum needs index 0 inside [{base}, {base + a.size - 1}]"
+            f"bilateral running sum needs index 0 inside [{base}, {base + n - 1}]"
         )
     c = anti_diff(a)
     # subtracting the cumulative value at index 0 re-anchors the sum there
-    return c - c[-base]
-
+    return c - c[..., -base, None]

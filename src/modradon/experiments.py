@@ -360,7 +360,8 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     Per-trial signals come from PCG64 streams seeded by (seed, trial), so
     results do not depend on cell evaluation order or on the worker count.
     A threshold that is not in (0, 1), a bandwidth that is not positive and
-    finite, or fewer than one trial or rate step, raises :class:`ConfigError`.
+    finite, or fewer than one trial, rate step or worker, raises
+    :class:`ConfigError`.
     """
     for lam in lams:
         check_positive(lam=lam)
@@ -369,7 +370,7 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
             raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
         check_positive(omega=om)
-    check_counts(trials=trials, tsteps=tsteps)
+    check_counts(trials=trials, tsteps=tsteps, workers=workers)
     jobs = [(lam, om, trials, tsteps, seed) for lam in lams for om in omegas]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

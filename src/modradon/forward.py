@@ -10,6 +10,7 @@ function, which is what the recovery guarantees operate on.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 import struct
@@ -111,9 +112,6 @@ class Sinogram:
     @property
     def base_index(self) -> int:
         return -self.params.K_prime
-
-    def row(self, m: int) -> SampleSeq:
-        return SampleSeq(self.base_index, self.rows[m].copy())
 
     def symmetric_rows(self) -> np.ndarray:
         """The [-K, K] block used by back projection, shape (M, 2K+1)."""
@@ -426,14 +424,21 @@ def read_csv_rows(f, path, M: int, width: int, first_line: int) -> np.ndarray:
     :class:`ParseError` naming its file line, and so does a file with fewer
     than M rows.  Every value takes at least two bytes (a digit and a
     separator), so a declared shape that the file is too small to hold is
-    rejected before anything of that size is allocated.
+    rejected before anything of that size is allocated.  A pipe has no size
+    and cannot seek back, so it is read into memory first and the check
+    counts the characters it held.
 
     numpy's C reader parses the data lines in one pass.  A file it rejects,
     or whose rows are not M rows of ``width`` finite values, is read again
     cell by cell with :func:`parse_csv_row`, so every error names its row and
     column or its file line.
     """
-    size = os.fstat(f.fileno()).st_size
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode):
+        size = st.st_size
+    else:
+        f = io.StringIO(f.read())
+        size = len(f.getvalue())
     if 2 * M * width - 1 > size:
         raise ParseError(f"{path}: {M} rows of {width} values cannot fit in {size} bytes")
     start = f.tell()

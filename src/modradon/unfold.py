@@ -1,22 +1,26 @@
 """Recovery of unfolded samples from modulo samples.
 
-Two unfolding strategies are provided:
+:func:`unfold_sinogram` is the one unfold entry for sinograms.  It checks the
+window once, then unfolds ``_UNFOLD_ROWS`` angle rows at a time through one
+block core, in one of two modes:
 
-* ``unfold_general`` — works on long sample runs of a signal whose samples
-  decay at +infinity; integration constants are resolved by a slope probe
-  (the kappa correction) and a tail limit.
-* ``unfold_compact`` — for signals whose magnitude exceeds the fold threshold
+* general — for rows of a signal whose samples decay at +infinity;
+  integration constants are resolved by a slope probe (the kappa correction,
+  one per row) and a tail limit.
+* compact exceedance — for signals whose magnitude exceeds the fold threshold
   only inside a compact region; an extended left margin of quiet samples
   anchors every running sum, which removes all integration ambiguities.  Its
-  core, ``compact_counts``, unfolds right-aligned rows with per-row margins in
-  one block; the synthetic sweep and demo share it for all their trials.
+  core, ``compact_counts``, unfolds a block of rows with per-row start
+  columns; the synthetic sweep and demo share it for all their trials.
 
-Both reduce folding to integer bookkeeping: the fold-count residual of the
-N-th forward difference is snapped to integer multiples of 2*lam once and all
-subsequent running sums are carried in int64, so results on the fold grid are
-exact by construction.  The returned fold counts are multiplied by 2*lam as a
-single product per sample, which makes a successful recovery bit-identical to
-the unfolded input.
+``unfold_compact`` unfolds one sample run as a one-row call of the same core.
+
+Both modes reduce folding to integer bookkeeping: the fold-count residual of
+the N-th forward difference is snapped to integer multiples of 2*lam once and
+all subsequent running sums are carried in int64 along each row, so results
+on the fold grid are exact by construction.  The returned fold counts are
+multiplied by 2*lam as a single product per sample, which makes a successful
+recovery bit-identical to the unfolded input.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .forward import Sinogram
 
 GENERAL = "general"
 COMPACT = "compact_exceedance"
+#: Angle rows per block in :func:`unfold_sinogram`.
+_UNFOLD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -209,69 +215,13 @@ def compact_counts(rows: np.ndarray, lam: float, N: int, start):
     return counts, np.max(dev, axis=1, where=~pad, initial=0.0)
 
 
-def unfold_general(y: SampleSeq, cfg: UnfoldConfig):
-    """Unfold a long sample run of a signal decaying at +infinity.
-
-    The fold counts of the N-th difference are integrated back N times with
-    running sums anchored at index 0; after each integration a slope probe at
-    offsets 1 and J+1 fixes the unknown linear drift (kappa), and the final
-    additive constant is removed by the settled tail value.
-
-    Returns
-    -------
-    (SampleSeq, UnfoldReport)
-        Recovered samples over the input window, plus diagnostics.  The tail
-        plateau check fails (success=False) when the last max(8, N) running
-        sums disagree, which signals unreliable recovery.
-
-    Raises
-    ------
-    SizeError
-        If the window cannot host the N differences and the probe offsets
-        (base <= 0, end >= J+N-1 required).
-    """
-    if cfg.mode != GENERAL:
-        raise ConfigError("unfold_general requires a general-mode config")
-    lam = cfg.lam
-    N = max(1, select_order(cfg))
-    J = cost_j(cfg.beta, lam)
-    base = y.base_index
-    if base > 0:
-        raise SizeError(f"window must start at or before index 0, got base {base}")
-    if y.end_index < J + N - 1:
-        raise SizeError(
-            f"window too short: need end index >= {J + N - 1}, got {y.end_index}"
-        )
-    if len(y) <= N:
-        raise SizeError(f"need more than {N} samples, got {len(y)}")
-
-    m, dev = _fold_residual_ints(y.values, lam, N)
-    residual = float(np.max(dev))
-    for _ in range(N - 1):
-        u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
-        v = anti_diff_bilateral(u, base)
-        v1 = 2.0 * lam * v[1 - base]
-        vj = 2.0 * lam * v[J + 1 - base]
-        kappa = int(guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5))
-        m = u + kappa
-
-    s_final = anti_diff_bilateral(m, base)
-    w = max(8, N)
-    tail = s_final[-w:]
-    plateau_ok = bool(np.all(tail == tail[-1]))
-    counts = s_final - s_final[-1]
-    gamma = y.values + (2.0 * lam) * counts
-    ok = plateau_ok and residual < 1e-9 * lam
-    report = UnfoldReport(N, J, residual, ok, tail_plateau_ok=plateau_ok)
-    return SampleSeq(base, gamma), report
-
-
 def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
-    """Unfold modulo samples of a signal with compact fold exceedance.
+    """Unfold one run of modulo samples of a signal with compact fold exceedance.
 
     The window [-K_prime, K] must provide a quiet left margin (no folds in
     the first N samples); every running sum is then anchored at the base
-    index and the fold counts come out exactly.  Output covers [-K, K].
+    index and the fold counts come out exactly.  Output covers [-K, K].  The
+    run goes through the block core of :func:`unfold_sinogram` as one row.
 
     Raises
     ------
@@ -280,29 +230,14 @@ def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
         (callers may retry with a larger margin).
     SizeError
         If fewer than N+1 samples are available.
+    DomainError
+        If a sample lies outside the folded range [-lam, lam).
     """
     if cfg.mode != COMPACT:
         raise ConfigError("unfold_compact requires a compact-exceedance config")
-    lam = cfg.lam
     K = int(K)
-    if y.base_index > -K:
-        raise MarginError(
-            f"left margin too small: base {y.base_index} > {-K}; enlarge K_prime"
-        )
-    if y.end_index < K:
-        raise MarginError(f"window ends at {y.end_index}, needs to reach {K}")
-    N = select_order(cfg)
-    if N == 0:
-        report = UnfoldReport(0, None, 0.0, True)
-        return y.window(-K, K), report
-    if len(y) <= N:
-        raise SizeError(f"need more than {N} samples, got {len(y)}")
-
-    [counts], [residual] = compact_counts(y.values[None, :], lam, N, [0])
-    gamma = y.values + (2.0 * lam) * counts
-    ok = bool(residual < 1e-9 * lam)
-    report = UnfoldReport(N, None, float(residual), ok)
-    return SampleSeq(y.base_index, gamma).window(-K, K), report
+    out, [report] = _unfold_rows(y.values[None, :], y.base_index, cfg, K)
+    return SampleSeq(-K, out[0]), report
 
 
 def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
@@ -314,24 +249,92 @@ def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
     Raises
     ------
     DomainError
-        If a sample lies outside the folded range [-lam, lam).
+        If a sample lies outside the folded range [-lam, lam), or, in general
+        mode, if [-K, K] is not inside the stored window.
     ConfigError
         If K is below 1.
+    MarginError
+        In compact mode, if the stored window stops short of -K or K.
+    SizeError
+        If the rows are too short for the difference order, or, in general
+        mode, for the slope probe (end index J+N-1).
     """
     p = ms.params
-    if np.max(np.abs(ms.rows)) > p.lam * (1.0 + 1e-12):
-        raise DomainError("folded values must lie within [-lam, lam)")
     K = p.K if K is None else int(K)
-    check_counts(K=K)
-    out = np.empty((p.M, 2 * K + 1))
-    reports = []
-    for mi in range(p.M):
-        if cfg.mode == GENERAL:
-            seq, rep = unfold_general(ms.row(mi), cfg)
-            seq = seq.window(-K, K)
-        else:
-            seq, rep = unfold_compact(ms.row(mi), cfg, K)
-        out[mi] = seq.values
-        reports.append(rep)
-    params_out = replace(p, K_prime=K, K=K, N=reports[0].n_used if reports else None)
+    out, reports = _unfold_rows(ms.rows, ms.base_index, cfg, K)
+    params_out = replace(p, K_prime=K, K=K, N=reports[0].n_used)
     return Sinogram(params_out, out), reports
+
+
+def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
+    """Unfold folded rows that each cover absolute indices [base, base+width-1]
+    onto [-K, K]: the window is checked once, then ``_UNFOLD_ROWS`` rows at a
+    time go through :func:`_unfold_block`.  Returns the (rows, 2K+1) result
+    and one report per row."""
+    check_counts(K=K)
+    width = rows.shape[1]
+    end = base + width - 1
+    J = None
+    if cfg.mode == COMPACT:
+        if base > -K:
+            raise MarginError(f"left margin too small: base {base} > {-K}; enlarge K_prime")
+        if end < K:
+            raise MarginError(f"window ends at {end}, needs to reach {K}")
+        N = select_order(cfg)
+        if N > 0 and width <= N:
+            raise SizeError(f"need more than {N} samples, got {width}")
+    else:
+        N = max(1, select_order(cfg))
+        J = cost_j(cfg.beta, cfg.lam)
+        if end < J + N - 1:
+            raise SizeError(f"window too short: need end index >= {J + N - 1}, got {end}")
+        if base > -K or end < K:
+            raise DomainError(f"window [{-K}, {K}] outside [{base}, {end}]")
+    bound = cfg.lam * (1.0 + 1e-12)
+    out = np.empty((rows.shape[0], 2 * K + 1))
+    reports = []
+    for r0 in range(0, rows.shape[0], _UNFOLD_ROWS):
+        block = rows[r0 : r0 + _UNFOLD_ROWS]
+        if np.max(block) > bound or np.min(block) < -bound:
+            raise DomainError("folded values must lie within [-lam, lam)")
+        out[r0 : r0 + _UNFOLD_ROWS], block_reports = _unfold_block(block, base, cfg, N, J, K)
+        reports += block_reports
+    return out, reports
+
+
+def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int | None,
+                  K: int):
+    """The [-K, K] columns of a block of checked folded rows, unfolded at order
+    N, and one report per row.
+
+    General mode integrates the fold counts of the N-th difference back N
+    times with running sums anchored at index 0; after each integration a
+    slope probe at offsets 1 and J+1 fixes each row's unknown linear drift
+    (kappa), and the final additive constant is removed by the settled tail
+    value.  The tail plateau check fails (success=False) when the last
+    max(8, N) running sums disagree, which signals unreliable recovery.
+    """
+    lam = cfg.lam
+    cols = slice(-K - base, K - base + 1)
+    if N == 0:
+        return rows[:, cols], [UnfoldReport(0, None, 0.0, True) for _ in rows]
+    if cfg.mode == COMPACT:
+        counts, residual = compact_counts(rows, lam, N, np.zeros(len(rows), dtype=int))
+        reports = [UnfoldReport(N, None, float(r), bool(r < 1e-9 * lam)) for r in residual]
+    else:
+        m, dev = _fold_residual_ints(rows, lam, N)
+        for _ in range(N - 1):
+            u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
+            v = anti_diff_bilateral(u, base)
+            v1 = 2.0 * lam * v[:, 1 - base]
+            vj = 2.0 * lam * v[:, J + 1 - base]
+            kappa = guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5).astype(np.int64)
+            m = u + kappa[:, None]
+        s_final = anti_diff_bilateral(m, base)
+        tail = s_final[:, -max(8, N) :]
+        plateau_ok = np.all(tail == tail[:, -1:], axis=1)
+        counts = s_final - s_final[:, -1:]
+        reports = [UnfoldReport(N, J, float(r), bool(ok and r < 1e-9 * lam),
+                                tail_plateau_ok=bool(ok))
+                   for r, ok in zip(np.max(dev, axis=1), plateau_ok)]
+    return rows[:, cols] + (2.0 * lam) * counts[:, cols], reports

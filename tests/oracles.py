@@ -7,28 +7,43 @@ transform; back projection is the plain per-angle loop over the whole image,
 and reconstruction filters and back-projects every sinogram, equal or not.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
-time and unfold one row at a time.
+time and unfold one row at a time.  The sinogram unfold copies each angle row
+into its own run and unfolds it on its own, with the general-mode unfolder
+that preceded the block core.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
 reader and the standard parameter choice serve the tests as references only.
 The CSV row reader parses one cell at a time with ``float()``.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import sici
 
-from modradon.core import SampleSeq, Threshold, guarded_ceil, guarded_floor, modulo_fold
+from modradon.core import (
+    SampleSeq,
+    Threshold,
+    anti_diff_bilateral,
+    guarded_ceil,
+    guarded_floor,
+    modulo_fold,
+)
 from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.fbp import back_project, filter_projections
-from modradon.forward import RandomBandlimitedSignal, SamplingParams, support_index
+from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, support_index
 from modradon.phantom import ImageGrid
 from modradon.unfold import (
     COMPACT,
+    GENERAL,
     UnfoldConfig,
+    UnfoldReport,
+    compact_counts,
+    cost_j,
     grid_upper_bound,
     required_margin,
+    select_order,
     unfold_compact,
 )
 
@@ -197,6 +212,73 @@ def demo_attempt_oracle(stage, sig, T, lam, N):
     err = np.abs(rec.values - truth[K_prime - K :])
     return DemoAttempt(stage, T, N, int(np.count_nonzero(fold_count)), float(np.mean(err**2)),
                        float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL))
+
+
+def window(seq, k_lo, k_hi):
+    """The values of a ``SampleSeq`` at absolute indices [k_lo, k_hi]."""
+    if not seq.base_index <= k_lo <= k_hi < seq.base_index + len(seq):
+        raise DomainError(f"window [{k_lo}, {k_hi}] outside the run")
+    return seq.values[k_lo - seq.base_index : k_hi - seq.base_index + 1]
+
+
+def unfold_general_oracle(y, cfg):
+    """One run of general-mode unfolding: the fold counts of the N-th difference
+    are integrated back N times with running sums anchored at index 0; after
+    each integration a slope probe at offsets 1 and J+1 fixes the linear drift
+    (kappa), and the settled tail value removes the final constant.  Returns
+    the recovered run over the input window and its report."""
+    lam = cfg.lam
+    N = max(1, select_order(cfg))
+    J = cost_j(cfg.beta, lam)
+    base = y.base_index
+    d = np.diff(y.values, n=N)
+    e0 = modulo_fold(d, Threshold(lam)) - d
+    m = np.rint(e0 / (2.0 * lam))
+    residual = float(np.max(np.abs(e0 - 2.0 * lam * m)))
+    m = m.astype(np.int64)
+    for _ in range(N - 1):
+        u = anti_diff_bilateral(m, base)
+        v = anti_diff_bilateral(u, base)
+        v1 = 2.0 * lam * v[1 - base]
+        vj = 2.0 * lam * v[J + 1 - base]
+        kappa = int(guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5))
+        m = u + kappa
+    s_final = anti_diff_bilateral(m, base)
+    tail = s_final[-max(8, N) :]
+    plateau_ok = bool(np.all(tail == tail[-1]))
+    counts = s_final - s_final[-1]
+    gamma = y.values + (2.0 * lam) * counts
+    ok = plateau_ok and residual < 1e-9 * lam
+    return SampleSeq(base, gamma), UnfoldReport(N, J, residual, ok, tail_plateau_ok=plateau_ok)
+
+
+def _unfold_compact_row_oracle(y, cfg, K):
+    """One run of compact-mode unfolding over [-K, K], ``compact_counts`` on one row."""
+    N = select_order(cfg)
+    if N == 0:
+        return window(y, -K, K), UnfoldReport(0, None, 0.0, True)
+    [counts], [residual] = compact_counts(y.values[None, :], cfg.lam, N, [0])
+    gamma = y.values + (2.0 * cfg.lam) * counts
+    report = UnfoldReport(N, None, float(residual), bool(residual < 1e-9 * cfg.lam))
+    return window(SampleSeq(y.base_index, gamma), -K, K), report
+
+
+def unfold_sinogram_oracle(ms, cfg, K=None):
+    """``unfold_sinogram`` one angle row at a time: each row is copied into its
+    own run and unfolded on its own, in the mode ``cfg`` names."""
+    p = ms.params
+    K = p.K if K is None else int(K)
+    out = np.empty((p.M, 2 * K + 1))
+    reports = []
+    for mi in range(p.M):
+        y = SampleSeq(-p.K_prime, ms.rows[mi].copy())
+        if cfg.mode == GENERAL:
+            seq, rep = unfold_general_oracle(y, cfg)
+            out[mi] = window(seq, -K, K)
+        else:
+            out[mi], rep = _unfold_compact_row_oracle(y, cfg, K)
+        reports.append(rep)
+    return Sinogram(replace(p, K_prime=K, K=K, N=reports[0].n_used), out), reports
 
 
 def round_to_2lambda(x, thr: Threshold):

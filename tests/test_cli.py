@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from modradon import experiments
 from modradon.cli import main
 from modradon.forward import load_sinogram
 from modradon.phantom import load_phantom
+from oracles import unfold_sinogram_oracle
 
 
 def run(args):
@@ -133,6 +137,29 @@ class TestUnfoldCommand:
         assert f"error: K must be at least 1, got {K}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+    def test_general_mode_matches_per_row_oracle(self, tmp_path, capsys):
+        from modradon.unfold import GENERAL, UnfoldConfig, UnfoldReport
+
+        sino, folded = tmp_path / "s.mrts", tmp_path / "m.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--out", sino]) == 0
+        assert run(["fold", "--in", sino, "--out", folded]) == 0
+        out, report = tmp_path / "r.mrts", tmp_path / "rep.csv"
+        code = run(["unfold", "--in", folded, "--beta", 0.6, "--mode", "general",
+                    "--out", out, "--report", report])
+        ms = load_sinogram(folded)
+        p = ms.params
+        cfg = UnfoldConfig(lam=p.lam, beta=0.6, omega=p.omega, T=p.T, mode=GENERAL)
+        want, reps = unfold_sinogram_oracle(ms, cfg)
+        got = load_sinogram(out)
+        assert got.params == replace(want.params, N=None)  # .mrts keeps no order
+        assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
+        assert report.read_text() == "".join(
+            [f"row,{UnfoldReport.CSV_HEADER}\n"]
+            + [f"{i},{r.to_csv_line()}\n" for i, r in enumerate(reps)])
+        assert code == (0 if all(r.success for r in reps) else 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestForwardCommand:
@@ -322,6 +349,32 @@ class TestIngest:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("# raw\n1.0,2.0,3.0\n\n4.0,-5.0,6.5\n", None),
+        ("1.0,2.0,3.0\n4.0,nope,6.0\n", "row 1, column 1: not a number"),
+    ], ids=["good", "malformed"])
+    def test_piped_csv_reads_like_the_file(self, tmp_path, capsys, text, message):
+        flags = ["--omega", 20, "--T", 0.05, "--angles", 2, "--K", 1, "--lam", 0.1]
+        src = tmp_path / "raw.csv"
+        src.write_text(text)
+        code = run(["ingest", "--in", src, *flags, "--out", tmp_path / "file.mrts"])
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())
+            os.close(w)
+            piped = f"/dev/fd/{r}"
+            assert run(["ingest", "--in", piped, *flags, "--out", tmp_path / "pipe.mrts"]) == code
+        finally:
+            os.close(r)
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0
+            assert (tmp_path / "pipe.mrts").read_bytes() == (tmp_path / "file.mrts").read_bytes()
+        else:
+            assert code == 2
+            assert f"error: {src}: {message}" in err and f"error: {piped}: {message}" in err
+            assert "Traceback" not in err
+
     def test_malformed_csv_exits_nonzero(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"
         src.write_text("1.0,2.0,3.0\n4.0,nope,6.0\n")
@@ -392,6 +445,8 @@ class TestSweepCommand:
         ("--omegas-pi", "0", "omega must be positive and finite, got 0.0"),
         ("--lams", "1", "lam must be below 1, got 1.0"),
         ("--lams", "2", "lam must be below 1, got 2.0"),
+        ("--workers", "0", "workers must be at least 1, got 0"),
+        ("--workers", "-3", "workers must be at least 1, got -3"),
     ])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
         outdir = tmp_path / "sw"

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from modradon import cli, experiments, fbp, forward
+from modradon import cli, experiments, fbp, forward, unfold
 from modradon.phantom import shepp_logan
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -82,6 +82,22 @@ def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
     assert calls == [2]
     assert not res.images_bit_identical
+
+
+def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
+    # one compact_counts call per block of 64 angle rows: a per-row loop
+    # would make one call per row
+    blocks = []
+    inner = unfold.compact_counts
+
+    def counting(rows, lam, N, start):
+        blocks.append(len(rows))
+        return inner(rows, lam, N, start)
+
+    monkeypatch.setattr(unfold, "compact_counts", counting)
+    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, M=130, grid_size=16)
+    assert res.success
+    assert blocks == [64, 64, 2]
 
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):

@@ -1,9 +1,14 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from modradon.core import SampleSeq, Threshold, modulo_fold
-from modradon.errors import ConditionError, ConfigError, MarginError, SizeError
-from modradon.forward import RandomBandlimitedSignal
+from modradon.errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
+from modradon.experiments import prepare_forward
+from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, fold_sinogram
+from modradon.phantom import shepp_logan
 from modradon.unfold import (
     COMPACT,
     GENERAL,
@@ -16,9 +21,15 @@ from modradon.unfold import (
     samples_general,
     select_order,
     unfold_compact,
-    unfold_general,
+    unfold_sinogram,
 )
-from oracles import design_params, round_to_2lambda, sup_norm_oracle
+from oracles import (
+    design_params,
+    round_to_2lambda,
+    sup_norm_oracle,
+    unfold_sinogram_oracle,
+    window,
+)
 
 
 def compact_cfg(lam, beta, omega, T, order=None):
@@ -28,6 +39,14 @@ def compact_cfg(lam, beta, omega, T, order=None):
 
 def fold_seq(seq, lam):
     return SampleSeq(seq.base_index, modulo_fold(seq.values, Threshold(lam)))
+
+
+def sinogram(rows, K, lam, omega, T):
+    """Rows over [-K', K], one per angle, with K' taken from the row width."""
+    rows = np.atleast_2d(rows)
+    p = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=rows.shape[1] - K - 1,
+                       M=rows.shape[0])
+    return Sinogram(p, rows)
 
 
 class TestSelectOrder:
@@ -99,7 +118,7 @@ class TestUnfoldCompact:
         y = SampleSeq(-32, 0.4 * lam * np.cos(0.05 * k))
         cfg = compact_cfg(lam, 2.0, omega=10.0, T=0.001, order=3)
         rec, rep = unfold_compact(y, cfg, 20)
-        np.testing.assert_array_equal(rec.values, y.window(-20, 20).values)
+        np.testing.assert_array_equal(rec.values, window(y, -20, 20))
         assert rep.success
 
     def test_order_zero_restriction(self):
@@ -123,7 +142,7 @@ class TestUnfoldCompact:
             cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
             rec, rep = unfold_compact(y, cfg, kstar)
-            assert np.array_equal(rec.values, truth.window(-kstar, kstar).values)
+            assert np.array_equal(rec.values, window(truth, -kstar, kstar))
             assert rep.success
 
     def test_fold_count_on_grid_even_for_garbage(self):
@@ -132,7 +151,7 @@ class TestUnfoldCompact:
         y = SampleSeq(-50, rng.uniform(-lam, lam, size=101))
         cfg = compact_cfg(lam, 1.02, omega=5.0, T=0.01, order=5)
         rec, _ = unfold_compact(y, cfg, 40)
-        resid = rec.values - y.window(-40, 40).values
+        resid = rec.values - window(y, -40, 40)
         m = resid / (2 * lam)
         assert np.max(np.abs(m - np.round(m))) <= 1e-9
 
@@ -192,25 +211,27 @@ class TestUnfoldCompact:
 
 
 class TestUnfoldGeneral:
-    def _signal_window(self, seed, lam, omega, T, N, beta_grid):
-        """Window [-K, K_ext] hosting the probe span and a settled tail."""
-        sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
-        kstar, _ = sig.scan_exceedance(T, lam)
+    def _signal_sinogram(self, seeds, lam, omega, T, N, beta_grid, shift=0.0):
+        """Sinogram of one signal per seed over [-K', K]: K covers the probe span
+        and every settled tail, K' every exceedance plus the difference stencil."""
+        sigs = [RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
+                for seed in seeds]
+        kstars = [sig.scan_exceedance(T, lam)[0] for sig in sigs]
         J = cost_j(beta_grid, lam)
-        k_right = max(J + N - 1, kstar + 16)
-        k_left = -(kstar + N + 16)
-        return sig, sig.samples(T, k_left, k_right)
+        K = max(J + N - 1, max(kstars) + 16)
+        K_prime = max(K, max(kstars) + N + 16)
+        rows = [sig.samples(T, -K_prime, K).values + shift for sig in sigs]
+        return sinogram(rows, K, lam, omega, T)
 
     def test_no_folds_identity(self):
         # slow decaying oscillation inside [-lam, lam): first differences stay tiny
         lam = 1.0
-        k = np.arange(-40, 260)
+        k = np.arange(-259, 260)
         vals = 0.7 * lam * np.cos(0.04 * k) * np.exp(-((k / 150.0) ** 2))
-        y = SampleSeq(-40, vals)
         cfg = UnfoldConfig(lam=lam, beta=2 * lam, omega=5.0, T=0.001, mode=GENERAL,
                            order_override=1)
-        rec, rep = unfold_general(y, cfg)
-        np.testing.assert_array_equal(rec.values, y.values)
+        rec, [rep] = unfold_sinogram(sinogram(vals, 259, lam, 5.0, 0.001), cfg)
+        np.testing.assert_array_equal(rec.rows[0], vals)
         assert rep.tail_plateau_ok
 
     def test_exact_recovery(self):
@@ -219,11 +240,10 @@ class TestUnfoldGeneral:
         beta_grid = grid_upper_bound(1.4, lam)
         cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=GENERAL)
         N = select_order(cfg)
-        for seed in (3, 11, 27):
-            sig, truth = self._signal_window(seed, lam, omega, T, N, beta_grid)
-            rec, rep = unfold_general(fold_seq(truth, lam), cfg)
-            assert rep.success
-            np.testing.assert_allclose(rec.values, truth.values, atol=1e-9)
+        truth = self._signal_sinogram((3, 11, 27), lam, omega, T, N, beta_grid)
+        rec, reps = unfold_sinogram(fold_sinogram(truth), cfg)
+        assert all(rep.success for rep in reps)
+        np.testing.assert_allclose(rec.rows, truth.symmetric_rows(), atol=1e-9)
 
     def test_constant_shift_is_removed(self):
         # adding an even grid multiple leaves the folded samples unchanged,
@@ -233,48 +253,48 @@ class TestUnfoldGeneral:
         beta_grid = grid_upper_bound(1.4, lam)
         cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=GENERAL)
         N = select_order(cfg)
-        sig, truth = self._signal_window(5, lam, omega, T, N, beta_grid)
-        shifted = SampleSeq(truth.base_index, truth.values + 2 * lam)
-        y_shifted = fold_seq(shifted, lam)
-        y_plain = fold_seq(truth, lam)
-        np.testing.assert_allclose(y_shifted.values, y_plain.values, atol=1e-12)
-        rec, _ = unfold_general(y_shifted, cfg)
-        np.testing.assert_allclose(rec.values, truth.values, atol=1e-9)
+        truth = self._signal_sinogram((5,), lam, omega, T, N, beta_grid)
+        shifted = self._signal_sinogram((5,), lam, omega, T, N, beta_grid, shift=2 * lam)
+        y_shifted, y_plain = fold_sinogram(shifted), fold_sinogram(truth)
+        np.testing.assert_allclose(y_shifted.rows, y_plain.rows, atol=1e-12)
+        rec, _ = unfold_sinogram(y_shifted, cfg)
+        np.testing.assert_allclose(rec.rows, truth.symmetric_rows(), atol=1e-9)
 
     def test_reference_projection_row(self):
         # full-scale projection row: folds every few samples, recovered exactly
-        from dataclasses import replace
-
         from modradon.forward import scan_from_raw, support_index
-        from modradon.phantom import radon_phantom, shepp_logan
+        from modradon.phantom import radon_phantom
 
         lam = 0.025
         p = design_params(300.0, lam=lam)
         ks = support_index(p.T)
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
-        row = scan_from_raw(raw[None, :], p.omega, p.T).sinogram(replace(p, M=1)).row(0)
+        row = scan_from_raw(raw[None, :], p.omega, p.T).sinogram(replace(p, M=1))
         cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(0.56, lam), omega=300.0,
                            T=p.T, mode=GENERAL)
-        rec, rep = unfold_general(fold_seq(row, lam), cfg)
+        rec, [rep] = unfold_sinogram(fold_sinogram(row), cfg)
         assert rep.success
-        np.testing.assert_allclose(rec.values, row.values, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(rec.rows, row.rows, rtol=0, atol=1e-9)
 
     def test_window_too_short(self):
         cfg = UnfoldConfig(lam=0.1, beta=1.0, omega=10.0, T=0.001, mode=GENERAL,
                            order_override=2)
-        with pytest.raises(SizeError):
-            unfold_general(SampleSeq(-5, np.zeros(20)), cfg)
+        with pytest.raises(SizeError, match=r"need end index >= 61, got 14"):
+            unfold_sinogram(sinogram(np.zeros(29), 14, 0.1, 10.0, 0.001), cfg)
 
-    def test_requires_nonpositive_base(self):
+    def test_output_window_outside_stored_rows(self):
         cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=GENERAL,
                            order_override=1)
-        with pytest.raises(SizeError):
-            unfold_general(SampleSeq(3, np.zeros(40)), cfg)
+        s = sinogram(np.zeros(61), 30, 0.1, 10.0, 0.001)
+        with pytest.raises(DomainError, match=r"window \[-31, 31\] outside \[-30, 30\]"):
+            unfold_sinogram(s, cfg, 31)
 
     def test_mode_mismatch(self):
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=0.001, order=1)
+        # the one-run entry unfolds in compact mode only
+        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=GENERAL,
+                           order_override=1)
         with pytest.raises(ConfigError):
-            unfold_general(SampleSeq(0, np.zeros(10)), cfg)
+            unfold_compact(SampleSeq(-5, np.zeros(11)), cfg, 5)
 
 
 def _unfold_compact_float_staged(y, lam, N, K):
@@ -286,8 +306,7 @@ def _unfold_compact_float_staged(y, lam, N, K):
     for _ in range(N - 1):
         s = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
     eps = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
-    out = SampleSeq(y.base_index, y.values + eps)
-    return out.window(-K, K)
+    return window(SampleSeq(y.base_index, y.values + eps), -K, K)
 
 
 class TestRouteEquivalence:
@@ -305,16 +324,25 @@ class TestRouteEquivalence:
                               order=N)
             rec, _ = unfold_compact(y, cfg, kstar)
             ref = _unfold_compact_float_staged(y, lam, N, kstar)
-            np.testing.assert_allclose(rec.values, ref.values, rtol=0, atol=1e-9 * lam)
+            np.testing.assert_allclose(rec.values, ref, rtol=0, atol=1e-9 * lam)
+
+
+def folded_phantom(M, noise=0.0):
+    """Folded Shepp-Logan sinogram at omega=20, lam=0.05 with M angles (N=4,
+    K=109, K'=110), optionally with seeded Gaussian noise added before the
+    fold, and its 2*lam grid bound."""
+    st = prepare_forward(shepp_logan(), lam=0.05, omega=20.0, M=M)
+    rows = st.sinogram().rows
+    if noise:
+        rows = rows + np.random.default_rng(1).normal(0.0, noise, rows.shape)
+    return fold_sinogram(Sinogram(st.params, rows)), st.beta_grid
 
 
 class TestUnfoldSinogram:
     def test_general_route_matches_compact_on_shared_ground(self):
         # both algorithms recover the same rows when both sets of
         # preconditions hold (decaying tail and quiet left margin)
-        from modradon.forward import fold_sinogram, scan_forward
-        from modradon.phantom import shepp_logan
-        from modradon.unfold import unfold_sinogram
+        from modradon.forward import scan_forward
 
         lam = 0.05
         p = design_params(60.0, lam=lam, M=12)
@@ -329,6 +357,49 @@ class TestUnfoldSinogram:
                                  mode=GENERAL), p.K)
         assert all(r.tail_plateau_ok for r in reps)
         np.testing.assert_array_equal(rec_c.rows, rec_g.rows)
+
+    @pytest.mark.parametrize("mode", [COMPACT, GENERAL])
+    @pytest.mark.parametrize("M, order, noise", [
+        (1, None, 0.0), (63, None, 0.0), (64, None, 0.0), (65, None, 0.0),
+        (130, None, 0.0), (65, 2, 0.0), (65, 0, 0.0), (130, None, 1e-3),
+    ], ids=["M1", "M63", "M64", "M65", "M130", "order2", "order0", "noisy"])
+    def test_blocks_match_per_row_oracle(self, mode, M, order, noise):
+        # row blocks unfold bit for bit like single rows, across block edges;
+        # order 0 is the identity in compact mode and order 1 in general mode
+        folded, beta_grid = folded_phantom(M, noise)
+        p = folded.params
+        cfg = UnfoldConfig(lam=p.lam, beta=beta_grid, omega=p.omega, T=p.T, mode=mode,
+                           order_override=order)
+        got, got_reps = unfold_sinogram(folded, cfg)
+        want, want_reps = unfold_sinogram_oracle(folded, cfg)
+        assert got.params == want.params
+        assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
+        assert [r.to_csv_line() for r in got_reps] == [r.to_csv_line() for r in want_reps]
+        if noise and mode == GENERAL:
+            assert not all(r.success for r in want_reps)
+
+    @pytest.mark.parametrize("K, K_prime, order, K_out, error, message", [
+        (30, 30, 2, 31, MarginError, "left margin too small: base -30 > -31; enlarge K_prime"),
+        (20, 40, 2, 25, MarginError, "window ends at 20, needs to reach 25"),
+        (1, 1, 6, 1, SizeError, "need more than 6 samples, got 3"),
+        (30, 30, 2, 0, ConfigError, "K must be at least 1, got 0"),
+    ], ids=["left-margin", "right-end", "too-few-samples", "K-below-1"])
+    def test_rejected_window(self, K, K_prime, order, K_out, error, message):
+        s = Sinogram(SamplingParams(omega=10.0, T=0.01, lam=0.1, K=K, K_prime=K_prime, M=2),
+                     np.zeros((2, K + K_prime + 1)))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            unfold_sinogram(s, compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=order), K_out)
+
+    @pytest.mark.parametrize("mode", [COMPACT, GENERAL])
+    @pytest.mark.parametrize("value", [0.1 * (1.0 + 1e-11), -0.1 * (1.0 + 1e-11)])
+    def test_value_outside_fold_range_in_a_later_block(self, mode, value):
+        rows = np.zeros((70, 61))
+        rows[66, 40] = value
+        s = sinogram(rows, 30, 0.1, 10.0, 0.001)
+        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=mode,
+                           order_override=1)
+        with pytest.raises(DomainError, match=r"^folded values must lie within \[-lam, lam\)$"):
+            unfold_sinogram(s, cfg)
 
 
 class TestDifferenceBound:
