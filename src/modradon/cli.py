@@ -75,7 +75,6 @@ def _build_parser():
                     "reconstruction, and experiment sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     p = sub.add_parser("phantom", help="write a phantom table and optional raster")
     p.add_argument("--name", default="shepp-logan",
@@ -83,18 +82,15 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output ellipse table path")
     p.add_argument("--raster", help="optional PGM raster output path")
     p.add_argument("--size", type=int, default=256, help="raster grid size")
-    subparsers["phantom"] = p
 
     p = sub.add_parser("forward", help="phantom to prefiltered sinogram file")
     _add_forward_flags(p)
     p.add_argument("--out", required=True)
-    subparsers["forward"] = p
 
     p = sub.add_parser("fold", help="fold a sinogram into [-lam, lam)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--lam", type=float, help="override the threshold stored in the file")
     p.add_argument("--out", required=True)
-    subparsers["fold"] = p
 
     p = sub.add_parser("unfold", help="recover a sinogram from modulo samples")
     p.add_argument("--in", dest="infile", required=True)
@@ -105,7 +101,6 @@ def _build_parser():
     p.add_argument("--K", type=int, help="output detector bound (default: stored K)")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="optional per-row report CSV path")
-    subparsers["unfold"] = p
 
     p = sub.add_parser("fbp", help="filtered back projection of a sinogram file")
     p.add_argument("--in", dest="infile", required=True)
@@ -115,7 +110,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="PGM output path")
     p.add_argument("--raw", help="optional raw float64 output path")
     p.add_argument("--truth-phantom", help="phantom name/table for an RMSE line")
-    subparsers["fbp"] = p
 
     p = sub.add_parser("pipeline", help="forward + fold + unfold + both reconstructions")
     _add_forward_flags(p)
@@ -127,7 +121,6 @@ def _build_parser():
     p.add_argument("--ingest", help="run on an ingested sinogram file instead of a phantom")
     p.add_argument("--tag", default="pipeline")
     p.add_argument("--outdir", required=True)
-    subparsers["pipeline"] = p
 
     p = sub.add_parser("ingest", help="convert external raw projection data")
     p.add_argument("--in", dest="infile", required=True,
@@ -139,7 +132,6 @@ def _build_parser():
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True)
-    subparsers["ingest"] = p
 
     p = sub.add_parser("sweep-success", help="Monte-Carlo recovery success grid")
     p.add_argument("--lams", type=_floats, default="0.1,0.05",
@@ -153,7 +145,6 @@ def _build_parser():
     p.add_argument("--full", action="store_true",
                    help="full scale: 1000 trials, 100 steps, omegas 10,20,30 pi")
     p.add_argument("--outdir", required=True)
-    subparsers["sweep-success"] = p
 
     p = sub.add_parser("downsample-demo",
                        help="order-1 failure/order-2 recovery after rate halving")
@@ -163,11 +154,10 @@ def _build_parser():
     p.add_argument("--t0-frac", type=float, default=0.5)
     p.add_argument("--factor", type=int, default=2)
     p.add_argument("--outdir", required=True)
-    subparsers["downsample-demo"] = p
 
-    for sp in subparsers.values():
-        _add_common(sp)
-    return parser, subparsers
+    for p in sub.choices.values():
+        _add_common(p)
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -186,7 +176,7 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _apply_config(argv, parser, subparsers):
+def _apply_config(argv, subparsers):
     """Install config-file values as subparser defaults; explicit flags win."""
     if "--config" not in argv:
         return
@@ -216,9 +206,9 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    setup = experiments.prepare_forward(_phantom_arg(args.phantom), **_forward_kwargs(args))
-    save_sinogram(setup.sinogram(), args.out)
-    p = setup.params
+    clean, _ = experiments.prepare_forward(_phantom_arg(args.phantom), **_forward_kwargs(args))
+    save_sinogram(clean, args.out)
+    p = clean.params
     print(f"wrote {args.out}: M={p.M} K={p.K} K'={p.K_prime} "
           f"beta={p.beta!r} rho={p.rho!r} N={p.N}")
     return 0
@@ -282,7 +272,7 @@ def _cmd_ingest(args) -> int:
                                    M=args.angles, K=args.K, lam=args.lam,
                                    normalize=not args.no_normalize)
     save_sinogram(s, args.out)
-    print(f"ingested {args.infile}: max |value| = {s.max_abs()!r}")
+    print(f"ingested {args.infile}: max |value| = {s.params.beta!r}")
     return 0
 
 
@@ -325,7 +315,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subparsers = _build_parser()
     try:
-        _apply_config(argv, parser, subparsers)
+        _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ModRadonError, OSError) as exc:

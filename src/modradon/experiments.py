@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import Threshold, guarded_ceil, modulo_fold
-from .errors import ConfigError, MarginError, ParseError, check_counts, check_positive
+from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
-    ForwardScan,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
@@ -30,7 +29,7 @@ from .forward import (
     scan_from_raw,
     support_index,
 )
-from .phantom import ImageGrid, Phantom, rasterize
+from .phantom import ImageGrid, rasterize
 from .unfold import (
     COMPACT,
     UnfoldConfig,
@@ -112,21 +111,6 @@ def _scan_with_clear_tail(raw, omega, T, lam, k_min):
                       f"bounds the samples at or above lam={lam}")
 
 
-@dataclass
-class ForwardSetup:
-    """Resolved forward model: scanned rows, margins, and the unfold config."""
-
-    phantom: Phantom | None
-    scan: ForwardScan
-    params: SamplingParams
-    cfg: UnfoldConfig
-    beta_grid: float
-    norm_scale: float
-
-    def sinogram(self) -> Sinogram:
-        return self.scan.sinogram(self.params)
-
-
 def _source_omega(source, omega: float | None) -> float:
     """The run's bandwidth: ``omega``, else the one a sinogram source carries."""
     if omega is None:
@@ -140,8 +124,8 @@ def _source_omega(source, omega: float | None) -> float:
 def prepare_forward(source, *, lam: float, omega: float | None = None,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
                     K: int | None = None, k_prime: int | str = "auto",
-                    normalize: bool = False) -> ForwardSetup:
-    """Resolve parameters, scan the tails, and size the acquisition window.
+                    normalize: bool = False) -> tuple[Sinogram, float]:
+    """Resolve parameters, scan the tails, and cut out the acquisition window.
 
     ``source`` is either a :class:`Phantom` (analytic forward model) or a raw
     :class:`Sinogram` of measured projection samples (e.g. from ingest), which
@@ -149,7 +133,11 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     scaled to unit sup-norm before the anti-aliasing filter (the convention
     for measured datasets).  A value that is not positive and finite, a
     count below 1, or an all-zero source to normalize raises
-    :class:`ConfigError` before anything is scanned.
+    :class:`ConfigError`, and an ``M`` that differs from a sinogram source's
+    angle count raises :class:`SizeError`, before anything is scanned.
+
+    Returns the clean sinogram over [-K', K], whose params carry beta, rho and
+    N, and the normalisation scale (1.0 without ``normalize``).
     """
     check_positive(lam=lam, t_frac=t_frac)
     omega = _source_omega(source, omega)
@@ -160,20 +148,20 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         T = sp.T if T is None else T
         M = sp.M if M is None else M
         K = sp.K if K is None else K
-        phantom = None
+        if M != sp.M:
+            raise SizeError(f"angle count mismatch: {M} != {sp.M}")
+        raw = source.symmetric_rows().copy()
     else:
-        phantom = source
         if T is None:
             T = t_frac / (omega * np.e)
         if K is None:
             K = support_index(T)
         if M is None:
             M = int(round(omega))
-    # T and M may have been derived from t_frac and omega
-    check_positive(T=T)
-    check_counts(M=M)
-
-    raw = source.symmetric_rows().copy() if phantom is None else phantom_rows(phantom, T, M)
+        # T and M may have been derived from t_frac and omega
+        check_positive(T=T)
+        check_counts(M=M)
+        raw = phantom_rows(source, T, M)
     norm_scale = 1.0
     if normalize:
         norm_scale = float(np.max(np.abs(raw)))
@@ -182,10 +170,10 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         raw /= norm_scale
     k_min = K if k_prime == "auto" else max(K, int(k_prime))
     scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min)
+    del raw  # freed before the window is copied out of the scan
     beta = scan.beta_raw
-    beta_grid = grid_upper_bound(beta, lam)
-    cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=COMPACT)
-    N = select_order(cfg)
+    N = select_order(UnfoldConfig(lam=lam, beta=grid_upper_bound(beta, lam), omega=omega,
+                                  T=T, mode=COMPACT))
     rho = kstar * T
     K_prime = required_margin(rho, T, N, K) if k_prime == "auto" else int(k_prime)
     if K_prime > scan.k_scan:
@@ -193,7 +181,8 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
                           f"[-{scan.k_scan}, {scan.k_scan}]")
     params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M,
                             beta=beta, rho=rho, N=N)
-    return ForwardSetup(phantom, scan, params, cfg, beta_grid, norm_scale)
+    lo = scan.k_scan - K_prime
+    return Sinogram(params, scan.rows[:, lo : lo + K_prime + K + 1].copy()), norm_scale
 
 
 def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: float = 0.5,
@@ -207,13 +196,13 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     the forward model runs."""
     grid = ImageGrid(grid_size, grid_size)
     spec = FilterSpec(_source_omega(source, omega), filter_window)
-    setup = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T, M=M,
-                            K=K, k_prime=k_prime, normalize=normalize)
-    phantom, cfg, beta_grid = setup.phantom, setup.cfg, setup.beta_grid
-    params, norm_scale = setup.params, setup.norm_scale
+    clean, norm_scale = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T,
+                                        M=M, K=K, k_prime=k_prime, normalize=normalize)
+    params = clean.params
     K, K_prime, N = params.K, params.K_prime, params.N
-    clean = setup.sinogram()
-    del setup  # frees the wide scan rows before fold, unfold and FBP allocate
+    beta_grid = grid_upper_bound(params.beta, params.lam)
+    cfg = UnfoldConfig(lam=params.lam, beta=beta_grid, omega=params.omega, T=params.T,
+                       mode=COMPACT)
     clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
     folded = fold_sinogram(clean)
     unfolded, reports = unfold_sinogram(folded, cfg, K)
@@ -224,8 +213,8 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     bit_identical = bool(np.array_equal(img_clean.pixels, img_recovered.pixels))
 
     rmse_clean = rmse_recovered = None
-    if phantom is not None:
-        truth = rasterize(phantom, grid)
+    if not isinstance(source, Sinogram):
+        truth = rasterize(source, grid)
         ref = ImageGrid(grid.width, grid.height, truth.pixels / norm_scale)
         rmse_clean = rmse(img_clean, ref)
         rmse_recovered = rmse(img_recovered, ref)

@@ -15,7 +15,7 @@ import os
 import stat
 import struct
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -119,9 +119,6 @@ class Sinogram:
         lo = p.K_prime - p.K
         return self.rows[:, lo : lo + 2 * p.K + 1]
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.rows)))
-
 
 def lowpass_kernel(t, omega: float) -> np.ndarray:
     """Ideal low-pass impulse response sin(omega*t)/(pi*t), value omega/pi at 0."""
@@ -141,19 +138,6 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) ->
     for r0 in range(0, rows.shape[0], _CONV_ROWS):
         conv = fftconvolve(rows[r0 : r0 + _CONV_ROWS], kern[None, :], axes=1)
         out[r0 : r0 + _CONV_ROWS] = conv[:, start : start + width]
-    return out
-
-
-def _prefilter_batch(raw: np.ndarray, omega: float, T: float, k_half_in: int,
-                     k_lo: int, k_hi: int) -> np.ndarray:
-    """Discrete anti-aliasing: out[m, k] = T * sum_j raw[m, j] * kernel((k-j)T).
-
-    ``raw`` rows cover lattice indices [-k_half_in, k_half_in]; the output
-    covers [k_lo, k_hi].
-    """
-    lags = np.arange(k_lo - k_half_in, k_hi + k_half_in + 1) * T
-    out = convolve_rows(raw, lowpass_kernel(lags, omega), 2 * k_half_in, k_hi - k_lo + 1)
-    out *= T
     return out
 
 
@@ -186,9 +170,6 @@ class ForwardScan:
     ``beta_raw`` is the max absolute raw sample (before the low-pass).
     """
 
-    omega: float
-    T: float
-    M: int
     k_scan: int
     rows: np.ndarray
     beta_raw: float
@@ -196,16 +177,6 @@ class ForwardScan:
     def exceedance_index(self, lam: float) -> int:
         """:func:`clear_band_exceedance` of the scanned rows."""
         return clear_band_exceedance(self.rows, lam)
-
-    def sinogram(self, params: SamplingParams) -> Sinogram:
-        """Slice the scan down to the [-K_prime, K] acquisition window."""
-        if params.K_prime > self.k_scan or params.K > self.k_scan:
-            raise SizeError("requested window exceeds the scanned range")
-        if params.M != self.M:
-            raise SizeError(f"angle count mismatch: {params.M} != {self.M}")
-        lo = self.k_scan - params.K_prime
-        hi = self.k_scan + params.K + 1
-        return Sinogram(replace(params, beta=self.beta_raw), self.rows[:, lo:hi].copy())
 
 
 def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
@@ -231,25 +202,31 @@ def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
 
 
 def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0) -> ForwardScan:
-    """Materialize prefiltered rows over |t| <= radius for tail measurement."""
+    """:func:`scan_from_raw` of the phantom's :func:`phantom_rows`.
+
+    A convenience for tests; the program scans through :func:`scan_from_raw`,
+    and the benchmark's patch table names this function too.
+    """
     return scan_from_raw(phantom_rows(p, T, M), omega, T, radius)
 
 
 def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
                   radius: float = 4.0) -> ForwardScan:
-    """Like :func:`scan_forward` but starting from measured raw samples.
+    """Band-limit raw projection samples and keep them over |t| <= radius:
+    ``rows[m, k] = T * sum_j raw_rows[m, j] * lowpass_kernel((k - j)*T)``.
 
-    ``raw_rows`` must cover a symmetric lattice window per angle (odd column
-    count); values outside it are treated as zero.
+    ``raw_rows`` holds one row per angle over a symmetric lattice window (odd
+    column count); values outside it are treated as zero.
     """
     raw_rows = np.asarray(raw_rows, dtype=float)
     if raw_rows.ndim != 2 or raw_rows.shape[1] % 2 != 1:
         raise SizeError("raw rows must be 2-D with an odd number of columns")
     k_half = (raw_rows.shape[1] - 1) // 2
     k_scan = int(np.ceil(radius / T))
-    rows = _prefilter_batch(raw_rows, omega, T, k_half, -k_scan, k_scan)
-    return ForwardScan(omega, T, raw_rows.shape[0], k_scan, rows,
-                       float(np.max(np.abs(raw_rows))))
+    lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T
+    rows = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half, 2 * k_scan + 1)
+    rows *= T
+    return ForwardScan(k_scan, rows, float(np.max(np.abs(raw_rows))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -295,7 +295,7 @@ def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
     reports = []
     for r0 in range(0, rows.shape[0], _UNFOLD_ROWS):
         block = rows[r0 : r0 + _UNFOLD_ROWS]
-        if np.max(block) > bound or np.min(block) < -bound:
+        if not (np.max(block) <= bound and np.min(block) >= -bound):  # NaN fails both
             raise DomainError("folded values must lie within [-lam, lam)")
         out[r0 : r0 + _UNFOLD_ROWS], block_reports = _unfold_block(block, base, cfg, N, J, K)
         reports += block_reports

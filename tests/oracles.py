@@ -11,7 +11,8 @@ time and unfold one row at a time.  The sinogram unfold copies each angle row
 into its own run and unfolds it on its own, with the general-mode unfolder
 that preceded the block core.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
-reader and the standard parameter choice serve the tests as references only.
+reader, the standard parameter choice and the acquisition window cut from a
+scan serve the tests as references only.
 The CSV row reader parses one cell at a time with ``float()``.
 """
 
@@ -219,6 +220,14 @@ def window(seq, k_lo, k_hi):
     if not seq.base_index <= k_lo <= k_hi < seq.base_index + len(seq):
         raise DomainError(f"window [{k_lo}, {k_hi}] outside the run")
     return seq.values[k_lo - seq.base_index : k_hi - seq.base_index + 1]
+
+
+def scan_window(scan, params):
+    """The clean sinogram over [-K_prime, K] cut from a ``ForwardScan``, with
+    the scan's raw amplitude as beta."""
+    lo = scan.k_scan - params.K_prime
+    rows = scan.rows[:, lo : scan.k_scan + params.K + 1].copy()
+    return Sinogram(replace(params, beta=scan.beta_raw), rows)
 
 
 def unfold_general_oracle(y, cfg):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from modradon import experiments
-from modradon.errors import ConfigError, DomainError
-from modradon.forward import ForwardScan, RandomBandlimitedSignal
+from modradon.errors import ConfigError, DomainError, SizeError
+from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram
 from modradon.phantom import Ellipse, Phantom
 from oracles import demo_attempt_oracle, sample_oracle, sweep_cell_oracle
 
@@ -49,14 +49,40 @@ class TestPrepareForward:
     def test_normalized_dim_phantom_matches_unit_phantom(self):
         # normalised before the filter, a dim disk scans like the unit disk
         kw = dict(lam=0.001, omega=20.0, normalize=True)
-        unit = experiments.prepare_forward(disk(1.0), **kw)
-        dim = experiments.prepare_forward(disk(0.001), **kw)
+        unit, unit_scale = experiments.prepare_forward(disk(1.0), **kw)
+        dim, dim_scale = experiments.prepare_forward(disk(0.001), **kw)
         assert (dim.params.K_prime, dim.params.N) == (unit.params.K_prime, unit.params.N)
-        assert dim.norm_scale == pytest.approx(0.001 * unit.norm_scale)
+        assert dim_scale == pytest.approx(0.001 * unit_scale)
 
     def test_all_zero_source_cannot_normalize(self):
         with pytest.raises(ConfigError, match="all raw samples are zero"):
             experiments.prepare_forward(Phantom(()), lam=0.1, omega=20.0, normalize=True)
+
+    def test_raw_rows_are_freed_before_the_window_is_copied(self, monkeypatch):
+        # raw rows, scan and window alive at once would raise the peak memory
+        raws, alive = [], []
+        scan, params = experiments.scan_from_raw, experiments.SamplingParams
+
+        def recording_scan(raw, *args, **kwargs):
+            raws.append(weakref.ref(raw))
+            return scan(raw, *args, **kwargs)
+
+        def checking_params(**kwargs):
+            alive.append([ref() is not None for ref in raws])
+            return params(**kwargs)
+
+        monkeypatch.setattr(experiments, "scan_from_raw", recording_scan)
+        monkeypatch.setattr(experiments, "SamplingParams", checking_params)
+        experiments.prepare_forward(disk(1.0), lam=0.1, omega=20.0)
+        assert alive == [[False]]
+
+    def test_angle_count_of_a_sinogram_source_fails_before_scanning(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(experiments, "scan_from_raw", lambda *a, **k: scans.append(a))
+        p = SamplingParams(omega=20.0, T=0.05, lam=0.1, K=5, K_prime=5, M=4)
+        with pytest.raises(SizeError, match=r"^angle count mismatch: 5 != 4$"):
+            experiments.prepare_forward(Sinogram(p, np.ones((4, 11))), lam=0.1, M=5)
+        assert scans == []
 
 
 class TestRunPipeline:
@@ -76,24 +102,26 @@ class TestRunPipeline:
         assert calls == []
 
     def test_scan_is_freed_before_the_fold(self, monkeypatch):
-        # the wide scan rows are several times the sinogram; none may stay
+        # the wide scan rows are several times the sinogram; neither the scan
+        # nor its rows (which a window sliced as a view would keep) may stay
         # alive through fold, unfold and FBP
-        scans, alive_at_fold = [], []
-        slice_scan, fold = ForwardScan.sinogram, experiments.fold_sinogram
+        refs, alive_at_fold = [], []
+        scan, fold = experiments.scan_from_raw, experiments.fold_sinogram
 
-        def recording_slice(scan, params):
-            scans.append(weakref.ref(scan))
-            return slice_scan(scan, params)
+        def recording_scan(*args, **kwargs):
+            out = scan(*args, **kwargs)
+            refs.extend([weakref.ref(out), weakref.ref(out.rows)])
+            return out
 
         def checking_fold(s):
-            alive_at_fold.append([ref() is not None for ref in scans])
+            alive_at_fold.append([ref() is not None for ref in refs])
             return fold(s)
 
-        monkeypatch.setattr(ForwardScan, "sinogram", recording_slice)
+        monkeypatch.setattr(experiments, "scan_from_raw", recording_scan)
         monkeypatch.setattr(experiments, "fold_sinogram", checking_fold)
         res = experiments.run_pipeline(disk(1.0), lam=0.1, omega=20.0, grid_size=16)
         assert res.success
-        assert alive_at_fold == [[False]]
+        assert alive_at_fold == [[False, False]]
 
 
 class TestDownsampleDemo:

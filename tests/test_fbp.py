@@ -29,13 +29,14 @@ from oracles import (
     fbp_every_sinogram_oracle,
     kernel_quadrature_oracle,
     read_raw_f64,
+    scan_window,
 )
 
 OMEGA = 60.0
 
 
 def phantom_sinogram(phantom, p):
-    return scan_forward(phantom, p.omega, p.T, p.M).sinogram(p)
+    return scan_window(scan_forward(phantom, p.omega, p.T, p.M), p)
 
 
 def small_sinogram(lam=0.05, omega=OMEGA, M=None):

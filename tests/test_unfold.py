@@ -26,6 +26,7 @@ from modradon.unfold import (
 from oracles import (
     design_params,
     round_to_2lambda,
+    scan_window,
     sup_norm_oracle,
     unfold_sinogram_oracle,
     window,
@@ -269,7 +270,7 @@ class TestUnfoldGeneral:
         p = design_params(300.0, lam=lam)
         ks = support_index(p.T)
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
-        row = scan_from_raw(raw[None, :], p.omega, p.T).sinogram(replace(p, M=1))
+        row = scan_window(scan_from_raw(raw[None, :], p.omega, p.T), replace(p, M=1))
         cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(0.56, lam), omega=300.0,
                            T=p.T, mode=GENERAL)
         rec, [rep] = unfold_sinogram(fold_sinogram(row), cfg)
@@ -331,11 +332,11 @@ def folded_phantom(M, noise=0.0):
     """Folded Shepp-Logan sinogram at omega=20, lam=0.05 with M angles (N=4,
     K=109, K'=110), optionally with seeded Gaussian noise added before the
     fold, and its 2*lam grid bound."""
-    st = prepare_forward(shepp_logan(), lam=0.05, omega=20.0, M=M)
-    rows = st.sinogram().rows
+    clean, _ = prepare_forward(shepp_logan(), lam=0.05, omega=20.0, M=M)
+    rows = clean.rows
     if noise:
         rows = rows + np.random.default_rng(1).normal(0.0, noise, rows.shape)
-    return fold_sinogram(Sinogram(st.params, rows)), st.beta_grid
+    return fold_sinogram(Sinogram(clean.params, rows)), grid_upper_bound(clean.params.beta, 0.05)
 
 
 class TestUnfoldSinogram:
@@ -346,7 +347,7 @@ class TestUnfoldSinogram:
 
         lam = 0.05
         p = design_params(60.0, lam=lam, M=12)
-        s = scan_forward(shepp_logan(), p.omega, p.T, p.M).sinogram(p)
+        s = scan_window(scan_forward(shepp_logan(), p.omega, p.T, p.M), p)
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
         rec_c, _ = unfold_sinogram(
@@ -398,6 +399,19 @@ class TestUnfoldSinogram:
         s = sinogram(rows, 30, 0.1, 10.0, 0.001)
         cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=mode,
                            order_override=1)
+        with pytest.raises(DomainError, match=r"^folded values must lie within \[-lam, lam\)$"):
+            unfold_sinogram(s, cfg)
+
+    @pytest.mark.parametrize("mode", [COMPACT, GENERAL])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_nan_is_outside_the_fold_range(self, mode, order):
+        # every comparison with NaN is False, so a NaN must fail the range check
+        # rather than pass through (order 0) or reach modulo_fold (order >= 1)
+        rows = np.zeros((2, 61))
+        rows[1, 40] = np.nan
+        s = sinogram(rows, 30, 0.1, 10.0, 0.001)
+        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=mode,
+                           order_override=order)
         with pytest.raises(DomainError, match=r"^folded values must lie within \[-lam, lam\)$"):
             unfold_sinogram(s, cfg)
 
