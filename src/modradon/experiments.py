@@ -289,55 +289,62 @@ def _median3(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _recover(sigs, T: float, lam: float, orders):
-    """|error| over [-K, K] of each signal folded at spacing ``T`` and unfolded
-    at each order, shape (orders, signals, 2K+1), and each window's fold count.
+def _recover(sigs, T: float, lams, orders_per_lam):
+    """Per threshold ``lams[j]``: the largest and the mean squared |error| over
+    [-K, K] of each signal folded at spacing ``T`` and unfolded at each order of
+    ``orders_per_lam[j]``, shape (orders, signals), and each window's fold count.
 
-    The windows ``[-K'(max order), K]`` are sliced from the exceedance scans
-    (only a head left of a scanned lattice is sampled anew) and right-aligned
-    in one zero-padded block: one fold, then one :func:`compact_counts` call
-    per order."""
+    Each signal is scanned once for every threshold; a head left of that
+    lattice is sampled only where a margin reaches past it.  Each threshold's
+    windows ``[-K'(max order), K]`` are sliced from it and right-aligned in
+    one zero-padded block: one fold, one :func:`compact_counts` per order."""
     K = support_index(T)
-    margins, windows = [], []
+    margins, lattices = [], []
     for sig in sigs:
-        kstar, scanned = sig.scan_exceedance(T, lam)
-        margins.append([required_margin(kstar * T, T, N, K) for N in orders])
-        k_lo, lo = -max(margins[-1]), scanned.base_index
-        window = scanned.values[max(k_lo, lo) - lo : K - lo + 1]
+        kstars, scanned = sig.scan_exceedance(T, lams)
+        margins.append([[required_margin(k * T, T, N, K) for N in orders]
+                        for k, orders in zip(kstars, orders_per_lam)])
+        k_lo, lo = -max(map(max, margins[-1])), scanned.base_index
+        values = scanned.values
         if k_lo < lo:
-            window = np.concatenate([sig.samples(T, k_lo, lo - 1).values, window])
-        windows.append(window)
-    margins = np.array(margins)
-    width = K + 1 + np.max(margins)
-    wide = np.zeros((len(sigs), width))
-    for row, w in zip(wide, windows):
-        row[width - w.size :] = w
-    folded = modulo_fold(wide, Threshold(lam))
-    folds = np.count_nonzero(folded != wide, axis=1)  # the zero padding never folds
-    sym = slice(width - (2 * K + 1), width)
-    err = np.empty((len(orders), len(sigs), 2 * K + 1))
-    for i, N in enumerate(orders):
-        counts, _ = compact_counts(folded, lam, N, width - (margins[:, i] + K + 1))
-        err[i] = np.abs(folded[:, sym] + (2.0 * lam) * counts[:, sym] - wide[:, sym])
-    return err, folds
+            values = np.concatenate([sig.samples(T, k_lo, lo - 1).values, values])
+            lo = k_lo
+        lattices.append((lo, values))
+    out = []
+    for j, (lam, orders) in enumerate(zip(lams, orders_per_lam)):
+        m = np.array([per_lam[j] for per_lam in margins])
+        width = K + 1 + np.max(m)
+        wide = np.zeros((len(sigs), width))
+        for row, m_lo, (lo, values) in zip(wide, np.max(m, axis=1), lattices):
+            row[width - (K + 1 + m_lo) :] = values[-m_lo - lo : K - lo + 1]
+        folded = modulo_fold(wide, Threshold(lam))
+        folds = np.count_nonzero(folded != wide, axis=1)  # the zero padding never folds
+        sym = slice(width - (2 * K + 1), width)
+        err = np.empty((len(orders), len(sigs), 2 * K + 1))
+        for i, N in enumerate(orders):
+            counts, _ = compact_counts(folded, lam, N, width - (m[:, i] + K + 1))
+            err[i] = np.abs(folded[:, sym] + (2.0 * lam) * counts[:, sym] - wide[:, sym])
+        out.append((np.max(err, axis=2), np.mean(err**2, axis=2), folds))
+    return out
 
 
-def _sweep_cell(args) -> SweepCell:
-    lam, omega, trials, tsteps, seed = args
-    t_us = 1.0 / (omega * np.e)
-    t_sh = np.pi / omega
+def _sweep_orders(lam: float, omega: float) -> tuple:
     nb = base_order(lam, omega)
-    orders = (nb, 2 * nb, 3 * nb)
-    ts = np.linspace(t_us, t_sh, tsteps)
+    return (nb, 2 * nb, 3 * nb)
+
+
+def _sweep_hits(args) -> np.ndarray:
+    """Exact recoveries of one bandwidth's trial range at every threshold, rate
+    step and order: int64 counts, shape (thresholds, rate steps, 3)."""
+    lams, omega, ts, trials, seed = args
+    orders = [_sweep_orders(lam, omega) for lam in lams]
     sigs = [RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([seed, trial]))
-            for trial in range(trials)]
-    hits = np.zeros((tsteps, len(orders)), dtype=np.int64)
+            for trial in trials]
+    hits = np.zeros((len(lams), ts.size, 3), dtype=np.int64)
     for it, T in enumerate(ts):
-        err, _ = _recover(sigs, T, lam, orders)
-        hits[it] = np.count_nonzero(np.max(err, axis=2) < _SUCCESS_TOL, axis=1)
-    rates = hits / float(trials)
-    smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
-    return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)
+        for j, (max_err, _, _) in enumerate(_recover(sigs, T, lams, orders)):
+            hits[j, it] = np.count_nonzero(max_err < _SUCCESS_TOL, axis=1)
+    return hits
 
 
 def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.pi),
@@ -346,11 +353,14 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     """Success-rate grid over sampling rates from the guaranteed spacing to the
     Nyquist spacing, for three difference orders per (lam, omega) cell.
 
-    Per-trial signals come from PCG64 streams seeded by (seed, trial), so
-    results do not depend on cell evaluation order or on the worker count.
-    A threshold that is not in (0, 1), a bandwidth that is not positive and
-    finite, or fewer than one trial, rate step or worker, raises
-    :class:`ConfigError`.
+    Per-trial signals come from PCG64 streams seeded by (seed, trial).  A job
+    is one bandwidth's range of trials and carries every threshold; with
+    ``workers`` > 1 each bandwidth's trials are split into up to ``workers``
+    ranges, whose integer hit counts sum exactly, so the cells do not depend
+    on the worker count.  A threshold not in (0, 1), a bandwidth that is not
+    positive and finite, fewer than one trial, rate step or worker, or two
+    cells that would write one file in ``outdir`` raise :class:`ConfigError`
+    before any job runs.
     """
     for lam in lams:
         check_positive(lam=lam)
@@ -360,16 +370,33 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     for om in omegas:
         check_positive(omega=om)
     check_counts(trials=trials, tsteps=tsteps, workers=workers)
-    jobs = [(lam, om, trials, tsteps, seed) for lam in lams for om in omegas]
+    keys = [(lam, om) for lam in lams for om in omegas]
+    names = [f"success_lam{lam:g}_omega{om / np.pi:g}pi.csv" for lam, om in keys]
+    dup = [name for name in names if names.count(name) > 1]
+    if outdir and dup:
+        (lam0, om0), (lam, om) = [k for k, name in zip(keys, names) if name == dup[0]][:2]
+        raise ConfigError(f"cells lam={lam0!r} omega={om0 / np.pi!r}pi and lam={lam!r} "
+                          f"omega={om / np.pi!r}pi would both write {dup[0]}")
+    # rate grids from the guaranteed spacing 1/(omega*e) to the Nyquist spacing
+    ts = {om: np.linspace(1.0 / (om * np.e), np.pi / om, tsteps) for om in omegas}
+    n = min(workers, trials)
+    ranges = [range(trials * i // n, trials * (i + 1) // n) for i in range(n)]
+    jobs = [(lams, om, ts[om], r, seed) for om in omegas for r in ranges]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_sweep_cell, jobs))
+            hits = list(pool.map(_sweep_hits, jobs))
     else:
-        cells = [_sweep_cell(j) for j in jobs]
+        hits = [_sweep_hits(j) for j in jobs]
+    hits = np.sum(np.reshape(hits, (len(omegas), n, len(lams), tsteps, 3)), axis=1)
+    cells = []
+    for (lam, om), h in zip(keys, hits.swapaxes(0, 1).reshape(-1, tsteps, 3)):
+        rates = h / float(trials)
+        smooth = np.column_stack([_median3(rates[:, i]) for i in range(3)])
+        cells.append(SweepCell(lam, om, ts[om] / (np.pi / om), _sweep_orders(lam, om),
+                               rates, smooth))
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        for cell in cells:
-            name = f"success_lam{cell.lam:g}_omega{cell.omega / np.pi:g}pi.csv"
+        for name, cell in zip(names, cells):
             with open(os.path.join(outdir, name), "w") as f:
                 f.write(cell.to_csv())
     return cells
@@ -408,9 +435,9 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
     attempts = []
     for stage, T, N in (("base_rate", t0, 1), ("downsampled", factor * t0, 1),
                         ("downsampled", factor * t0, 2)):
-        [[err]], [folds] = _recover([sig], T, lam, (N,))
-        attempts.append(DemoAttempt(stage, T, N, int(folds), float(np.mean(err**2)),
-                                    float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL)))
+        [([[max_err]], [[mse]], [folds])] = _recover([sig], T, (lam,), ((N,),))
+        attempts.append(DemoAttempt(stage, T, N, int(folds), float(mse), float(max_err),
+                                    bool(max_err < _SUCCESS_TOL)))
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "downsample_demo.csv"), "w") as f:

@@ -275,22 +275,29 @@ class RandomBandlimitedSignal:
         k = np.arange(k_lo, k_hi + 1)
         return SampleSeq(k_lo, self.sample(k * T))
 
-    def scan_exceedance(self, T: float, lam: float) -> tuple[int, SampleSeq]:
-        """Largest lattice |k| with |g(kT)| >= lam, and the samples scanned to find it.
+    def scan_exceedance(self, T: float, lams) -> tuple[list[int], SampleSeq]:
+        """Per threshold in ``lams``, the largest lattice |k| with |g(kT)| >= lam;
+        and the samples scanned to find them.
 
-        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``; while
-        :func:`clear_band_exceedance` finds the window too narrow, the radius
-        doubles from 3 up to 64 and only the lattice points outside the
-        previous scan are evaluated.
+        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``.  Each threshold
+        takes its index from the first window, radius 3 first, whose clear band
+        :func:`clear_band_exceedance` accepts for it, as a scan for it alone
+        would.  While one is pending, the radius doubles up to 64 and only the
+        lattice points outside the previous scan are evaluated.
         """
         radius = 3.0
         kw = int(np.ceil(radius / T))
         g = self.sample(np.arange(-kw, kw + 1) * T)
+        kstars = [None] * len(lams)
         while True:
-            try:
-                return clear_band_exceedance(g, lam), SampleSeq(-kw, g)
-            except MarginError:
-                pass
+            for i, lam in enumerate(lams):
+                if kstars[i] is None:
+                    try:
+                        kstars[i] = clear_band_exceedance(g, lam)
+                    except MarginError:
+                        pass
+            if None not in kstars:
+                return kstars, SampleSeq(-kw, g)
             radius *= 2.0
             if radius > 64.0:
                 raise NumericError("exceedance region did not close within the scan limit")

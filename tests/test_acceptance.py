@@ -57,7 +57,7 @@ def test_criterion_1_exact_unfold_property_suite():
                 for trial in range(TRIALS):
                     sig = RandomBandlimitedSignal.draw(
                         omega, np.random.SeedSequence([20250, trial]))
-                    kstar, _ = sig.scan_exceedance(T, lam)
+                    (kstar,), _ = sig.scan_exceedance(T, (lam,))
                     K_prime = required_margin(kstar * T, T, N, K)
                     truth = sig.samples(T, -K_prime, K)
                     y = _fold_seq(truth, lam)

@@ -420,7 +420,7 @@ class TestIngest:
 
 
 class TestSweepCommand:
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         from modradon.experiments import success_sweep
 
         seq = success_sweep(lams=(0.1,), omegas=(10 * np.pi, 20 * np.pi), trials=4,
@@ -430,6 +430,42 @@ class TestSweepCommand:
         for a, b in zip(seq, par):
             assert (a.lam, a.omega) == (b.lam, b.omega)
             np.testing.assert_array_equal(a.rates, b.rates)
+
+        # one bandwidth and two thresholds: the trials still spread over the pool
+        jobs = []
+
+        class SpyPool(experiments.ProcessPoolExecutor):
+            def map(self, fn, iterable):
+                iterable = list(iterable)
+                jobs.extend(iterable)
+                return super().map(fn, iterable)
+
+        kw = dict(lams=(0.1, 0.05), omegas=(10 * np.pi,), trials=5, tsteps=4, seed=11)
+        seq = success_sweep(**kw, workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+        par = success_sweep(**kw, workers=2)
+        assert len(jobs) >= 2
+        assert [c.to_csv() for c in par] == [c.to_csv() for c in seq]
+
+    @pytest.mark.parametrize("flag, value, first, second", [
+        ("--lams", "0.1,0.1000001", "lam=0.1 ", "lam=0.1000001 "),
+        ("--lams", "0.05,0.05", "lam=0.05 ", "lam=0.05 "),
+        ("--omegas-pi", "10,10.0000001", "omega=10.0pi", "omega=10.0000001pi"),
+    ], ids=["six-digits", "duplicate", "omega"])
+    def test_colliding_cell_names_exit_2(self, tmp_path, capsys, monkeypatch, flag, value,
+                                         first, second):
+        jobs = []
+        monkeypatch.setattr(experiments, "_sweep_hits", jobs.append)
+        outdir = tmp_path / "sw"
+        code = run(["sweep-success", "--trials", 2, "--tsteps", 3, flag, value,
+                    "--outdir", outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: cells " in err and "would both write success_lam" in err
+        assert err.index(first) < err.rindex(second)
+        assert "Traceback" not in err
+        assert jobs == []
+        assert not outdir.exists()
 
     def test_bad_lams_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

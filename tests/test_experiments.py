@@ -20,13 +20,34 @@ SWEEP_CELLS = [
 ]
 
 
+def sweep_job(cell, lams=None):
+    """``experiments._sweep_hits`` arguments for one SWEEP_CELLS entry."""
+    lam, omega, trials, tsteps, seed = cell
+    ts = np.linspace(1.0 / (omega * np.e), np.pi / omega, tsteps)
+    return (lams or (lam,), omega, ts, range(trials), seed)
+
+
 class TestSweepCell:
     @pytest.mark.parametrize("cell", SWEEP_CELLS, ids=lambda c: f"lam{c[0]:g}")
     def test_rates_match_oracle(self, cell):
-        got, want = experiments._sweep_cell(cell), sweep_cell_oracle(cell)
+        lam, omega, trials, tsteps, seed = cell
+        want = sweep_cell_oracle(cell)
+        [hits] = experiments._sweep_hits(sweep_job(cell))
+        assert (hits / float(trials)).tobytes() == want.rates.tobytes()
+        [got] = experiments.success_sweep(lams=(lam,), omegas=(omega,), trials=trials,
+                                          tsteps=tsteps, seed=seed)
         assert got.orders == want.orders
         assert got.rates.tobytes() == want.rates.tobytes()
         assert got.to_csv() == want.to_csv()
+
+    def test_one_job_carries_every_threshold(self):
+        # every threshold of SWEEP_CELLS on the 9e-4 cell's bandwidth, trials and
+        # seed, so the head left of the shared lattice is sampled here too
+        lams = tuple(c[0] for c in SWEEP_CELLS)
+        hits = experiments._sweep_hits(sweep_job(SWEEP_CELLS[-1], lams))
+        for lam, h in zip(lams, hits):
+            want = sweep_cell_oracle((lam, *SWEEP_CELLS[-1][1:]))
+            assert (h / float(SWEEP_CELLS[-1][2])).tobytes() == want.rates.tobytes()
 
     def test_margin_past_scanned_lattice_samples_only_the_missing_head(self, monkeypatch):
         heads = []
@@ -37,7 +58,7 @@ class TestSweepCell:
             return samples(self, T, k_lo, k_hi)
 
         monkeypatch.setattr(RandomBandlimitedSignal, "samples", recording)
-        experiments._sweep_cell(SWEEP_CELLS[-1])
+        experiments._sweep_hits(sweep_job(SWEEP_CELLS[-1]))
         assert heads == [(-181, -181)]
 
 

@@ -14,6 +14,7 @@ from modradon.forward import (
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
+    clear_band_exceedance,
     fold_sinogram,
     load_sinogram,
     lowpass_kernel,
@@ -192,8 +193,8 @@ class TestRandomSignal:
     def test_deterministic_in_seed(self):
         T = 0.5 / (10 * np.pi * np.e)
         sa, sb = draw_signal(10 * np.pi, 123), draw_signal(10 * np.pi, 123)
-        kw = sa.scan_exceedance(T, 0.1)[0] + 32
-        assert sb.scan_exceedance(T, 0.1)[0] + 32 == kw
+        kw = sa.scan_exceedance(T, (0.1,))[0][0] + 32
+        assert sb.scan_exceedance(T, (0.1,))[0][0] + 32 == kw
         np.testing.assert_array_equal(sa.samples(T, -kw, kw).values,
                                       sb.samples(T, -kw, kw).values)
         np.testing.assert_array_equal(sa.levels, sb.levels)
@@ -213,7 +214,7 @@ class TestRandomSignal:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, 5)
-        kstar, _ = sig.scan_exceedance(T, lam)
+        (kstar,), _ = sig.scan_exceedance(T, (lam,))
         seq = sig.samples(T, -kstar - 32, kstar + 32)
         k = np.arange(-kstar - 32, kstar + 33)
         outside = np.abs(k) > kstar
@@ -244,12 +245,42 @@ class TestRandomSignal:
         omega = 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, seed)
-        kstar, scanned = sig.scan_exceedance(T, lam)
+        (kstar,), scanned = sig.scan_exceedance(T, (lam,))
         assert kstar == exceedance_index_oracle(sig, T, lam)
         kw = -scanned.base_index
         assert len(scanned) == 2 * kw + 1 and kw >= int(np.ceil(3.0 / T))
         want = sample_oracle(sig, np.arange(-kw, kw + 1) * T)
         assert scanned.values.tobytes() == want.tobytes()
+
+
+    def test_each_threshold_reads_its_first_clear_window(self, monkeypatch):
+        # a made-up profile on T = 1/16: 0.5 over |k| <= 8, 0.07 at k = +-24
+        # (inside the radius-3 clear band |k| >= 17) and 0.2 at k = 72 (t = 4.5,
+        # past radius 3).  lam = 0.1 closes at radius 3 with k = 8; lam = 0.05
+        # meets 0.07 in that band and 0.2 in the radius-6 band (|k| >= 65), and
+        # closes at radius 12 with k = 72.  The widest window would give 72 to
+        # lam = 0.1 too.
+        T = 0.0625
+
+        def profile(self, t):
+            k = np.rint(np.atleast_1d(t) / T)
+            g = np.where(np.abs(k) <= 8, 0.5, 0.0)
+            g[np.abs(k) == 24] = 0.07
+            g[k == 72] = 0.2
+            return g
+
+        monkeypatch.setattr(RandomBandlimitedSignal, "sample", profile)
+        sig = draw_signal(10 * np.pi, 0)
+        kstars, scanned = sig.scan_exceedance(T, (0.1, 0.05))
+        radius3 = window(scanned, -48, 48)
+        assert kstars[0] == clear_band_exceedance(radius3, 0.1) == 8
+        assert kstars[1] == 72 > 48
+        alone = [sig.scan_exceedance(T, (lam,)) for lam in (0.1, 0.05)]
+        assert kstars == [k for (k,), _ in alone]
+        assert [-s.base_index for _, s in alone] == [48, 192]
+        widest = alone[1][1]
+        assert scanned.base_index == widest.base_index
+        assert scanned.values.tobytes() == widest.values.tobytes()
 
 
 class TestSinogramIO:

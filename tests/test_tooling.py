@@ -102,28 +102,29 @@ def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
     # the benchmark's forward.sampler span patches RandomBandlimitedSignal.sample;
-    # a sweep cell scans each (trial, T) lattice once and slices its unfold
-    # window from those samples
+    # a sweep job scans each (trial, T) lattice once for every threshold and
+    # slices each threshold's unfold window from those samples
     signal = forward.RandomBandlimitedSignal
     scan, sample = signal.scan_exceedance, signal.sample
-    scans = []  # [T, scanned half-width, [t of every sample call]] per scan
+    scans = []  # [T, thresholds, scanned half-width, [t of every sample call]] per scan
 
-    def counting_scan(self, T, lam):
-        scans.append([T, None, []])
-        kstar, scanned = scan(self, T, lam)
-        scans[-1][1] = -scanned.base_index
-        return kstar, scanned
+    def counting_scan(self, T, lams):
+        scans.append([T, tuple(lams), None, []])
+        kstars, scanned = scan(self, T, lams)
+        scans[-1][2] = -scanned.base_index
+        return kstars, scanned
 
     def counting_sample(self, t):
-        scans[-1][2].append(np.atleast_1d(t))
+        scans[-1][3].append(np.atleast_1d(t))
         return sample(self, t)
 
     monkeypatch.setattr(signal, "scan_exceedance", counting_scan)
     monkeypatch.setattr(signal, "sample", counting_sample)
     experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi,), trials=3, tsteps=4,
                               seed=1)
-    assert len(scans) == 2 * 3 * 4
-    for T, kw, calls in scans:
+    assert len(scans) == 3 * 4
+    for T, lams, kw, calls in scans:
+        assert lams == (0.1, 0.05)
         # one call at radius 3, and one more per doubling of the radius
         assert kw == int(np.ceil(3.0 * 2 ** (len(calls) - 1) / T))
         # each later call only reaches past everything evaluated before it
@@ -131,7 +132,7 @@ def test_sweep_samples_each_lattice_point_once(monkeypatch):
             assert np.min(np.abs(calls[i])) > np.max(np.abs(np.concatenate(calls[:i])))
         every = np.concatenate(calls)
         assert np.unique(every).size == every.size == 2 * kw + 1
-    assert any(len(calls) > 1 for _, _, calls in scans)
+    assert any(len(calls) > 1 for *_, calls in scans)
 
 
 def _parse(pattern):

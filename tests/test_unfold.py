@@ -135,7 +135,7 @@ class TestUnfoldCompact:
         T = 0.5 / (omega * np.e)
         for seed in range(25):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([99, seed]))
-            kstar, _ = sig.scan_exceedance(T, lam)
+            (kstar,), _ = sig.scan_exceedance(T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
@@ -189,7 +189,7 @@ class TestUnfoldCompact:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(7))
-        kstar, _ = sig.scan_exceedance(T, lam)
+        (kstar,), _ = sig.scan_exceedance(T, (lam,))
         Kp = kstar + 4 + 8
         truth = sig.samples(T, -Kp, Kp)
         cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T, order=4)
@@ -217,7 +217,7 @@ class TestUnfoldGeneral:
         and every settled tail, K' every exceedance plus the difference stencil."""
         sigs = [RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
                 for seed in seeds]
-        kstars = [sig.scan_exceedance(T, lam)[0] for sig in sigs]
+        kstars = [sig.scan_exceedance(T, (lam,))[0][0] for sig in sigs]
         J = cost_j(beta_grid, lam)
         K = max(J + N - 1, max(kstars) + 16)
         K_prime = max(K, max(kstars) + N + 16)
@@ -316,7 +316,7 @@ class TestRouteEquivalence:
         T = 0.5 / (omega * np.e)
         for seed in range(10):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([55, seed]))
-            kstar, _ = sig.scan_exceedance(T, lam)
+            (kstar,), _ = sig.scan_exceedance(T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = sig.samples(T, -Kp, kstar)
