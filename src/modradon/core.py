@@ -1,15 +1,18 @@
 """Scalar and sequence primitives: centered modulo folding and running sums
-(anti-differences).
+(anti-differences), plus :func:`map_blocks`, which spreads row blocks over
+the usable CPUs.
 
-Everything downstream is built from these operators.  All functions are pure
-and accept either scalars or numpy arrays where that makes sense; sequences
-with an explicit (possibly negative) base index are carried by
-:class:`SampleSeq`.
+Everything downstream is built from these operators.  The fold and sum
+functions are pure and accept either scalars or numpy arrays where that makes
+sense; sequences with an explicit (possibly negative) base index are carried
+by :class:`SampleSeq`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,27 @@ from .errors import DomainError, SizeError
 #: Relative guard band applied before float floor/ceil so that values sitting
 #: on a grid line (up to accumulated rounding) do not flip to the wrong side.
 GUARD = 1e-12
+
+
+def map_blocks(fn, starts) -> list:
+    """``[fn(s) for s in starts]``, run on one thread per usable CPU.
+
+    Each call handles one row block and writes only its own output rows; numpy
+    releases the GIL inside the block's array operations, so blocks overlap.
+    The pool lives for this call only: its threads are gone when the call
+    returns, so a process forked later (the sweep's worker pool) inherits
+    none.  With one block or one usable CPU the calls run inline.  Results
+    come back in the order of ``starts``, and an exception is raised from the
+    first block, in that order, that raised one.
+    """
+    starts = list(starts)
+    # sched_getaffinity (Linux only) honours taskset and cpusets
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(len(starts), cpus or 1)
+    if threads <= 1:
+        return [fn(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, starts))
 
 
 def guarded_floor(x):

@@ -11,12 +11,14 @@ the T/(2M) prefactor of the back projection.
 Reconstruction takes a sequence of sinograms that share one (M, K, T) and
 returns one image per sinogram.  Sinograms with bitwise-identical rows (a
 clean sinogram and its exact recovery) are filtered and back-projected once,
-and the image is copied to each of them.  Back projection computes each
-angle's geometry (detector coordinate, interpolation index and weight, inside
-mask) once per tile of image rows and applies it to every distinct sinogram;
-each image still sums its own filtered rows over the angles in the order
-m = 0..M-1, so its pixels are the same whether it is reconstructed alone or
-together with others.
+and the image is copied to each of them.  Back projection splits the image
+into bands of rows, which :func:`~modradon.core.map_blocks` spreads over the
+usable CPUs.  Per band it computes each angle's geometry (detector
+coordinate, interpolation index and weight, inside mask) once and applies it
+to every distinct sinogram; each pixel still sums its own filtered rows over
+the angles in the order m = 0..M-1, so its value is the same whether the
+image is reconstructed alone or together with others, and on any number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import map_blocks
 from .errors import ConfigError, DomainError, SizeError
 from .forward import SamplingParams, Sinogram, convolve_rows
 from .phantom import ImageGrid
@@ -32,9 +35,10 @@ from .phantom import ImageGrid
 RAM_LAK = "ram_lak"
 COSINE = "cosine"
 
-#: Image rows per back-projection tile: the per-angle geometry of one tile
-#: stays in cache while every image of the pass reads it.
-_ROW_TILE = 64
+#: Image rows per back-projection band, the unit of work of one thread: the
+#: per-angle geometry of one band stays in cache while every image of the pass
+#: reads it, and a 256-row image splits into two bands.
+_ROW_TILE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +120,13 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
     ``image(x) = T/(2M) * sum_m interp(h_m)(x . theta_m)``; points projecting
     outside the filtered lattice contribute zero.  ``hs`` is a sequence of
     filtered sinograms sharing ``params``' (M, K, T); one image is returned per
-    entry.  The per-angle geometry (detector coordinate, interpolation index
-    and weight, inside mask) is computed once over a tile of image rows and
-    shared by every entry; each image then reads only its own filtered rows.
-    Every pixel sums its angles in the fixed order m = 0..M-1, so results are
-    deterministic and do not depend on how many images share the pass.
+    entry.  The image rows are split into bands of ``_ROW_TILE`` rows, one
+    thread's work each; the per-angle geometry (detector coordinate,
+    interpolation index and weight, inside mask) is computed once over a band
+    and shared by every entry; each image then reads only its own filtered
+    rows.  Every pixel sums its angles in the fixed order m = 0..M-1, so
+    results are deterministic and do not depend on how many images share the
+    pass or on how many CPUs run the bands.
     """
     if grid.width < 1 or grid.height < 1:
         raise DomainError("empty image grid")
@@ -133,7 +139,8 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
     x, y = grid.pixel_axes()
     trig = [(np.cos(th), np.sin(th)) for th in params.thetas()]
     accs = [np.zeros((grid.height, grid.width)) for _ in hs]
-    for r0 in range(0, grid.height, _ROW_TILE):
+
+    def band(r0):
         yt = y[r0 : r0 + _ROW_TILE]
         shape = (yt.size, x.size)
         u, frac, w0, a, b = (np.empty(shape) for _ in range(5))
@@ -165,6 +172,8 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
                 # skipping outside pixels equals adding 0.0 there: a tile that
                 # starts at +0.0 never holds -0.0
                 np.add(tile, a, out=tile, where=inside)
+
+    map_blocks(band, range(0, grid.height, _ROW_TILE))
     return [ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M))) for acc in accs]
 
 

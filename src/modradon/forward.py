@@ -21,7 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import sici
 
-from .core import SampleSeq, Threshold, guarded_ceil, modulo_fold
+from .core import SampleSeq, Threshold, guarded_ceil, map_blocks, modulo_fold
 from .errors import (
     ConfigError,
     MarginError,
@@ -35,8 +35,11 @@ from .phantom import Phantom, radon_phantom
 _MAGIC = b"MRTS"
 _VERSION = 1
 _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
-#: Rows per FFT convolution block in :func:`convolve_rows`.
-_CONV_ROWS = 64
+#: Rows per FFT convolution block in :func:`convolve_rows`, one thread's work.
+#: glibc serves each worker thread from a malloc arena of its own, which keeps
+#: what a block frees for later blocks rather than for the main thread; small
+#: blocks keep those arenas, and so the peak memory, small.
+_CONV_ROWS = 16
 #: Outermost lattice positions of a tail scan that must stay below lam.
 _CLEAR_BAND = 32
 
@@ -130,14 +133,18 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) ->
     """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row.
 
     The rows are convolved ``_CONV_ROWS`` at a time into a fresh output array,
-    so the full-length convolution buffer of only one block is alive at once
+    one block per thread (:func:`~modradon.core.map_blocks`), so the
+    full-length convolution buffers of one block per thread are alive at once
     and the FFT temporaries stay in cache.  Each row's result is bit-identical
     to a single ``fftconvolve`` over all rows.
     """
     out = np.empty((rows.shape[0], width))
-    for r0 in range(0, rows.shape[0], _CONV_ROWS):
+
+    def block(r0):
         conv = fftconvolve(rows[r0 : r0 + _CONV_ROWS], kern[None, :], axes=1)
         out[r0 : r0 + _CONV_ROWS] = conv[:, start : start + width]
+
+    map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
     return out
 
 

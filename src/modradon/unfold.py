@@ -2,7 +2,9 @@
 
 :func:`unfold_sinogram` is the one unfold entry for sinograms.  It checks the
 window once, then unfolds ``_UNFOLD_ROWS`` angle rows at a time through one
-block core, in one of two modes:
+block core, the blocks spread over the usable CPUs by
+:func:`~modradon.core.map_blocks` (every row is unfolded on its own, so the
+result does not depend on the CPU count), in one of two modes:
 
 * general — for rows of a signal whose samples decay at +infinity;
   integration constants are resolved by a slope probe (the kappa correction,
@@ -35,6 +37,7 @@ from .core import (
     anti_diff_bilateral,
     guarded_ceil,
     guarded_floor,
+    map_blocks,
     modulo_fold,
 )
 from .errors import (
@@ -50,8 +53,9 @@ from .forward import Sinogram
 
 GENERAL = "general"
 COMPACT = "compact_exceedance"
-#: Angle rows per block in :func:`unfold_sinogram`.
-_UNFOLD_ROWS = 64
+#: Angle rows per block in :func:`unfold_sinogram`, one thread's work; small
+#: for the reason given at ``forward._CONV_ROWS``.
+_UNFOLD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -269,8 +273,10 @@ def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
 def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
     """Unfold folded rows that each cover absolute indices [base, base+width-1]
     onto [-K, K]: the window is checked once, then ``_UNFOLD_ROWS`` rows at a
-    time go through :func:`_unfold_block`.  Returns the (rows, 2K+1) result
-    and one report per row."""
+    time go through :func:`_unfold_block`, one block per thread
+    (:func:`~modradon.core.map_blocks`).  Returns the (rows, 2K+1) result and
+    one report per row, in row order; a bad sample raises the error of the
+    first block, in row order, that holds one."""
     check_counts(K=K)
     width = rows.shape[1]
     end = base + width - 1
@@ -292,14 +298,16 @@ def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
             raise DomainError(f"window [{-K}, {K}] outside [{base}, {end}]")
     bound = cfg.lam * (1.0 + 1e-12)
     out = np.empty((rows.shape[0], 2 * K + 1))
-    reports = []
-    for r0 in range(0, rows.shape[0], _UNFOLD_ROWS):
+
+    def one_block(r0):
         block = rows[r0 : r0 + _UNFOLD_ROWS]
         if not (np.max(block) <= bound and np.min(block) >= -bound):  # NaN fails both
             raise DomainError("folded values must lie within [-lam, lam)")
-        out[r0 : r0 + _UNFOLD_ROWS], block_reports = _unfold_block(block, base, cfg, N, J, K)
-        reports += block_reports
-    return out, reports
+        out[r0 : r0 + _UNFOLD_ROWS], reports = _unfold_block(block, base, cfg, N, J, K)
+        return reports
+
+    blocks = map_blocks(one_block, range(0, rows.shape[0], _UNFOLD_ROWS))
+    return out, [r for reports in blocks for r in reports]
 
 
 def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int | None,

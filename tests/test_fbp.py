@@ -140,10 +140,11 @@ class TestBackProject:
         return p, FilteredProjections(p, rng.normal(size=(M, 2 * K + 1)))
 
     # (width, height, M): W != H, heights below/at/above/between multiples of the
-    # 64-row tile, M = 1 and odd M.  With K*T = 0.6 the image corners (radius up
-    # to sqrt(2)) project outside the detector lattice at every angle.
+    # 128-row band, M = 1 and odd M.  With K*T = 0.6 the image corners (radius
+    # up to sqrt(2)) project outside the detector lattice at every angle.
     @pytest.mark.parametrize("width, height, M", [
         (40, 23, 7), (17, 130, 1), (64, 64, 4), (9, 65, 13), (33, 200, 2),
+        (12, 128, 3), (10, 257, 2),
     ])
     def test_matches_oracle_bitwise(self, width, height, M):
         p, h = self._random_filtered(M)

@@ -5,6 +5,7 @@ import glob
 import importlib.util
 import inspect
 import os
+import threading
 
 import numpy as np
 
@@ -15,16 +16,66 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
-def test_traced_names_resolve():
-    # the tracer swaps ``owner.__dict__[attr]``; a renamed or deleted entry
-    # would only surface as a KeyError in a traced benchmark run
+def _patch_table():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.patch_table()
+
+
+def test_traced_names_resolve():
+    # the tracer swaps ``owner.__dict__[attr]``; a renamed or deleted entry
+    # would only surface as a KeyError in a traced benchmark run
     missing = [(getattr(owner, "__name__", owner), attr)
-               for owner, attr, _, _ in tracing.patch_table()
+               for owner, attr, _, _ in _patch_table()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
+    # the tracer keeps one span stack, so every call it wraps must run on the
+    # thread that runs the job; the row blocks that go to worker threads may
+    # only reach untraced code.  M = 40 angles and 130 image rows give every
+    # stage at least two blocks, and two CPUs put them on two threads.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = threading.get_ident()
+    strays, block_threads = [], {}
+
+    def guarded(name, fn):
+        def check(*args, **kwargs):
+            if threading.get_ident() != caller:
+                strays.append(name)
+            return fn(*args, **kwargs)
+        return check
+
+    def watched(module, map_blocks):
+        def on_block(fn):
+            def run(start):
+                block_threads[module].add(threading.get_ident())
+                return fn(start)
+            return run
+        return lambda fn, starts: map_blocks(on_block(fn), starts)
+
+    for owner, attr, name, _ in _patch_table():
+        monkeypatch.setattr(owner, attr, guarded(name, owner.__dict__[attr]))
+    for module in (forward, unfold, fbp):
+        block_threads[module.__name__] = set()
+        monkeypatch.setattr(module, "map_blocks", watched(module.__name__, module.map_blocks))
+
+    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, M=40, grid_size=130)
+    assert res.success
+    T, K = 0.009, 112
+    csv, mrts = tmp_path / "raw.csv", tmp_path / "s.mrts"
+    with open(csv, "w") as f:
+        for row in forward.phantom_rows(shepp_logan(), T, 40):
+            f.write(",".join(map(repr, row.tolist())) + "\n")
+    assert cli.main(["ingest", "--in", str(csv), "--omega", "20", "--T", repr(T),
+                     "--angles", "40", "--K", str(K), "--lam", "0.05", "--out", str(mrts)]) == 0
+    assert cli.main(["pipeline", "--ingest", str(mrts), "--lam", "0.05", "--normalize",
+                     "--omega", "20", "--size", "130", "--outdir", str(tmp_path / "out")]) == 0
+    assert strays == []
+    # the blocks of every stage did reach a worker thread
+    assert all(threads - {caller} for threads in block_threads.values()), block_threads
 
 
 def test_benchmark_calls_bind():
@@ -85,8 +136,9 @@ def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
 
 
 def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
-    # one compact_counts call per block of 64 angle rows: a per-row loop
-    # would make one call per row
+    # one compact_counts call per block of 32 angle rows: a per-row loop
+    # would make one call per row.  Blocks may run concurrently, so only the
+    # sizes are compared, not the order of the calls
     blocks = []
     inner = unfold.compact_counts
 
@@ -97,7 +149,7 @@ def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
     monkeypatch.setattr(unfold, "compact_counts", counting)
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, M=130, grid_size=16)
     assert res.success
-    assert blocks == [64, 64, 2]
+    assert sorted(blocks) == [2, 32, 32, 32, 32]
 
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
@@ -172,3 +224,32 @@ def test_every_definition_has_a_program_caller():
                            if isinstance(m, defined) and not m.name.startswith("__")
                            and m.name not in used]
     assert unused == []
+
+
+def _mentions(names):
+    """{(module, where)} for every mention of ``names`` in the package: a name,
+    an attribute or an import, ``where`` being the enclosing top-level
+    definition, or "import" for an import."""
+    found = set()
+    for path, tree in _parse("src/modradon/*.py").items():
+        module = os.path.basename(path)[:-3]
+        for top in tree.body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    words = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                    if any(set(w.split(".")) & names for w in words):
+                        found.add((module, "import"))
+                elif (isinstance(node, ast.Name) and node.id in names
+                      or isinstance(node, ast.Attribute) and node.attr in names):
+                    found.add((module, where))
+    return found
+
+
+def test_threads_and_processes_start_in_one_place_each():
+    # worker threads come only from core.map_blocks, whose pool lives for one
+    # call; the sweep's process pool is the only other source of concurrency
+    assert _mentions({"ThreadPoolExecutor", "Thread", "threading", "_thread"}) == {
+        ("core", "import"), ("core", "map_blocks")}
+    assert _mentions({"ProcessPoolExecutor", "multiprocessing", "fork"}) == {
+        ("experiments", "import"), ("experiments", "success_sweep")}
