@@ -318,8 +318,8 @@ def main(argv=None) -> int:
         _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ModRadonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ModRadonError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

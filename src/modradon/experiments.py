@@ -358,9 +358,10 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     ``workers`` > 1 each bandwidth's trials are split into up to ``workers``
     ranges, whose integer hit counts sum exactly, so the cells do not depend
     on the worker count.  A threshold not in (0, 1), a bandwidth that is not
-    positive and finite, fewer than one trial, rate step or worker, or two
-    cells that would write one file in ``outdir`` raise :class:`ConfigError`
-    before any job runs.
+    positive and finite or whose first scan lattice (radius 3 at the
+    guaranteed spacing) is too long for numpy to index, fewer than one trial,
+    rate step or worker, or two cells that would write one file in ``outdir``
+    raise :class:`ConfigError` before any job runs.
     """
     for lam in lams:
         check_positive(lam=lam)
@@ -369,6 +370,11 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
             raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
         check_positive(omega=om)
+        # 2*ceil(3/T) + 1 float64 samples at T = 1/(omega*e)
+        points = 2.0 * np.ceil(3.0 * om * np.e) + 1.0
+        if not 8.0 * points <= np.iinfo(np.intp).max:
+            raise ConfigError(f"omega={om / np.pi!r}pi is too large: the first scan "
+                              f"lattice would hold {points:.3g} samples")
     check_counts(trials=trials, tsteps=tsteps, workers=workers)
     keys = [(lam, om) for lam in lams for om in omegas]
     names = [f"success_lam{lam:g}_omega{om / np.pi:g}pi.csv" for lam, om in keys]

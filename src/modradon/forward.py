@@ -6,6 +6,10 @@ convolution with the sampled sinc kernel (digital anti-aliasing at the
 acquisition rate), and finally folded into [-lam, lam) by the centered modulo.
 The filtered samples are exactly the lattice samples of a band-limited
 function, which is what the recovery guarantees operate on.
+
+Row convolutions (this prefilter and the FBP ramp filter) run through
+``scipy.fft`` with one kernel spectrum per call; their results equal
+``scipy.signal.fftconvolve``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import sici
 
 from .core import SampleSeq, Threshold, guarded_ceil, map_blocks, modulo_fold
@@ -130,19 +134,26 @@ def lowpass_kernel(t, omega: float) -> np.ndarray:
 
 
 def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) -> np.ndarray:
-    """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row.
+    """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row,
+    bit for bit, where rows and kernel hold two or more samples (``fftconvolve``
+    multiplies a one-sample row or kernel without an FFT).
 
-    The rows are convolved ``_CONV_ROWS`` at a time into a fresh output array,
-    one block per thread (:func:`~modradon.core.map_blocks`), so the
-    full-length convolution buffers of one block per thread are alive at once
-    and the FFT temporaries stay in cache.  Each row's result is bit-identical
-    to a single ``fftconvolve`` over all rows.
+    These are ``fftconvolve``'s own steps: real FFTs at the fast length ``n``
+    of the full convolution, the product of the spectra, the inverse FFT.
+    The kernel's spectrum is computed once per call and shared by every
+    block.  The rows are convolved ``_CONV_ROWS`` at a time into a fresh
+    output array, one block per thread (:func:`~modradon.core.map_blocks`), so
+    the full-length buffers of one block per thread are alive at once and the
+    FFT temporaries stay in cache.
     """
+    n = next_fast_len(rows.shape[1] + kern.size - 1, True)
+    kern_spec = rfft(kern, n)
     out = np.empty((rows.shape[0], width))
 
     def block(r0):
-        conv = fftconvolve(rows[r0 : r0 + _CONV_ROWS], kern[None, :], axes=1)
-        out[r0 : r0 + _CONV_ROWS] = conv[:, start : start + width]
+        spec = rfft(rows[r0 : r0 + _CONV_ROWS], n, axis=1)
+        spec *= kern_spec
+        out[r0 : r0 + _CONV_ROWS] = irfft(spec, n, axis=1)[:, start : start + width]
 
     map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
     return out

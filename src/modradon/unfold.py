@@ -139,9 +139,13 @@ def write_unfold_reports(reports, path) -> None:
 
 
 def grid_upper_bound(beta: float, lam: float) -> float:
-    """Round an amplitude bound up to the next even multiple of lam."""
+    """Round an amplitude bound up to the next even multiple of lam; a positive
+    bound rounds to at least 2*lam."""
     grid = 2.0 * lam
-    return grid * float(guarded_ceil(beta / grid))
+    steps = float(guarded_ceil(beta / grid))
+    if beta > 0:
+        steps = max(steps, 1.0)  # the guard band takes beta/grid <= 1e-12 to -0.0
+    return grid * steps
 
 
 def select_order(cfg: UnfoldConfig) -> int:

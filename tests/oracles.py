@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
-transform; back projection is the plain per-angle loop over the whole image,
+transform; row convolutions are one ``scipy.signal.fftconvolve`` over all rows;
+back projection is the plain per-angle loop over the whole image,
 and reconstruction filters and back-projects every sinogram, equal or not.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
@@ -20,6 +21,7 @@ import os
 from dataclasses import replace
 
 import numpy as np
+from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from modradon.core import (
@@ -99,6 +101,12 @@ def kernel_quadrature_oracle(omega, window_fn, t, n=2**16):
     for i, ti in enumerate(t):
         out[i] = np.trapezoid(g * np.cos(w * ti), dx=omega / n)
     return out / np.pi
+
+
+def convolve_rows_oracle(rows, kern, start, width):
+    """``fftconvolve(rows[r], kern)[start : start + width]`` for every row, as one
+    ``fftconvolve`` over all rows."""
+    return fftconvolve(rows, kern[None, :], axes=1)[:, start : start + width]
 
 
 def back_project_oracle(h, params, grid):

@@ -240,6 +240,25 @@ class TestPipelineCommand:
         assert float(metrics["sino_parity_max"]) < 1e-9
         assert metrics["success"] == "1"
 
+    def test_threshold_far_above_the_amplitude(self, tmp_path):
+        # beta/(2*lam) lies inside the rounding guard band: the grid bound is
+        # still one step of 2*lam, nothing folds, and the recovery is exact
+        out = tmp_path / "p"
+        assert run(["pipeline", "--omega", 20, "--lam", "1e300", "--size", 32,
+                    "--tag", "t", "--outdir", out]) == 0
+        header, row = (out / "t_metrics.csv").read_text().splitlines()
+        metrics = dict(zip(header.split(","), row.split(",")))
+        assert metrics["beta_grid"] == "2e+300"
+        assert (metrics["N"], metrics["images_bit_identical"], metrics["success"]) == (
+            "1", "1", "1")
+        clean, folded, unfolded = (load_sinogram(out / f"t_{name}.mrts")
+                                   for name in ("sinogram", "modulo", "unfolded"))
+        assert clean.rows.tobytes() == folded.rows.tobytes()
+        lo = clean.params.K_prime - clean.params.K
+        assert unfolded.rows.tobytes() == clean.rows[:, lo:].tobytes()
+        images = [(out / f"t_fbp_{which}.f64").read_bytes() for which in ("clean", "recovered")]
+        assert images[0] == images[1]
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_bad_size_exits_2_before_forward(self, tmp_path, capsys, monkeypatch, size):
         calls = []
@@ -493,6 +512,36 @@ class TestSweepCommand:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    def test_unindexable_bandwidth_exits_2_before_any_job(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # radius 3 at the guaranteed spacing of 1e300*pi is about 5e301 lattice
+        # points, more than numpy can size: the check runs before any allocation
+        jobs = []
+        monkeypatch.setattr(experiments, "_sweep_hits", jobs.append)
+        outdir = tmp_path / "sw"
+        code = run(["sweep-success", "--tsteps", 1, "--trials", 1, "--omegas-pi", "1e300",
+                    "--outdir", outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: omega=1e+300pi is too large: the first scan lattice would hold " in err
+        assert "Traceback" not in err
+        assert jobs == []
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 382. GiB"), "error: Unable to allocate 382. GiB"),
+        (MemoryError(), "error: MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch, exc, message):
+        def exhausted(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(experiments, "success_sweep", exhausted)
+        code = run(["sweep-success", "--tsteps", 1, "--trials", 1, "--outdir", tmp_path / "sw"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == message
 
     def test_tiny_sweep_deterministic(self, tmp_path):
         out1 = tmp_path / "sw1"

@@ -19,6 +19,7 @@ from modradon.fbp import FilteredProjections, back_project
 from modradon.forward import SamplingParams, convolve_rows, fold_sinogram
 from modradon.phantom import ImageGrid, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
+from oracles import convolve_rows_oracle
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 REAL_AFFINITY = os.sched_getaffinity
@@ -84,8 +85,8 @@ class TestSameBitsOnAnyCpuCount:
     @staticmethod
     def _on_cpu_counts(cpus, run):
         """``run()`` on one CPU, on the real CPUs, and on 8 threads that switch
-        every microsecond; the last two compared with the first.  Arrays are
-        compared by their bytes, so -0.0 and +0.0 differ."""
+        every microsecond; the last two compared with the first, which is
+        returned.  Arrays are compared by their bytes, so -0.0 and +0.0 differ."""
         cpus(1)
         alone = run()
         cpus(None)
@@ -97,6 +98,7 @@ class TestSameBitsOnAnyCpuCount:
             assert run() == alone
         finally:
             sys.setswitchinterval(interval)
+        return alone
 
     def test_back_project(self, cpus):
         p = SamplingParams(omega=20.0, T=0.02, lam=1.0, K=30, K_prime=30, M=7)
@@ -107,9 +109,14 @@ class TestSameBitsOnAnyCpuCount:
                                            for img in back_project(hs, p, grid)])
 
     def test_convolve_rows(self, cpus):
+        # one kernel spectrum serves every block, and each row still matches
+        # fftconvolve bit for bit: a kernel longer than the rows, then shorter
         rng = np.random.default_rng(1)
-        rows, kern = rng.normal(size=(37, 101)), rng.normal(size=151)
-        self._on_cpu_counts(cpus, lambda: convolve_rows(rows, kern, 50, 101).tobytes())
+        for width, taps, start in [(101, 151, 50), (301, 51, 25)]:
+            rows, kern = rng.normal(size=(37, width)), rng.normal(size=taps)
+            alone = self._on_cpu_counts(
+                cpus, lambda: convolve_rows(rows, kern, start, width).tobytes())
+            assert alone == convolve_rows_oracle(rows, kern, start, width).tobytes()
 
     @staticmethod
     def _folded(M=70, lam=0.05, omega=20.0):

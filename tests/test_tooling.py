@@ -5,6 +5,8 @@ import glob
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -253,3 +255,19 @@ def test_threads_and_processes_start_in_one_place_each():
         ("core", "import"), ("core", "map_blocks")}
     assert _mentions({"ProcessPoolExecutor", "multiprocessing", "fork"}) == {
         ("experiments", "import"), ("experiments", "success_sweep")}
+
+
+def test_cli_imports_no_heavy_scipy_subpackage():
+    # scipy.signal and what it pulls in cost each CLI process about 50 MB and
+    # 0.6 s.  In a child interpreter: the test modules import scipy.signal
+    # themselves, for the convolution oracle
+    heavy = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.optimize")
+    script = (f"import sys, modradon, modradon.cli; "
+              f"print([m for m in {heavy!r} if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                           env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

@@ -110,6 +110,15 @@ class TestRequiredMargin:
         assert grid_upper_bound(0.554954948, 0.00025) == pytest.approx(0.555, abs=1e-12)
         assert grid_upper_bound(1.0, 0.025) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta, lam", [(1.0, 1e300), (0.6, 1e12), (1e-300, 0.05),
+                                           (5e-324, 1.0)])
+    def test_grid_upper_bound_is_one_step_far_below_lam(self, beta, lam):
+        # beta/(2*lam) <= 1e-12 lies inside the guard band of the ceiling
+        assert grid_upper_bound(beta, lam) == 2.0 * lam
+
+    def test_grid_upper_bound_of_zero_is_zero(self):
+        assert grid_upper_bound(0.0, 0.05) == 0.0
+
 
 class TestUnfoldCompact:
     def test_no_folds_identity(self):
