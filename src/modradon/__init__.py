@@ -47,7 +47,6 @@ from .phantom import (
     ImageGrid,
     Phantom,
     load_phantom,
-    radon_ellipse,
     radon_phantom,
     rasterize,
     save_phantom,

@@ -45,6 +45,12 @@ def map_blocks(fn, starts) -> list:
         return list(pool.map(fn, starts))
 
 
+def sup_norm(a: np.ndarray) -> float:
+    """``max |a|`` over every element, without the ``|a|`` copy: +0.0 for an
+    all-zero array, NaN if any element is NaN."""
+    return max(float(a.max()), -float(a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
 def guarded_floor(x):
     """Floor with a small relative guard band toward +inf."""
     x = np.asarray(x, dtype=float)

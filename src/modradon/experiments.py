@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Threshold, guarded_ceil, modulo_fold
+from .core import Threshold, guarded_ceil, modulo_fold, sup_norm
 from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
@@ -164,7 +164,7 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         raw = phantom_rows(source, T, M)
     norm_scale = 1.0
     if normalize:
-        norm_scale = float(np.max(np.abs(raw)))
+        norm_scale = sup_norm(raw)
         if norm_scale == 0.0:
             raise ConfigError("all raw samples are zero; cannot normalize")
         raw /= norm_scale
@@ -476,10 +476,11 @@ def ingest_raw_csv(path: str, *, omega: float, T: float, M: int, K: int, lam: fl
     else:
         with open(path, errors="replace") as f:
             rows = read_csv_rows(f, path, M, 2 * K + 1, 1)
+    beta = sup_norm(rows)
     if normalize:
-        peak = np.max(np.abs(rows))
-        if peak == 0.0:
+        if beta == 0.0:
             raise ParseError(f"{path}: all samples are zero; cannot normalize")
-        rows /= peak
-    return Sinogram(replace(params, beta=float(np.max(np.abs(rows)))), rows)
+        rows /= beta
+        beta = 1.0  # x/x == 1, and rounding is monotonic: no |y| <= x divides to more
+    return Sinogram(replace(params, beta=beta), rows)
 

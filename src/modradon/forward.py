@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import sici
 
-from .core import SampleSeq, Threshold, guarded_ceil, map_blocks, modulo_fold
+from .core import SampleSeq, Threshold, guarded_ceil, map_blocks, modulo_fold, sup_norm
 from .errors import (
     ConfigError,
     MarginError,
@@ -163,11 +163,7 @@ def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
     """Analytic projection samples at t = k*T, |k| <= ceil(1/T), for each of the
     M angles: the raw rows that :func:`scan_from_raw` band-limits."""
     k_half = support_index(T)
-    t = np.arange(-k_half, k_half + 1) * T
-    rows = np.empty((M, t.size))
-    for m in range(M):
-        rows[m] = radon_phantom(p, m * np.pi / M, t)
-    return rows
+    return radon_phantom(p, np.arange(M) * np.pi / M, np.arange(-k_half, k_half + 1) * T)
 
 
 def support_index(T: float) -> int:
@@ -244,7 +240,7 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
     lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T
     rows = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half, 2 * k_scan + 1)
     rows *= T
-    return ForwardScan(k_scan, rows, float(np.max(np.abs(raw_rows))))
+    return ForwardScan(k_scan, rows, sup_norm(raw_rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,9 @@ bisection; filter kernels come from brute trapezoid quadrature of the inverse
 transform; row convolutions are one ``scipy.signal.fftconvolve`` over all rows;
 back projection is the plain per-angle loop over the whole image,
 and reconstruction filters and back-projects every sinogram, equal or not.
+A phantom's line integrals are taken one angle at a time, each ellipse a masked
+gather and scatter of its chord formula over every offset, and rasterization
+tests every ellipse on every pixel.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
 time and unfold one row at a time.  The sinogram unfold copies each angle row
@@ -36,7 +39,7 @@ from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.fbp import back_project, filter_projections
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, support_index
-from modradon.phantom import ImageGrid
+from modradon.phantom import ImageGrid, Phantom
 from modradon.unfold import (
     COMPACT,
     GENERAL,
@@ -92,6 +95,49 @@ def line_integral_oracle(ellipse, theta, t, step=1e-5, span=2.0, bisect_tol=1e-1
     return ellipse.intensity * total
 
 
+def radon_ellipse_oracle(e, theta, t):
+    """Line integral of the ellipse's weighted indicator over <x, theta> = t,
+    with the chord formula evaluated at every offset and kept where
+    ``s**2 < r2``."""
+    a, b = e.semi_axes
+    cx, cy = e.center
+    tt = np.asarray(t, dtype=float)
+    r2 = a**2 * np.cos(theta - e.rotation) ** 2 + b**2 * np.sin(theta - e.rotation) ** 2
+    s = tt - (cx * np.cos(theta) + cy * np.sin(theta))
+    out = np.zeros_like(tt)
+    inside = s**2 < r2
+    out[inside] = 2.0 * e.intensity * a * b * np.sqrt(r2 - s[inside] ** 2) / r2
+    if np.isscalar(t) or tt.ndim == 0:
+        return float(out)
+    return out
+
+
+def radon_phantom_oracle(p: Phantom, theta, t):
+    """``radon_phantom`` at one angle: the angle is reduced to [0, pi) by
+    negating ``t``, and :func:`radon_ellipse_oracle` of every ellipse is added
+    over the whole of ``t``."""
+    theta = float(theta) % (2.0 * np.pi)
+    tt = np.asarray(t, dtype=float)
+    if theta >= np.pi:
+        theta -= np.pi
+        tt = -tt
+    out = np.zeros_like(tt)
+    for e in p.ellipses:
+        out += radon_ellipse_oracle(e, theta, tt)
+    if np.isscalar(t):
+        return float(out)
+    return out
+
+
+def rasterize_oracle(p: Phantom, grid: ImageGrid) -> np.ndarray:
+    """The pixel array of ``rasterize``: every ellipse tested on every pixel."""
+    X, Y = np.meshgrid(*grid.pixel_axes())
+    img = np.zeros_like(X)
+    for e in p.ellipses:
+        img += np.where(e.contains(X, Y), e.intensity, 0.0)
+    return img
+
+
 def kernel_quadrature_oracle(omega, window_fn, t, n=2**16):
     """(1/pi) * int_0^omega w * W(w/omega) * cos(w t) dw by composite trapezoid."""
     w = np.linspace(0.0, omega, n + 1)
@@ -113,7 +159,7 @@ def back_project_oracle(h, params, grid):
     """Plain per-angle back projection of one filtered sinogram: the pixel array of
     ``T/(2M) * sum_m interp(h_m)(x . theta_m)``, zero outside the lattice."""
     K, T, M = params.K, params.T, params.M
-    X, Y = grid.pixel_centers()
+    X, Y = np.meshgrid(*grid.pixel_axes())
     acc = np.zeros_like(X)
     thetas = params.thetas()
     for m in range(M):

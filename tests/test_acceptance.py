@@ -15,7 +15,7 @@ import pytest
 from modradon.core import SampleSeq, Threshold, modulo_fold
 from modradon.experiments import base_order, downsample_demo, run_pipeline, success_sweep
 from modradon.forward import RandomBandlimitedSignal
-from modradon.phantom import Ellipse, shepp_logan, walnut_standin
+from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan, walnut_standin
 from modradon.unfold import (
     COMPACT,
     UnfoldConfig,
@@ -154,9 +154,7 @@ def test_criterion_5_analytic_radon_oracle_equivalence():
                         rng.uniform(0.0, np.pi), rng.uniform(-2.0, 2.0))
             theta = rng.uniform(0.0, 2 * np.pi)
             t = rng.uniform(-1.2, 1.2)
-            from modradon.phantom import radon_ellipse
-
-            assert radon_ellipse(e, theta, t) == pytest.approx(
+            assert radon_phantom(Phantom((e,)), theta, t) == pytest.approx(
                 line_integral_oracle(e, theta, t), abs=1e-8)
 
 

@@ -9,6 +9,7 @@ from modradon.core import (
     anti_diff,
     anti_diff_bilateral,
     modulo_fold,
+    sup_norm,
 )
 from modradon.errors import DomainError, SizeError
 from oracles import round_to_2lambda
@@ -54,6 +55,24 @@ class TestModuloFold:
         resid = t - y
         grid = 2.0 * lam * np.round(resid / (2.0 * lam))
         assert abs(resid - grid) <= 1e-12 * max(1.0, abs(t))
+
+
+class TestSupNorm:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    @example([-0.0, -0.0])
+    @example([0.0, -0.0])
+    def test_equals_max_abs_bit_for_bit(self, values):
+        a = np.array(values)
+        got = sup_norm(a.reshape(1, -1))
+        want = np.max(np.abs(a))
+        assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+        if 0.0 < got < np.inf:
+            # normalising by it gives a sup-norm of exactly 1.0
+            assert sup_norm(a / got) == 1.0
+
+    def test_nan_propagates(self):
+        assert np.isnan(sup_norm(np.array([1.0, np.nan, -2.0])))
 
 
 class TestAntiDiff:

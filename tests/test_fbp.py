@@ -217,7 +217,7 @@ class TestBackProject:
         [img1] = fbp_reconstruct([s1], spec, g)
         [img2] = fbp_reconstruct([s2], spec, g)
         # sample img1 at back-rotated pixel positions (bilinear)
-        X, Y = g.pixel_centers()
+        X, Y = np.meshgrid(*g.pixel_axes())
         c, sn = np.cos(-delta), np.sin(-delta)
         Xr = X * c - Y * sn
         Yr = X * sn + Y * c

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modradon.errors import DomainError, ParseError
 from modradon.phantom import (
@@ -7,16 +9,26 @@ from modradon.phantom import (
     ImageGrid,
     Phantom,
     load_phantom,
-    radon_ellipse,
     radon_phantom,
     rasterize,
     save_phantom,
     shepp_logan,
     walnut_standin,
 )
-from oracles import line_integral_oracle
+from oracles import line_integral_oracle, radon_phantom_oracle, rasterize_oracle
 
 UNIT_DISK = Ellipse((0.0, 0.0), (1.0, 1.0), 0.0, 1.0)
+
+
+def radon_ellipse(e, theta, t):
+    """The transform of the phantom made of ``e`` alone."""
+    return radon_phantom(Phantom((e,)), theta, t)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def random_ellipse(rng):
@@ -70,7 +82,7 @@ class TestRadonPhantom:
         e = Ellipse((0.1, 0.2), (0.3, 0.5), 0.4, 0.8)
         p = Phantom((e,))
         t = np.linspace(-1, 1, 31)
-        np.testing.assert_array_equal(radon_phantom(p, 0.9, t), radon_ellipse(e, 0.9, t))
+        assert_same_bits(radon_phantom(p, 0.9, t), radon_phantom_oracle(p, 0.9, t))
 
     def test_evenness(self):
         # exact up to the one rounding step in representing theta + pi
@@ -102,6 +114,75 @@ class TestRadonPhantom:
         for m in masses:
             assert m == pytest.approx(analytic, abs=1e-3)
             assert m == pytest.approx(masses[0], abs=1e-3)
+
+
+@st.composite
+def ellipses(draw):
+    """An ellipse in the closed unit disk, often touching the circle."""
+    a, b = draw(st.floats(0.01, 0.6)), draw(st.floats(0.01, 0.6))
+    reach = 1.0 - max(a, b)
+    r = draw(st.one_of(st.just(reach), st.floats(0.0, reach)))
+    ang = draw(st.floats(0.0, 2 * np.pi))
+    return Ellipse((r * np.cos(ang), r * np.sin(ang)), (a, b), draw(st.floats(0.0, np.pi)),
+                   draw(st.floats(-2.0, 2.0)))
+
+
+phantoms = st.lists(ellipses(), min_size=1, max_size=6).map(Phantom)
+_angle = st.floats(-10.0, 10.0)
+_odd = st.integers(0, 40).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def lattices(draw):
+    """Offsets k*T, |k| <= ceil(1/T), for T = t_frac/(omega*e): ascending,
+    descending, or one of them as a scalar."""
+    omega = draw(st.floats(5.0, 60.0))
+    T = draw(st.floats(0.1, 0.95, exclude_min=True, exclude_max=True)) / (omega * np.e)
+    k = int(np.ceil(1.0 / T))
+    t = np.arange(-k, k + 1) * T
+    kind = draw(st.sampled_from(["ascending", "descending", "scalar"]))
+    if kind == "descending":
+        return t[::-1]
+    if kind == "scalar":
+        return float(draw(st.sampled_from(t)))
+    return t
+
+
+class TestAgainstOracles:
+    """Every result equals the one-angle, whole-lattice reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=phantoms, t=lattices(), theta=st.one_of(
+        _angle, st.lists(_angle, min_size=1, max_size=40),
+        # the sinogram angles m*pi/M that phantom_rows projects at
+        st.integers(1, 80).map(lambda M: np.arange(M) * np.pi / M)))
+    def test_radon_phantom(self, p, theta, t):
+        if np.isscalar(theta):
+            want = radon_phantom_oracle(p, theta, t)
+        else:
+            want = np.array([radon_phantom_oracle(p, th, t) for th in theta])
+        assert_same_bits(radon_phantom(p, theta, t), want)
+
+    def test_degenerate_rows_add_zeros(self):
+        # an axis whose square underflows leaves the chord empty at theta = 0,
+        # and a NaN angle or offset meets no chord
+        p = Phantom((Ellipse((0.1, 0.0), (1e-170, 0.5), 0.0, 1.0), shepp_logan().ellipses[0]))
+        theta = np.array([0.0, 0.3, np.nan, np.pi, np.inf])
+        for t in (np.linspace(-1, 1, 41), np.array([-0.5, np.nan, 0.1, 0.0])):
+            got = radon_phantom(p, theta, t)
+            assert_same_bits(got, np.array([radon_phantom_oracle(p, th, t) for th in theta]))
+            assert not np.isnan(got).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=phantoms, shape=st.one_of(
+        st.just((1, 1)), st.just((256, 256)), st.tuples(_odd, _odd),
+        st.tuples(st.just(1), st.integers(1, 64)), st.tuples(st.integers(1, 64), st.just(1))))
+    # pixel centers at x = +-0.5, then y = +-0.5, lie on the circle, inside it
+    @example(p=Phantom((Ellipse((0.0, 0.0), (0.5, 0.5), 0.0, 1.0),)), shape=(2, 1))
+    @example(p=Phantom((Ellipse((0.0, 0.0), (0.5, 0.5), 0.0, 1.0),)), shape=(1, 2))
+    def test_rasterize(self, p, shape):
+        grid = ImageGrid(*shape)
+        assert_same_bits(rasterize(p, grid).pixels, rasterize_oracle(p, grid))
 
 
 class TestPhantoms:
@@ -149,7 +230,7 @@ class TestRasterize:
         assert img.pixels.max() == pytest.approx(1.0, abs=1e-12)
         assert img.pixels.min() >= -1e-15  # intensity sums cancel to ~0 in float
         # everything lives inside the unit disk
-        X, Y = img.pixel_centers()
+        X, Y = np.meshgrid(*img.pixel_axes())
         outside = X**2 + Y**2 > 1.0
         assert np.all(img.pixels[outside] == 0.0)
 

@@ -100,6 +100,23 @@ def test_benchmark_calls_bind():
         assert {a for a in argv if a.startswith("--")} <= flags
 
 
+def test_phantom_rows_projects_every_angle_in_one_call(monkeypatch):
+    # the benchmark's phantom.radon_phantom span patches this module global;
+    # one call per angle would bring back the per-angle loop
+    calls = []
+    inner = forward.radon_phantom
+
+    def counting(p, theta, t):
+        calls.append((np.shape(theta), threading.get_ident()))
+        return inner(p, theta, t)
+
+    monkeypatch.setattr(forward, "radon_phantom", counting)
+    T = 0.009
+    rows = forward.phantom_rows(shepp_logan(), T, 40)
+    assert calls == [((40,), threading.get_ident())]
+    assert rows.shape == (40, 2 * forward.support_index(T) + 1)
+
+
 def _count_back_projected_row_sets(monkeypatch):
     calls = []
     inner = fbp.back_project
