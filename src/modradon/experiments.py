@@ -290,9 +290,11 @@ def _median3(r: np.ndarray) -> np.ndarray:
 
 
 def _recover(sigs, T: float, lams, orders_per_lam):
-    """Per threshold ``lams[j]``: the largest and the mean squared |error| over
-    [-K, K] of each signal folded at spacing ``T`` and unfolded at each order of
-    ``orders_per_lam[j]``, shape (orders, signals), and each window's fold count.
+    """Yield per threshold ``lams[j]``: the window block of the signals sampled
+    at spacing ``T``, that block folded at ``lams[j]``, and the |error| over
+    [-K, K] of each signal unfolded at each order of ``orders_per_lam[j]``,
+    shape (orders, signals, 2K+1).  Callers reduce the errors to what they
+    report.
 
     Each signal is scanned once for every threshold; a head left of that
     lattice is sampled only where a margin reaches past it.  Each threshold's
@@ -310,7 +312,6 @@ def _recover(sigs, T: float, lams, orders_per_lam):
             values = np.concatenate([sig.samples(T, k_lo, lo - 1).values, values])
             lo = k_lo
         lattices.append((lo, values))
-    out = []
     for j, (lam, orders) in enumerate(zip(lams, orders_per_lam)):
         m = np.array([per_lam[j] for per_lam in margins])
         width = K + 1 + np.max(m)
@@ -318,14 +319,12 @@ def _recover(sigs, T: float, lams, orders_per_lam):
         for row, m_lo, (lo, values) in zip(wide, np.max(m, axis=1), lattices):
             row[width - (K + 1 + m_lo) :] = values[-m_lo - lo : K - lo + 1]
         folded = modulo_fold(wide, Threshold(lam))
-        folds = np.count_nonzero(folded != wide, axis=1)  # the zero padding never folds
         sym = slice(width - (2 * K + 1), width)
         err = np.empty((len(orders), len(sigs), 2 * K + 1))
         for i, N in enumerate(orders):
             counts, _ = compact_counts(folded, lam, N, width - (m[:, i] + K + 1))
             err[i] = np.abs(folded[:, sym] + (2.0 * lam) * counts[:, sym] - wide[:, sym])
-        out.append((np.max(err, axis=2), np.mean(err**2, axis=2), folds))
-    return out
+        yield wide, folded, err
 
 
 def _sweep_orders(lam: float, omega: float) -> tuple:
@@ -342,8 +341,8 @@ def _sweep_hits(args) -> np.ndarray:
             for trial in trials]
     hits = np.zeros((len(lams), ts.size, 3), dtype=np.int64)
     for it, T in enumerate(ts):
-        for j, (max_err, _, _) in enumerate(_recover(sigs, T, lams, orders)):
-            hits[j, it] = np.count_nonzero(max_err < _SUCCESS_TOL, axis=1)
+        for j, (_, _, err) in enumerate(_recover(sigs, T, lams, orders)):
+            hits[j, it] = np.count_nonzero(np.max(err, axis=2) < _SUCCESS_TOL, axis=1)
     return hits
 
 
@@ -441,9 +440,11 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
     attempts = []
     for stage, T, N in (("base_rate", t0, 1), ("downsampled", factor * t0, 1),
                         ("downsampled", factor * t0, 2)):
-        [([[max_err]], [[mse]], [folds])] = _recover([sig], T, (lam,), ((N,),))
-        attempts.append(DemoAttempt(stage, T, N, int(folds), float(mse), float(max_err),
-                                    bool(max_err < _SUCCESS_TOL)))
+        [(wide, folded, [[err]])] = _recover([sig], T, (lam,), ((N,),))
+        max_err = np.max(err)
+        folds = np.count_nonzero(folded != wide)  # the zero padding never folds
+        attempts.append(DemoAttempt(stage, T, N, folds, float(np.mean(err**2)),
+                                    float(max_err), bool(max_err < _SUCCESS_TOL)))
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "downsample_demo.csv"), "w") as f:

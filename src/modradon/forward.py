@@ -205,14 +205,32 @@ def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
         If the outermost ``_CLEAR_BAND`` lattice positions on either side are
         not strictly below lam (the window was too narrow to bound the tails).
     """
-    exc = rows >= lam  # |rows| >= lam without a float copy of rows
-    exc |= rows <= -lam
-    if np.any(exc[..., :_CLEAR_BAND]) or np.any(exc[..., -_CLEAR_BAND:]):
+    exc = _exceeding_columns(rows, lam)
+    if np.any(exc[:_CLEAR_BAND]) or np.any(exc[-_CLEAR_BAND:]):
         raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
-    cols = np.nonzero(exc if exc.ndim == 1 else exc.any(axis=0))[0]
+    return _extent(exc, -((exc.size - 1) // 2))
+
+
+def _exceeding_columns(rows: np.ndarray, lam: float) -> np.ndarray:
+    """Per lattice column of one row or of a 2-D block of rows: does some
+    sample's magnitude reach lam?  A block is reduced to its column extremes
+    first (``fmax``/``fmin`` skip NaN, as the comparisons do), so no full-size
+    boolean array is made."""
+    hi = lo = rows
+    if rows.ndim == 2:
+        hi, lo = np.fmax.reduce(rows, axis=0), np.fmin.reduce(rows, axis=0)
+    exc = hi >= lam
+    exc |= lo <= -lam
+    return exc
+
+
+def _extent(exc: np.ndarray, base: int) -> int:
+    """Largest |k| of the True entries of ``exc``, whose first entry is lattice
+    index ``base``; 0 if there are none."""
+    cols = np.flatnonzero(exc)
     if cols.size == 0:
         return 0
-    return int(np.max(np.abs(cols - (exc.shape[-1] - 1) // 2)))
+    return int(max(abs(cols[0] + base), abs(cols[-1] + base)))
 
 
 def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0) -> ForwardScan:
@@ -257,6 +275,14 @@ class RandomBandlimitedSignal:
     edges: np.ndarray
     levels: np.ndarray
 
+    def __post_init__(self):
+        # for tail_bound and its window: |a_i| / pi (the level jumps at the
+        # edges over pi), the rounding margin and the furthest edge from 0
+        jumps = np.abs(np.diff(self.levels, prepend=0.0, append=0.0))
+        object.__setattr__(self, "_weights", jumps / np.pi)
+        object.__setattr__(self, "_margin", 1e-12 * float(np.sum(jumps)))
+        object.__setattr__(self, "_reach", float(np.max(np.abs(self.edges))))
+
     @classmethod
     def draw(cls, omega: float, seed_seq) -> "RandomBandlimitedSignal":
         """Draw breakpoints and levels from a seeded generator.
@@ -273,34 +299,96 @@ class RandomBandlimitedSignal:
     def sample(self, t) -> np.ndarray:
         """Evaluate the signal at times t (exact, via the sine integral).
 
-        One ``sici`` call covers every edge; each level then adds
-        ``c_i * (Si_i - Si_{i+1})`` in level order.
+        One ``sici`` call covers every edge, and one product every level's
+        term ``c_i * (Si_i - Si_{i+1})``; the terms are then added in level
+        order.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = t - self.edges.reshape((-1,) + (1,) * t.ndim)
         x *= self.omega
         si = sici(x, out=(x, np.empty_like(x)))[0]  # Si overwrites x; Ci is dropped
+        terms = si[:-1] - si[1:]
+        terms *= self.levels.reshape((-1,) + (1,) * t.ndim)
         acc = np.zeros_like(t)
-        for i, c in enumerate(self.levels):
-            acc += c * (si[i] - si[i + 1])
+        for term in terms:
+            acc += term
         return acc / np.pi
 
     def samples(self, T: float, k_lo: int, k_hi: int) -> SampleSeq:
         k = np.arange(k_lo, k_hi + 1)
         return SampleSeq(k_lo, self.sample(k * T))
 
+    def tail_bound(self, t) -> np.ndarray:
+        """Upper bound on the signal's magnitude at times t beyond every edge,
+        on either side.
+
+        With the level jumps ``a_i`` at the edges ``e_i`` (they sum to 0), the
+        signal is ``(1/pi) sum_i a_i Si(x_i)`` with ``x_i = omega*(t - e_i)``.
+        Past every edge all ``x_i`` share a sign, and for x > 0
+        ``Si(x) = pi/2 - f(x) cos x - g(x) sin x`` with the auxiliary functions
+        ``0 < f(x) < 1/x`` and ``0 < g(x) < 1/x**2`` (Abramowitz & Stegun 5.2.8,
+        5.2.12-13; Si is odd).  The pi/2 terms cancel, so the magnitude is at
+        most ``(1/pi) sum_i |a_i| (1/|x_i| + 1/x_i**2)``, which falls as |t|
+        grows.
+        """
+        w = np.abs(np.asarray(t, dtype=float)[..., None] - self.edges)
+        np.divide(1.0 / self.omega, w, out=w)  # 1/|x_i|
+        return ((w + 1.0) * w) @ self._weights
+
+    def _certified_window(self, T: float, lam: float, k_max: int) -> tuple[int, int] | None:
+        """A lattice window [k_lo, k_hi] that holds every edge and outside which
+        :meth:`tail_bound`, less a rounding margin, is below lam; None if no
+        point up to index ``k_max`` on a side clears that side.
+
+        The margin, ``1e-12 * (lam + sum|a_i|)``, is some hundred times what the
+        rounding of ``sici`` and of the sums in :meth:`sample` and in the bound
+        can reach.  Since the bound falls as |t| grows, a lattice point where it
+        holds clears every point beyond it on its side.  It is taken at every
+        ``step``-th point counted down from ``k_max``, at most 64 per side, and
+        each side's window ends just inside the first of them that it clears.
+        """
+        c = np.arange(int(np.ceil(self._reach / T)) + 1, k_max + 1)
+        if c.size == 0:
+            return None
+        step = -(-c.size // 64)
+        c = c[::-step][::-1]
+        ok = self.tail_bound(np.array([[-T], [T]]) * c) < lam * (1.0 - 1e-12) - self._margin
+        if not (ok[0, -1] and ok[1, -1]):
+            return None
+        left, right = c[np.argmax(ok, axis=1)]
+        return 1 - int(left), int(right) - 1
+
     def scan_exceedance(self, T: float, lams) -> tuple[list[int], SampleSeq]:
         """Per threshold in ``lams``, the largest lattice |k| with |g(kT)| >= lam;
         and the samples scanned to find them.
 
-        The scan covers [-kw, kw] with ``kw = ceil(radius/T)``.  Each threshold
-        takes its index from the first window, radius 3 first, whose clear band
-        :func:`clear_band_exceedance` accepts for it, as a scan for it alone
-        would.  While one is pending, the radius doubles up to 64 and only the
-        lattice points outside the previous scan are evaluated.
+        The tails are certified before anything is sampled.  Beyond every edge
+        :meth:`tail_bound` bounds |g| by the sine integral's remainder
+        (Abramowitz & Stegun 5.2.8, 5.2.12-13), and the bound falls as |t|
+        grows, so past a lattice point where it is below ``min(lams)`` less a
+        rounding margin, no sample can reach a threshold.  When such a point
+        on each side lies inside the 32-sample clear band of the radius-3 window
+        ``[-ceil(3/T), ceil(3/T)]``, only the window between them is sampled;
+        the far tails are not, and each threshold takes its index from those
+        samples.  The radius-3 scan would then have accepted every threshold
+        and found the same indices, and each sample has the same bits, so the
+        results downstream (the sweep and demo CSV bytes) are unchanged.
+
+        Otherwise the scan covers [-kw, kw] with ``kw = ceil(radius/T)``.  Each
+        threshold takes its index from the first window, radius 3 first, whose
+        clear band :func:`clear_band_exceedance` accepts for it, as a scan for
+        it alone would.  While one is pending, the radius doubles up to 64 and
+        only the lattice points outside the previous scan are evaluated.
+
+        Either way the samples reach every edge on both sides.
         """
         radius = 3.0
         kw = int(np.ceil(radius / T))
+        window = self._certified_window(T, min(lams), kw - _CLEAR_BAND + 1)
+        if window is not None:
+            k_lo, k_hi = window
+            g = self.sample(np.arange(k_lo, k_hi + 1) * T)
+            return [_extent(_exceeding_columns(g, lam), k_lo) for lam in lams], SampleSeq(k_lo, g)
         g = self.sample(np.arange(-kw, kw + 1) * T)
         kstars = [None] * len(lams)
         while True:

@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modradon.core import SampleSeq
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
-from modradon.experiments import ingest_raw_csv, prepare_forward
+from modradon.experiments import base_order, ingest_raw_csv, prepare_forward
 from modradon.forward import (
     RandomBandlimitedSignal,
     SamplingParams,
@@ -23,7 +25,13 @@ from modradon.forward import (
     support_index,
 )
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan
-from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
+from modradon.unfold import (
+    COMPACT,
+    UnfoldConfig,
+    grid_upper_bound,
+    required_margin,
+    unfold_sinogram,
+)
 from oracles import (
     convolve_rows_oracle,
     design_params,
@@ -162,6 +170,30 @@ class TestScan:
         k2 = scan.exceedance_index(0.005)
         assert 0 < k1 < k2
 
+    @pytest.mark.parametrize("M", [1, 2, 7])
+    def test_exceedance_of_rows_matches_samplewise_oracle(self, M):
+        # the index from column extremes equals the one from |rows| >= lam
+        # taken sample by sample, with NaN beside an exceeding sample, samples
+        # at exactly +-lam, -0.0, and each row read on its own
+        lam, k = 0.1, 60
+        rng = np.random.default_rng(M)
+        rows = rng.uniform(-0.09, 0.09, size=(M, 2 * k + 1))
+        rows[:, 45] = rng.uniform(-0.3, 0.3, size=M)
+        rows[0, 33] = np.nan
+        rows[-1, 33] = -lam  # the outermost exceedance
+        rows[0, 85] = lam
+        rows[-1, 35:38] = -0.0
+
+        def oracle(r):
+            cols = np.nonzero((np.abs(r) >= lam).reshape(-1, r.shape[-1]).any(axis=0))[0]
+            return int(np.max(np.abs(cols - k))) if cols.size else 0
+
+        assert clear_band_exceedance(rows, lam) == oracle(rows)
+        for row in rows:
+            assert clear_band_exceedance(row, lam) == oracle(row)
+        rows[:, 32:-32] = np.nan
+        assert clear_band_exceedance(rows, lam) == oracle(rows) == 0
+
     def test_narrow_scan_raises(self):
         p = small_params()
         scan = scan_forward(shepp_logan(), p.omega, p.T, 8, radius=1.2)
@@ -236,21 +268,67 @@ class TestRandomSignal:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("seed, lam", [(5, 0.1), (6, 0.05), (3, 0.01)])
-    def test_scan_exceedance_returns_scanned_lattice(self, seed, lam):
+    @pytest.mark.parametrize("seed, lam, omega, radius", [
+        pytest.param(5, 0.1, 10 * np.pi, None, id="5-0.1"),
+        pytest.param(6, 0.05, 10 * np.pi, 3.0, id="6-0.05"),
+        pytest.param(3, 0.01, 10 * np.pi, 12.0, id="3-0.01"),
+        pytest.param(2, 0.05, 30 * np.pi, None, id="30pi-2-0.05"),
+    ])
+    def test_scan_exceedance_returns_scanned_lattice(self, seed, lam, omega, radius):
         # the exceedance matches the full-rescan oracle, and the returned
-        # samples are the whole lattice, bit for bit; (3, 0.01) doubles the
-        # radius twice, so its lattice is assembled from three calls
-        omega = 10 * np.pi
+        # samples are the scanned lattice, bit for bit.  Where the tail bound
+        # clears both sides inside the radius-3 clear band (radius None), that
+        # lattice is the window between the first cleared points, and holds
+        # [-K, K]; otherwise it is the whole lattice up to the radius that
+        # closed: (3, 0.01) doubles the radius twice, so its lattice is
+        # assembled from three calls
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, seed)
         (kstar,), scanned = sig.scan_exceedance(T, (lam,))
         assert kstar == exceedance_index_oracle(sig, T, lam)
-        kw = -scanned.base_index
-        assert len(scanned) == 2 * kw + 1 and kw >= int(np.ceil(3.0 / T))
-        want = sample_oracle(sig, np.arange(-kw, kw + 1) * T)
+        lo, hi = scanned.base_index, scanned.base_index + len(scanned) - 1
+        want = sample_oracle(sig, np.arange(lo, hi + 1) * T)
         assert scanned.values.tobytes() == want.tobytes()
+        if radius is None:
+            K, kw = support_index(T), int(np.ceil(3.0 / T))
+            assert -kw + 32 <= lo <= -K and K <= hi <= kw - 32
+            assert np.all(sig.tail_bound(np.array([lo - 1, hi + 1]) * T) < lam)
+        else:
+            assert lo == -hi == -int(np.ceil(radius / T))
 
+    @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0),
+           tsteps=st.integers(2, 100), step=st.integers(0, 99),
+           lams=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_exceedance_matches_oracle(self, seed, omega_pi, tsteps, step, lams):
+        # on a sweep rate grid: each threshold's index is the full-rescan
+        # oracle's, and the scanned samples are the oracle's bits over their
+        # range, which holds [-K, K].  With the head left of it that a sweep
+        # samples on its own, they cover every order's margin [-K', K]
+        omega = omega_pi * np.pi
+        T = np.linspace(1.0 / (omega * np.e), np.pi / omega, tsteps)[step % tsteps]
+        sig = draw_signal(omega, seed)
+        kstars, scanned = sig.scan_exceedance(T, lams)
+        assert kstars == [exceedance_index_oracle(sig, T, lam) for lam in lams]
+        K = support_index(T)
+        lo, hi = scanned.base_index, scanned.base_index + len(scanned) - 1
+        assert lo <= -K and hi >= K
+        k_lo = min(lo, *(-required_margin(k * T, T, 3 * base_order(lam, omega), K)
+                         for k, lam in zip(kstars, lams)))
+        head = sig.samples(T, k_lo, lo - 1).values if k_lo < lo else np.empty(0)
+        got = np.concatenate([head, scanned.values])
+        assert got.tobytes() == sample_oracle(sig, np.arange(k_lo, hi + 1) * T).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_bound_holds_beyond_the_edges(self, seed, omega_pi):
+        # |g(t)| <= B(t) over 1 < |t| <= 6, and B falls as |t| grows
+        sig = draw_signal(omega_pi * np.pi, seed)
+        t = np.linspace(1.0, 6.0, 20001)[1:]
+        for side in (-t, t):
+            bound = sig.tail_bound(side)
+            assert np.all(np.abs(sig.sample(side)) <= bound)
+            assert np.all(np.diff(bound) <= 0.0)
 
     def test_each_threshold_reads_its_first_clear_window(self, monkeypatch):
         # a made-up profile on T = 1/16: 0.5 over |k| <= 8, 0.07 at k = +-24
@@ -258,7 +336,9 @@ class TestRandomSignal:
         # past radius 3).  lam = 0.1 closes at radius 3 with k = 8; lam = 0.05
         # meets 0.07 in that band and 0.2 in the radius-6 band (|k| >= 65), and
         # closes at radius 12 with k = 72.  The widest window would give 72 to
-        # lam = 0.1 too.
+        # lam = 0.1 too.  The drawn signal's tail bound cannot clear the
+        # radius-3 clear band (|k| >= 17, t <= 1.0625), so every scan here
+        # takes the doubling path.
         T = 0.0625
 
         def profile(self, t):
@@ -270,6 +350,7 @@ class TestRandomSignal:
 
         monkeypatch.setattr(RandomBandlimitedSignal, "sample", profile)
         sig = draw_signal(10 * np.pi, 0)
+        assert np.all(sig.tail_bound(np.array([-17, 17]) * T) >= 0.1)
         kstars, scanned = sig.scan_exceedance(T, (0.1, 0.05))
         radius3 = window(scanned, -48, 48)
         assert kstars[0] == clear_band_exceedance(radius3, 0.1) == 8

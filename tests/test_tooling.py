@@ -2,8 +2,10 @@
 
 import ast
 import glob
+import hashlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -174,36 +176,67 @@ def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
     # the benchmark's forward.sampler span patches RandomBandlimitedSignal.sample;
     # a sweep job scans each (trial, T) lattice once for every threshold and
-    # slices each threshold's unfold window from those samples
+    # slices each threshold's unfold window from those samples, sampling on
+    # its own only the head that a margin reaches left of the scan
     signal = forward.RandomBandlimitedSignal
     scan, sample = signal.scan_exceedance, signal.sample
-    scans = []  # [T, thresholds, scanned half-width, [t of every sample call]] per scan
+    scans = []  # [T, thresholds, scanned (lo, hi), calls made by the scan, [t of every call]]
 
     def counting_scan(self, T, lams):
-        scans.append([T, tuple(lams), None, []])
+        scans.append([T, tuple(lams), None, None, []])
         kstars, scanned = scan(self, T, lams)
-        scans[-1][2] = -scanned.base_index
+        lo = scanned.base_index
+        scans[-1][2:4] = (lo, lo + len(scanned) - 1), len(scans[-1][4])
         return kstars, scanned
 
     def counting_sample(self, t):
-        scans[-1][3].append(np.atleast_1d(t))
+        scans[-1][4].append(np.atleast_1d(t))
         return sample(self, t)
 
     monkeypatch.setattr(signal, "scan_exceedance", counting_scan)
     monkeypatch.setattr(signal, "sample", counting_sample)
-    experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi,), trials=3, tsteps=4,
-                              seed=1)
-    assert len(scans) == 3 * 4
-    for T, lams, kw, calls in scans:
+    experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi, 30 * np.pi), trials=3,
+                              tsteps=4, seed=1)
+    assert len(scans) == 2 * 3 * 4
+    certified = doubled = 0
+    for T, lams, (lo, hi), n_scan, calls in scans:
         assert lams == (0.1, 0.05)
-        # one call at radius 3, and one more per doubling of the radius
-        assert kw == int(np.ceil(3.0 * 2 ** (len(calls) - 1) / T))
-        # each later call only reaches past everything evaluated before it
-        for i in range(1, len(calls)):
-            assert np.min(np.abs(calls[i])) > np.max(np.abs(np.concatenate(calls[:i])))
+        kw = int(np.ceil(3.0 / T))
+        if n_scan == 1 and -kw < lo:
+            # the tail bound cleared both sides inside the radius-3 clear band:
+            # one call over the window between the first cleared points
+            certified += 1
+            assert -kw + 32 <= lo and hi <= kw - 32
+        else:
+            # one call at radius 3, and one more per doubling of the radius;
+            # each later call only reaches past everything evaluated before it
+            assert lo == -hi == -int(np.ceil(3.0 * 2 ** (n_scan - 1) / T))
+            doubled += n_scan > 1
+            for i in range(1, n_scan):
+                assert np.min(np.abs(calls[i])) > np.max(np.abs(np.concatenate(calls[:i])))
+        scanned = np.concatenate(calls[:n_scan])
+        assert np.unique(scanned).size == scanned.size == hi - lo + 1
+        # at most one more call: the head, left of everything the scan sampled
+        assert len(calls) <= n_scan + 1
         every = np.concatenate(calls)
-        assert np.unique(every).size == every.size == 2 * kw + 1
-    assert any(len(calls) > 1 for *_, calls in scans)
+        assert np.unique(every).size == every.size
+        assert np.max(np.concatenate(calls[n_scan:] + [[-np.inf]])) < np.min(scanned)
+    assert certified and doubled
+
+
+def test_sweep_mc_csv_bytes_match_the_benchmark_record(tmp_path):
+    # the sweep-mc workload's configuration at seed 1 writes the CSV bytes
+    # whose digests bench/RECORD.json holds
+    with open(os.path.join(ROOT, "bench", "RECORD.json")) as f:
+        record = json.load(f)["workloads"]["sweep-mc"]
+    assert record["seed"] == 1
+    experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi, 30 * np.pi), trials=12,
+                              tsteps=25, seed=1, workers=1, outdir=str(tmp_path))
+    got = {}
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name, "rb") as f:
+            got[name] = hashlib.sha256(f.read()).hexdigest()
+    assert got == record["digests"]
 
 
 def _parse(pattern):
