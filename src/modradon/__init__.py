@@ -24,7 +24,6 @@ from .errors import (
 )
 from .fbp import (
     FilterSpec,
-    FilteredProjections,
     back_project,
     fbp_reconstruct,
     filter_kernel,

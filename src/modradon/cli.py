@@ -238,8 +238,8 @@ def _cmd_unfold(args) -> int:
 
 def _cmd_fbp(args) -> int:
     s = load_sinogram(args.infile)
-    [img] = fbp_reconstruct([s], FilterSpec(s.params.omega, args.filter_window),
-                            ImageGrid(args.size, args.size))
+    img = fbp_reconstruct(s, FilterSpec(s.params.omega, args.filter_window),
+                          ImageGrid(args.size, args.size))
     write_pgm16(img, args.out)
     if args.raw:
         write_raw_f64(img, args.raw)

@@ -17,6 +17,7 @@ from .core import Threshold, guarded_ceil, modulo_fold, sup_norm
 from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
+    SIGNAL_SCAN_RADIUS,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
@@ -208,7 +209,13 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     unfolded, reports = unfold_sinogram(folded, cfg, K)
 
     sino_parity = float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
-    img_clean, img_recovered = fbp_reconstruct([clean_sym, unfolded], spec, grid)
+    img_clean = fbp_reconstruct(clean_sym, spec, grid)
+    # an exact recovery has the clean rows' bits (compared as uint64, so that
+    # -0.0 differs from +0.0), hence the clean image's pixels
+    if np.array_equal(unfolded.rows.view(np.uint64), clean_sym.rows.view(np.uint64)):
+        img_recovered = ImageGrid(grid.width, grid.height, img_clean.pixels.copy())
+    else:
+        img_recovered = fbp_reconstruct(unfolded, spec, grid)
     image_parity = float(np.max(np.abs(img_clean.pixels - img_recovered.pixels)))
     bit_identical = bool(np.array_equal(img_clean.pixels, img_recovered.pixels))
 
@@ -304,9 +311,10 @@ def _recover(sigs, T: float, lams, orders_per_lam):
     margins, lattices = [], []
     for sig in sigs:
         kstars, scanned = sig.scan_exceedance(T, lams)
-        margins.append([[required_margin(k * T, T, N, K) for N in orders]
-                        for k, orders in zip(kstars, orders_per_lam)])
-        k_lo, lo = -max(map(max, margins[-1])), scanned.base_index
+        # (thresholds, orders) margins of this signal
+        margins.append(required_margin(np.multiply(kstars, T)[:, None], T,
+                                       np.array(orders_per_lam), K))
+        k_lo, lo = -int(np.max(margins[-1])), scanned.base_index
         values = scanned.values
         if k_lo < lo:
             values = np.concatenate([sig.samples(T, k_lo, lo - 1).values, values])
@@ -357,10 +365,10 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     ``workers`` > 1 each bandwidth's trials are split into up to ``workers``
     ranges, whose integer hit counts sum exactly, so the cells do not depend
     on the worker count.  A threshold not in (0, 1), a bandwidth that is not
-    positive and finite or whose first scan lattice (radius 3 at the
-    guaranteed spacing) is too long for numpy to index, fewer than one trial,
-    rate step or worker, or two cells that would write one file in ``outdir``
-    raise :class:`ConfigError` before any job runs.
+    positive and finite or whose first scan lattice (``SIGNAL_SCAN_RADIUS``
+    at the guaranteed spacing) is too long for numpy to index, fewer than one
+    trial, rate step or worker, or two cells that would write one file in
+    ``outdir`` raise :class:`ConfigError` before any job runs.
     """
     for lam in lams:
         check_positive(lam=lam)
@@ -369,8 +377,8 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
             raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
         check_positive(omega=om)
-        # 2*ceil(3/T) + 1 float64 samples at T = 1/(omega*e)
-        points = 2.0 * np.ceil(3.0 * om * np.e) + 1.0
+        # 2*ceil(radius/T) + 1 float64 samples at T = 1/(omega*e)
+        points = 2.0 * np.ceil(SIGNAL_SCAN_RADIUS * om * np.e) + 1.0
         if not 8.0 * points <= np.iinfo(np.intp).max:
             raise ConfigError(f"omega={om / np.pi!r}pi is too large: the first scan "
                               f"lattice would hold {points:.3g} samples")

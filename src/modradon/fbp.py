@@ -8,16 +8,10 @@ discrete convolution over the detector lattice; the spacing factor T together
 with the 1/2 of the inversion formula and the angular average enter once, as
 the T/(2M) prefactor of the back projection.
 
-Reconstruction takes a sequence of sinograms that share one (M, K, T) and
-returns one image per sinogram.  Sinograms with bitwise-identical rows (a
-clean sinogram and its exact recovery) are filtered and back-projected once,
-and the image is copied to each of them.  Back projection splits the image
-into bands of rows, which :func:`~modradon.core.map_blocks` spreads over the
-usable CPUs.  Per band it computes each angle's geometry (detector
-coordinate, interpolation index and weight, inside mask) once and applies it
-to every distinct sinogram; each pixel still sums its own filtered rows over
-the angles in the order m = 0..M-1, so its value is the same whether the
-image is reconstructed alone or together with others, and on any number of
+Reconstruction takes one sinogram and returns one image.  Back projection
+splits the image into bands of rows, which :func:`~modradon.core.map_blocks`
+spreads over the usable CPUs; each pixel sums its filtered rows over the
+angles in the order m = 0..M-1, so its value does not depend on the number of
 CPUs.
 """
 
@@ -35,9 +29,8 @@ from .phantom import ImageGrid
 RAM_LAK = "ram_lak"
 COSINE = "cosine"
 
-#: Image rows per back-projection band, the unit of work of one thread: the
-#: per-angle geometry of one band stays in cache while every image of the pass
-#: reads it, and a 256-row image splits into two bands.
+#: Image rows per back-projection band, the unit of work of one thread: a
+#: 256-row image splits into two bands.
 _ROW_TILE = 128
 
 
@@ -84,23 +77,9 @@ def filter_kernel(spec: FilterSpec, t) -> float | np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredProjections:
-    """Filtered rows h over the detector lattice [-K, K], one per angle."""
-
-    params: SamplingParams
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        want = (self.params.M, 2 * self.params.K + 1)
-        if arr.shape != want:
-            raise SizeError(f"filtered rows shape {arr.shape} != {want}")
-        object.__setattr__(self, "values", arr)
-
-
-def filter_projections(s: Sinogram, spec: FilterSpec) -> FilteredProjections:
-    """Discrete convolution h[m, i] = sum_k F((i-k) T) * s[m, k], i, k in [-K, K].
+def filter_projections(s: Sinogram, spec: FilterSpec) -> np.ndarray:
+    """Discrete convolution h[m, i] = sum_k F((i-k) T) * s[m, k], i, k in [-K, K],
+    as an (M, 2K+1) array.
 
     Rows with an extended left margin are cropped to the symmetric block; the
     lattice spacing factor is applied later, in :func:`back_project`.
@@ -111,34 +90,27 @@ def filter_projections(s: Sinogram, spec: FilterSpec) -> FilteredProjections:
         raise SizeError("sinogram does not cover the symmetric detector grid")
     lags = np.arange(-2 * p.K, 2 * p.K + 1) * p.T
     kern = filter_kernel(spec, lags)
-    return FilteredProjections(p, convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1))
+    return convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1)
 
 
-def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]:
+def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> ImageGrid:
     """Angular accumulation with linear interpolation between detector samples.
 
     ``image(x) = T/(2M) * sum_m interp(h_m)(x . theta_m)``; points projecting
-    outside the filtered lattice contribute zero.  ``hs`` is a sequence of
-    filtered sinograms sharing ``params``' (M, K, T); one image is returned per
-    entry.  The image rows are split into bands of ``_ROW_TILE`` rows, one
-    thread's work each; the per-angle geometry (detector coordinate,
-    interpolation index and weight, inside mask) is computed once over a band
-    and shared by every entry; each image then reads only its own filtered
-    rows.  Every pixel sums its angles in the fixed order m = 0..M-1, so
-    results are deterministic and do not depend on how many images share the
-    pass or on how many CPUs run the bands.
+    outside the filtered lattice contribute zero.  ``h`` holds the (M, 2K+1)
+    filtered rows of ``params``.  The image rows are split into bands of
+    ``_ROW_TILE`` rows, one thread's work each.  Every pixel sums its angles
+    in the fixed order m = 0..M-1, so results are deterministic and do not
+    depend on how many CPUs run the bands.
     """
     if grid.width < 1 or grid.height < 1:
         raise DomainError("empty image grid")
     K, T, M = params.K, params.T, params.M
-    for h in hs:
-        q = h.params
-        if (q.M, q.K, q.T) != (M, K, T):
-            raise SizeError(f"filtered rows have (M, K, T) = {(q.M, q.K, q.T)}, "
-                            f"expected {(M, K, T)}")
+    if h.shape != (M, 2 * K + 1):
+        raise SizeError(f"filtered rows shape {h.shape} != {(M, 2 * K + 1)}")
     x, y = grid.pixel_axes()
     trig = [(np.cos(th), np.sin(th)) for th in params.thetas()]
-    accs = [np.zeros((grid.height, grid.width)) for _ in hs]
+    acc = np.zeros((grid.height, grid.width))
 
     def band(r0):
         yt = y[r0 : r0 + _ROW_TILE]
@@ -146,8 +118,8 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
         u, frac, w0, a, b = (np.empty(shape) for _ in range(5))
         i0 = np.empty(shape, np.int64)
         inside, upper = np.empty(shape, bool), np.empty(shape, bool)
-        tiles = [acc[r0 : r0 + _ROW_TILE] for acc in accs]
-        for m, (c, sn) in enumerate(trig):
+        tile = acc[r0 : r0 + _ROW_TILE]
+        for row, (c, sn) in zip(h, trig):
             # u = (x cos + y sin) / T + K with the operands and rounding order of
             # the per-pixel formula; the division is kept (1/T would move bits)
             np.add((x * c)[None, :], (yt * sn)[:, None], out=u)
@@ -161,57 +133,23 @@ def back_project(hs, params: SamplingParams, grid: ImageGrid) -> list[ImageGrid]
             i0[...] = frac
             np.subtract(u, frac, out=frac)
             np.subtract(1.0, frac, out=w0)
-            for tile, h in zip(tiles, hs):
-                row = h.values[m]
-                # row[i0] * (1 - frac) + row[i0 + 1] * frac
-                np.take(row, i0, out=a, mode="clip")
-                np.take(row[1:], i0, out=b, mode="clip")
-                np.multiply(a, w0, out=a)
-                np.multiply(b, frac, out=b)
-                np.add(a, b, out=a)
-                # skipping outside pixels equals adding 0.0 there: a tile that
-                # starts at +0.0 never holds -0.0
-                np.add(tile, a, out=tile, where=inside)
+            # row[i0] * (1 - frac) + row[i0 + 1] * frac
+            np.take(row, i0, out=a, mode="clip")
+            np.take(row[1:], i0, out=b, mode="clip")
+            np.multiply(a, w0, out=a)
+            np.multiply(b, frac, out=b)
+            np.add(a, b, out=a)
+            # skipping outside pixels equals adding 0.0 there: a tile that
+            # starts at +0.0 never holds -0.0
+            np.add(tile, a, out=tile, where=inside)
 
     map_blocks(band, range(0, grid.height, _ROW_TILE))
-    return [ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M))) for acc in accs]
+    return ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M)))
 
 
-def _same_bits(a: Sinogram, b: Sinogram) -> bool:
-    """Whether two sinograms have equal (M, K, T) and bitwise-equal [-K, K] rows.
-
-    The rows are compared as uint64 views, so equal means the same bits and
-    hence the same image; a float comparison would take -0.0 for +0.0.
-    """
-    p, q = a.params, b.params
-    return ((p.M, p.K, p.T) == (q.M, q.K, q.T)
-            and np.array_equal(a.symmetric_rows().view(np.uint64),
-                               b.symmetric_rows().view(np.uint64)))
-
-
-def fbp_reconstruct(sinograms, spec: FilterSpec, grid: ImageGrid) -> list[ImageGrid]:
-    """Filter each distinct sinogram's rows, then back-project them in one pass.
-
-    The sinograms must share (M, K, T); one image, with its own pixel array,
-    is returned per sinogram.  Bitwise-identical sinograms (a clean sinogram
-    and its exact recovery) are filtered and back-projected once; an image
-    does not depend on the others in its pass, so each is the one its
-    sinogram would get alone.
-    """
-    if not sinograms:
-        raise SizeError("no sinogram to reconstruct")
-    distinct, which = [], []
-    for s in sinograms:
-        j = next((j for j, d in enumerate(distinct) if _same_bits(s, d)), len(distinct))
-        if j == len(distinct):
-            distinct.append(s)
-        which.append(j)
-    hs = [filter_projections(s, spec) for s in distinct]
-    images = back_project(hs, sinograms[0].params, grid)
-    # the first input of each group takes its image, every repeat a copy
-    return [images[j] if which.index(j) == i
-            else ImageGrid(grid.width, grid.height, images[j].pixels.copy())
-            for i, j in enumerate(which)]
+def fbp_reconstruct(s: Sinogram, spec: FilterSpec, grid: ImageGrid) -> ImageGrid:
+    """Filter the sinogram's [-K, K] rows and back-project them onto ``grid``."""
+    return back_project(filter_projections(s, spec), s.params, grid)
 
 
 def rmse(a: ImageGrid, b: ImageGrid) -> float:

@@ -46,6 +46,8 @@ _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
 _CONV_ROWS = 16
 #: Outermost lattice positions of a tail scan that must stay below lam.
 _CLEAR_BAND = 32
+#: Radius of the first window of :meth:`RandomBandlimitedSignal.scan_exceedance`.
+SIGNAL_SCAN_RADIUS = 3.0
 
 
 @dataclass(frozen=True)
@@ -382,7 +384,7 @@ class RandomBandlimitedSignal:
 
         Either way the samples reach every edge on both sides.
         """
-        radius = 3.0
+        radius = SIGNAL_SCAN_RADIUS
         kw = int(np.ceil(radius / T))
         window = self._certified_window(T, min(lams), kw - _CLEAR_BAND + 1)
         if window is not None:

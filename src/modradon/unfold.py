@@ -173,11 +173,17 @@ def select_order(cfg: UnfoldConfig) -> int:
     return max(floor_n, n)
 
 
-def required_margin(rho: float, T: float, N: int, K: int) -> int:
-    """Left index bound guaranteeing anchor samples: ceil(max(K, rho/T + N))."""
-    if rho < 0 or T <= 0 or N < 0 or K < 1:
+def required_margin(rho, T: float, N, K: int):
+    """Left index bound guaranteeing anchor samples: ceil(max(K, rho/T + N)).
+
+    ``rho`` and ``N`` may be arrays, which broadcast to an int64 array of
+    bounds; scalars give an int.
+    """
+    rho, N = np.asarray(rho), np.asarray(N)
+    if np.any(rho < 0) or T <= 0 or np.any(N < 0) or K < 1:
         raise ConfigError("required_margin needs rho >= 0, T > 0, N >= 0, K >= 1")
-    return int(max(K, guarded_ceil(rho / T + N)))
+    bound = np.maximum(K, guarded_ceil(rho / T + N)).astype(np.int64)
+    return int(bound) if bound.ndim == 0 else bound
 
 
 def samples_general(K: int, J: int, N: int) -> int:
@@ -337,10 +343,10 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
         m, dev = _fold_residual_ints(rows, lam, N)
         for _ in range(N - 1):
             u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
-            v = anti_diff_bilateral(u, base)
-            v1 = 2.0 * lam * v[:, 1 - base]
-            vj = 2.0 * lam * v[:, J + 1 - base]
-            kappa = guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5).astype(np.int64)
+            # u is 0 at index 0, so its running sum is 0 at offset 1 and
+            # sum(u[0..J]) at offset J+1; 0.0 - vj keeps the sign of a zero
+            vj = 2.0 * lam * np.sum(u[:, -base : J + 1 - base], axis=1)
+            kappa = guarded_floor((0.0 - vj) / (12.0 * cfg.beta) + 0.5).astype(np.int64)
             m = u + kappa[:, None]
         s_final = anti_diff_bilateral(m, base)
         tail = s_final[:, -max(8, N) :]

@@ -4,8 +4,8 @@ These deliberately avoid the closed forms under test: line integrals come from
 scanning the implicit quadric along the ray and refining the crossings by
 bisection; filter kernels come from brute trapezoid quadrature of the inverse
 transform; row convolutions are one ``scipy.signal.fftconvolve`` over all rows;
-back projection is the plain per-angle loop over the whole image,
-and reconstruction filters and back-projects every sinogram, equal or not.
+back projection is the plain per-angle loop over the whole image, and
+reconstruction feeds it the filtered rows.
 A phantom's line integrals are taken one angle at a time, each ellipse a masked
 gather and scatter of its chord formula over every offset, and rasterization
 tests every ellipse on every pixel.
@@ -37,7 +37,7 @@ from modradon.core import (
 )
 from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
-from modradon.fbp import back_project, filter_projections
+from modradon.fbp import filter_projections
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, support_index
 from modradon.phantom import ImageGrid, Phantom
 from modradon.unfold import (
@@ -168,18 +168,17 @@ def back_project_oracle(h, params, grid):
         inside = (u >= 0.0) & (u <= 2 * K)
         i0 = np.clip(np.floor(u).astype(np.int64), 0, 2 * K - 1)
         frac = u - i0
-        row = h.values[m]
+        row = h[m]
         vals = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
         acc += np.where(inside, vals, 0.0)
     acc *= T / (2.0 * M)
     return acc
 
 
-def fbp_every_sinogram_oracle(sinograms, spec, grid):
-    """Filter every sinogram and back-project them all in one shared pass, with
-    no check for repeats."""
-    hs = [filter_projections(s, spec) for s in sinograms]
-    return back_project(hs, sinograms[0].params, grid)
+def fbp_oracle(s, spec, grid):
+    """The pixel array of one sinogram's filtered rows, back-projected by
+    :func:`back_project_oracle`."""
+    return back_project_oracle(filter_projections(s, spec), s.params, grid)
 
 
 def sample_oracle(sig, t):

@@ -1,14 +1,11 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from modradon import fbp
+from modradon import experiments, fbp
 from modradon.errors import SizeError
 from modradon.fbp import (
     COSINE,
     RAM_LAK,
-    FilteredProjections,
     FilterSpec,
     back_project,
     fbp_reconstruct,
@@ -25,7 +22,7 @@ from oracles import (
     back_project_oracle,
     convolve_rows_oracle,
     design_params,
-    fbp_every_sinogram_oracle,
+    fbp_oracle,
     kernel_quadrature_oracle,
     read_raw_f64,
     scan_window,
@@ -81,7 +78,7 @@ class TestFilterProjections:
         p = self._params()
         s = Sinogram(p, np.zeros((p.M, 2 * p.K + 1)))
         h = filter_projections(s, FilterSpec(OMEGA, RAM_LAK))
-        np.testing.assert_array_equal(h.values, np.zeros_like(h.values))
+        np.testing.assert_array_equal(h, np.zeros_like(h))
 
     def test_impulse_row_reproduces_kernel(self):
         p = self._params(M=1)
@@ -89,7 +86,7 @@ class TestFilterProjections:
         rows[0, p.K] = 1.0  # unit impulse at t = 0
         h = filter_projections(Sinogram(p, rows), FilterSpec(OMEGA, COSINE))
         lags = np.arange(-p.K, p.K + 1) * p.T
-        np.testing.assert_allclose(h.values[0], filter_kernel(FilterSpec(OMEGA, COSINE), lags),
+        np.testing.assert_allclose(h[0], filter_kernel(FilterSpec(OMEGA, COSINE), lags),
                                    rtol=0, atol=1e-9)
 
     def test_constant_row_suppressed(self):
@@ -98,7 +95,7 @@ class TestFilterProjections:
         p = SamplingParams(omega=om, T=0.02, lam=1.0, K=600, K_prime=600, M=1)
         rows = np.full((1, 2 * p.K + 1), c)
         h = filter_projections(Sinogram(p, rows), FilterSpec(om, RAM_LAK))
-        interior = h.values[0][p.K // 2 : -p.K // 2]
+        interior = h[0][p.K // 2 : -p.K // 2]
         assert np.max(np.abs(interior)) <= 1e-2 * c * om**2 / (2 * np.pi)
 
     @pytest.mark.parametrize("M", [1, 63, 64, 65, 130])
@@ -109,8 +106,8 @@ class TestFilterProjections:
         h = filter_projections(Sinogram(p, rows), spec)
         kern = filter_kernel(spec, np.arange(-2 * p.K, 2 * p.K + 1) * p.T)
         full = convolve_rows_oracle(rows, kern, 2 * p.K, 2 * p.K + 1)
-        assert h.values.tobytes() == full.tobytes()
-        assert h.values.base is None
+        assert h.tobytes() == full.tobytes()
+        assert h.base is None
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
@@ -118,9 +115,9 @@ class TestFilterProjections:
         a = rng.normal(size=(p.M, 2 * p.K + 1))
         b = rng.normal(size=(p.M, 2 * p.K + 1))
         spec = FilterSpec(OMEGA, COSINE)
-        ha = filter_projections(Sinogram(p, a), spec).values
-        hb = filter_projections(Sinogram(p, b), spec).values
-        hab = filter_projections(Sinogram(p, 2.5 * a + b), spec).values
+        ha = filter_projections(Sinogram(p, a), spec)
+        hb = filter_projections(Sinogram(p, b), spec)
+        hab = filter_projections(Sinogram(p, 2.5 * a + b), spec)
         scale = np.max(np.abs(hab))
         np.testing.assert_allclose(hab, 2.5 * ha + hb, rtol=0, atol=1e-12 * scale)
 
@@ -128,15 +125,14 @@ class TestFilterProjections:
 class TestBackProject:
     def test_zero_filtered_gives_zero_image(self):
         p = SamplingParams(omega=OMEGA, T=0.02, lam=1.0, K=30, K_prime=30, M=9)
-        h = FilteredProjections(p, np.zeros((9, 61)))
-        [img] = back_project([h], p, ImageGrid(32, 32))
+        img = back_project(np.zeros((9, 61)), p, ImageGrid(32, 32))
         np.testing.assert_array_equal(img.pixels, np.zeros((32, 32)))
 
     @staticmethod
     def _random_filtered(M, K=30, T=0.02, seed=0):
         p = SamplingParams(omega=OMEGA, T=T, lam=1.0, K=K, K_prime=K, M=M)
         rng = np.random.default_rng(seed)
-        return p, FilteredProjections(p, rng.normal(size=(M, 2 * K + 1)))
+        return p, rng.normal(size=(M, 2 * K + 1))
 
     # (width, height, M): W != H, heights below/at/above/between multiples of the
     # 128-row band, M = 1 and odd M.  With K*T = 0.6 the image corners (radius
@@ -148,32 +144,25 @@ class TestBackProject:
     def test_matches_oracle_bitwise(self, width, height, M):
         p, h = self._random_filtered(M)
         grid = ImageGrid(width, height)
-        [img] = back_project([h], p, grid)
+        img = back_project(h, p, grid)
         assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
 
-    def test_shared_pass_keeps_images_separate(self):
+    def test_two_calls_keep_images_separate(self):
         p, h1 = self._random_filtered(M=5)
-        changed = h1.values.copy()
-        changed[2, 31] += 1.0
-        h2 = FilteredProjections(p, changed)
+        h2 = h1.copy()
+        h2[2, 31] += 1.0
         grid = ImageGrid(48, 70)
-        img1, img2 = back_project([h1, h2], p, grid)
-        [alone1] = back_project([h1], p, grid)
-        [alone2] = back_project([h2], p, grid)
-        assert img1.pixels.tobytes() == alone1.pixels.tobytes()
-        assert img2.pixels.tobytes() == alone2.pixels.tobytes()
+        img1, img2 = back_project(h1, p, grid), back_project(h2, p, grid)
         assert img1.pixels.tobytes() == back_project_oracle(h1, p, grid).tobytes()
+        assert img2.pixels.tobytes() == back_project_oracle(h2, p, grid).tobytes()
         assert not np.array_equal(img1.pixels, img2.pixels)
 
-    @pytest.mark.parametrize("change", [{"M": 6}, {"K": 31, "K_prime": 31}, {"T": 0.021}])
+    @pytest.mark.parametrize("change", [{"M": 6}, {"K": 31}])
     def test_geometry_mismatch_raises(self, change):
-        p, h1 = self._random_filtered(M=5)
-        q = replace(p, **change)
-        h2 = FilteredProjections(q, np.zeros((q.M, 2 * q.K + 1)))
+        p, _ = self._random_filtered(M=5)
+        M, K = change.get("M", p.M), change.get("K", p.K)
         with pytest.raises(SizeError):
-            back_project([h1, h2], p, ImageGrid(8, 8))
-        with pytest.raises(SizeError):
-            back_project([h2], p, ImageGrid(8, 8))
+            back_project(np.zeros((M, 2 * K + 1)), p, ImageGrid(8, 8))
 
     def test_equal_rows_radially_invariant(self):
         # identical smooth rows for every angle: the image depends on radius only
@@ -214,8 +203,8 @@ class TestBackProject:
 
         spec = FilterSpec(om, COSINE)
         g = ImageGrid(192, 192)
-        [img1] = fbp_reconstruct([s1], spec, g)
-        [img2] = fbp_reconstruct([s2], spec, g)
+        img1 = fbp_reconstruct(s1, spec, g)
+        img2 = fbp_reconstruct(s2, spec, g)
         # sample img1 at back-rotated pixel positions (bilinear)
         X, Y = np.meshgrid(*g.pixel_axes())
         c, sn = np.cos(-delta), np.sin(-delta)
@@ -244,81 +233,81 @@ class TestReconstruction:
         rec, _ = unfold_sinogram(fold_sinogram(s), cfg, p.K)
         spec = FilterSpec(p.omega, COSINE)
         g = ImageGrid(96, 96)
-        [img_clean] = fbp_reconstruct([s], spec, g)
-        [img_rec] = fbp_reconstruct([rec], spec, g)
+        img_clean = fbp_reconstruct(s, spec, g)
+        img_rec = fbp_reconstruct(rec, spec, g)
         assert np.array_equal(img_clean.pixels, img_rec.pixels)
 
     @staticmethod
     def _spy(monkeypatch):
-        calls = {"filter": 0, "row_sets": []}
+        calls = {"filter": 0, "back_project": 0}
         filt, bp = fbp.filter_projections, fbp.back_project
 
         def counting_filter(s, spec):
             calls["filter"] += 1
             return filt(s, spec)
 
-        def counting_bp(hs, params, grid):
-            calls["row_sets"].append(len(hs))
-            return bp(hs, params, grid)
+        def counting_bp(h, params, grid):
+            calls["back_project"] += 1
+            return bp(h, params, grid)
 
         monkeypatch.setattr(fbp, "filter_projections", counting_filter)
         monkeypatch.setattr(fbp, "back_project", counting_bp)
         return calls
 
+    @staticmethod
+    def _pipeline():
+        return experiments.run_pipeline(shepp_logan(), lam=0.01, omega=OMEGA, M=12,
+                                        grid_size=40)
+
     def test_identical_sinograms_reconstructed_once(self, monkeypatch):
-        s = small_sinogram(M=12)
-        twin = Sinogram(s.params, s.rows.copy())
-        spec, g = FilterSpec(OMEGA, COSINE), ImageGrid(40, 33)
-        want = fbp_every_sinogram_oracle([s, twin], spec, g)
+        # an exact recovery has the clean [-K, K] rows' bits, though the clean
+        # sinogram carries a wider left margin: one filter, one back projection
         calls = self._spy(monkeypatch)
-        got = fbp_reconstruct([s, twin], spec, g)
-        assert calls == {"filter": 1, "row_sets": [1]}
-        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
-        assert not np.shares_memory(got[0].pixels, got[1].pixels)
+        res = self._pipeline()
+        assert calls == {"filter": 1, "back_project": 1}
+        assert res.clean.params.K_prime > res.unfolded.params.K_prime
+        want = fbp_oracle(res.clean, FilterSpec(OMEGA, COSINE), ImageGrid(40, 40))
+        assert res.image_clean.pixels.tobytes() == want.tobytes()
+        assert res.image_recovered.pixels.tobytes() == want.tobytes()
+        assert not np.shares_memory(res.image_clean.pixels, res.image_recovered.pixels)
 
     @pytest.mark.parametrize("change", ["one_sample", "zero_sign"])
     def test_different_sinograms_keep_their_own_rows(self, monkeypatch, change):
-        s = small_sinogram(M=12)
-        a, b = s.rows.copy(), s.rows.copy()
-        m, k = 4, s.params.K_prime  # the sample at t = 0
-        if change == "one_sample":
-            b[m, k] += 1e-3
-        else:
-            a[m, k], b[m, k] = 0.0, -0.0
-        assert np.array_equal(a, b) is (change == "zero_sign")
-        a, b = Sinogram(s.params, a), Sinogram(s.params, b)
-        spec, g = FilterSpec(OMEGA, COSINE), ImageGrid(40, 33)
-        want = fbp_every_sinogram_oracle([a, b], spec, g)
-        calls = self._spy(monkeypatch)
-        got = fbp_reconstruct([a, b], spec, g)
-        assert calls == {"filter": 2, "row_sets": [2]}
-        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
+        prepare, unfold = experiments.prepare_forward, experiments.unfold_sinogram
+        cleans = []
 
-    def test_repeats_among_three(self, monkeypatch):
-        s = small_sinogram(M=12)
-        other = Sinogram(s.params, 2.0 * s.rows)
-        # a wider left margin around the same [-K, K] rows is still a repeat
-        p = s.params
-        wide = np.zeros((p.M, p.K_prime + p.K + 4))
-        wide[:, 3:] = s.rows
-        s_wide = Sinogram(replace(p, K_prime=p.K_prime + 3), wide)
-        spec, g = FilterSpec(OMEGA, RAM_LAK), ImageGrid(24, 24)
-        want = fbp_every_sinogram_oracle([s, other, s_wide], spec, g)
-        calls = self._spy(monkeypatch)
-        got = fbp_reconstruct([s, other, s_wide], spec, g)
-        assert calls == {"filter": 2, "row_sets": [2]}
-        assert [i.pixels.tobytes() for i in got] == [i.pixels.tobytes() for i in want]
+        def keeping(*args, **kwargs):
+            cleans.append(prepare(*args, **kwargs))
+            return cleans[-1]
 
-    def test_empty_sequence_raises(self):
-        with pytest.raises(SizeError):
-            fbp_reconstruct([], FilterSpec(OMEGA, COSINE), ImageGrid(8, 8))
+        def changing(folded, cfg, K):
+            out, reports = unfold(folded, cfg, K)
+            m = 4  # the sample at t = 0 is column K
+            if change == "one_sample":
+                out.rows[m, K] += 1e-3
+            else:
+                # the clean [-K, K] rows the pipeline compares are a view
+                cleans[0][0].symmetric_rows()[m, K], out.rows[m, K] = 0.0, -0.0
+            return out, reports
+
+        monkeypatch.setattr(experiments, "prepare_forward", keeping)
+        monkeypatch.setattr(experiments, "unfold_sinogram", changing)
+        calls = self._spy(monkeypatch)
+        res = self._pipeline()
+        assert calls == {"filter": 2, "back_project": 2}
+        same = np.array_equal(res.unfolded.rows, res.clean.symmetric_rows())
+        assert same is (change == "zero_sign")
+        spec, g = FilterSpec(OMEGA, COSINE), ImageGrid(40, 40)
+        assert res.image_clean.pixels.tobytes() == fbp_oracle(res.clean, spec, g).tobytes()
+        assert (res.image_recovered.pixels.tobytes()
+                == fbp_oracle(res.unfolded, spec, g).tobytes())
 
     def test_rmse_decreases_with_bandwidth(self):
         truth = rasterize(shepp_logan(), ImageGrid(128, 128))
         errs = []
         for omega in (100.0, 200.0, 300.0):
             s = small_sinogram(lam=5.0, omega=omega)
-            [img] = fbp_reconstruct([s], FilterSpec(omega, COSINE), ImageGrid(128, 128))
+            img = fbp_reconstruct(s, FilterSpec(omega, COSINE), ImageGrid(128, 128))
             errs.append(rmse(img, truth))
         assert errs[0] > errs[1] > errs[2]
 

@@ -15,7 +15,7 @@ import pytest
 from modradon.core import map_blocks
 from modradon.errors import DomainError
 from modradon.experiments import prepare_forward
-from modradon.fbp import FilteredProjections, back_project
+from modradon.fbp import back_project
 from modradon.forward import SamplingParams, convolve_rows, fold_sinogram
 from modradon.phantom import ImageGrid, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
@@ -103,10 +103,9 @@ class TestSameBitsOnAnyCpuCount:
     def test_back_project(self, cpus):
         p = SamplingParams(omega=20.0, T=0.02, lam=1.0, K=30, K_prime=30, M=7)
         rng = np.random.default_rng(0)
-        hs = [FilteredProjections(p, rng.normal(size=(7, 61))) for _ in range(2)]
+        h = rng.normal(size=(7, 61))
         grid = ImageGrid(40, 300)
-        self._on_cpu_counts(cpus, lambda: [img.pixels.tobytes()
-                                           for img in back_project(hs, p, grid)])
+        self._on_cpu_counts(cpus, lambda: back_project(h, p, grid).pixels.tobytes())
 
     def test_convolve_rows(self, cpus):
         # one kernel spectrum serves every block, and each row still matches

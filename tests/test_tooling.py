@@ -12,6 +12,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from modradon import cli, experiments, fbp, forward, unfold
 from modradon.phantom import shepp_logan
@@ -20,11 +21,15 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_TRACING = os.path.join(ROOT, "bench", "tracing.py")
 
 
-def _patch_table():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.patch_table()
+    return tracing
+
+
+def _patch_table():
+    return _tracing().patch_table()
 
 
 def test_traced_names_resolve():
@@ -119,13 +124,13 @@ def test_phantom_rows_projects_every_angle_in_one_call(monkeypatch):
     assert rows.shape == (40, 2 * forward.support_index(T) + 1)
 
 
-def _count_back_projected_row_sets(monkeypatch):
+def _count_back_projections(monkeypatch):
     calls = []
     inner = fbp.back_project
 
-    def counting(hs, params, grid):
-        calls.append(len(hs))
-        return inner(hs, params, grid)
+    def counting(h, params, grid):
+        calls.append(h.shape)
+        return inner(h, params, grid)
 
     monkeypatch.setattr(fbp, "back_project", counting)
     return calls
@@ -134,15 +139,22 @@ def _count_back_projected_row_sets(monkeypatch):
 def test_pipeline_back_projects_once_through_fbp_global(monkeypatch):
     # the benchmark's fbp.back_project span patches this module global; a call
     # that bypassed it would silently drop out of the per-layer metrics.  An
-    # exact recovery is the clean sinogram, so one filtered row set serves both.
-    calls = _count_back_projected_row_sets(monkeypatch)
+    # exact recovery is the clean sinogram, so one back projection serves both.
+    calls = _count_back_projections(monkeypatch)
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
-    assert calls == [1]
+    assert len(calls) == 1
     assert res.images_bit_identical
 
 
 def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
-    calls = _count_back_projected_row_sets(monkeypatch)
+    calls = _count_back_projections(monkeypatch)
+    _corrupt_unfold(monkeypatch)
+    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
+    assert len(calls) == 2
+    assert not res.images_bit_identical
+
+
+def _corrupt_unfold(monkeypatch):
     unfold = experiments.unfold_sinogram
 
     def corrupting(folded, cfg, K):
@@ -151,9 +163,42 @@ def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
         return out, reports
 
     monkeypatch.setattr(experiments, "unfold_sinogram", corrupting)
-    res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, grid_size=16)
-    assert calls == [2]
-    assert not res.images_bit_identical
+
+
+def _benchmark_tracer():
+    tracing = _tracing()
+    return tracing.Tracer(tracing.patch_table())
+
+
+# the benchmark's counters unpack the arguments and results of the calls they
+# wrap, so a call form they cannot read fails these two tests, not only a
+# traced benchmark run.  Every counter a job reaches moves.
+
+
+@pytest.mark.parametrize("images", [1, 2], ids=["exact", "corrupted"])
+def test_benchmark_tracer_counts_a_pipeline(monkeypatch, images):
+    # an exact recovery reuses the clean image, a corrupted one is
+    # back-projected on its own; no row of either is flagged
+    if images == 2:
+        _corrupt_unfold(monkeypatch)
+    tracer = _benchmark_tracer()
+    res = tracer.run(lambda: experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0,
+                                                      grid_size=16))
+    counters = dict(tracer.counters)
+    assert counters.pop("unfold.flagged_rows") == 0
+    assert {"fbp.back_project.pixel_angle_updates", "phantom.radon_phantom.points",
+            "forward.scan.samples_out", "unfold.rows"} <= counters.keys()
+    assert all(v > 0 for v in counters.values()), counters
+    assert tracer.layer_totals()["fbp.back_project"][1] == images
+    assert counters["fbp.back_project.pixel_angle_updates"] == images * 16 * 16 * res.params.M
+
+
+def test_benchmark_tracer_counts_a_sweep():
+    tracer = _benchmark_tracer()
+    tracer.run(lambda: experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi,),
+                                                 trials=2, tsteps=3, seed=1))
+    assert set(tracer.counters) == {"forward.sampler.points"}
+    assert tracer.counters["forward.sampler.points"] > 0
 
 
 def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):

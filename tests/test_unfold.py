@@ -94,6 +94,22 @@ class TestRequiredMargin:
         T = 0.01
         assert required_margin(37 * T, T, 5, 10) == 42
 
+    def test_arrays_match_scalar_calls(self):
+        # the sweep takes one signal's (threshold, order) margins in one call
+        kstars = [0, 1, 7, 37, 300, 331, 1999]
+        orders = np.array([0, 1, 5, 12, 15, 45])
+        for T in (0.001, 0.01, 1 / 3, 0.0030656620097620196, 0.5 / (30 * np.pi * np.e)):
+            for K in (1, 10, 333):
+                got = required_margin(np.multiply(kstars, T)[:, None], T, orders, K)
+                assert got.dtype == np.int64
+                assert got.tolist() == [[required_margin(k * T, T, int(N), K) for N in orders]
+                                        for k in kstars]
+
+    @pytest.mark.parametrize("rho, N", [([0.1, -0.1], 3), (0.1, [3, -1])])
+    def test_negative_array_entry_raises(self, rho, N):
+        with pytest.raises(ConfigError):
+            required_margin(np.array(rho), 0.01, np.array(N), 10)
+
     def test_sample_cost_comparison(self):
         # the compact margin wins by a wide factor in the low-threshold regime
         K, J, N = 1631, 13320, 12
