@@ -5,13 +5,7 @@ fold), difference-based unfolding of the folded samples, and discrete
 filtered back projection, plus batch experiment harnesses.
 """
 
-from .core import (
-    SampleSeq,
-    Threshold,
-    anti_diff,
-    anti_diff_bilateral,
-    modulo_fold,
-)
+from .core import Threshold, modulo_fold
 from .errors import (
     ConditionError,
     ConfigError,

@@ -1,11 +1,9 @@
-"""Scalar and sequence primitives: centered modulo folding and running sums
-(anti-differences), plus :func:`map_blocks`, which spreads row blocks over
-the usable CPUs.
+"""Scalar and array primitives: centered modulo folding, the guarded floor
+and ceiling, the sup norm, plus :func:`map_blocks`, which spreads row blocks
+over the usable CPUs.
 
-Everything downstream is built from these operators.  The fold and sum
-functions are pure and accept either scalars or numpy arrays where that makes
-sense; sequences with an explicit (possibly negative) base index are carried
-by :class:`SampleSeq`.
+Everything downstream is built from these operators.  The fold and rounding
+functions are pure and accept either scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError
 
 #: Relative guard band applied before float floor/ceil so that values sitting
 #: on a grid line (up to accumulated rounding) do not flip to the wrong side.
@@ -80,35 +78,6 @@ class Threshold:
             raise DomainError(f"threshold must be a positive finite real, got {self.lam}")
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSeq:
-    """A finite run of real samples indexed from an explicit base index.
-
-    The absolute index k maps to ``values[k - base_index]``; base indices may
-    be negative, which is how extended left margins are represented.
-
-    Parameters
-    ----------
-    base_index : int
-        Absolute index of the first element.
-    values : array_like
-        Non-empty 1-D sequence of finite reals.
-    """
-
-    base_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise SizeError("SampleSeq requires a non-empty 1-D value array")
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "base_index", int(self.base_index))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def modulo_fold(t, thr: Threshold):
     """Centered fold of t into [-lam, lam).
 
@@ -132,42 +101,3 @@ def modulo_fold(t, thr: Threshold):
         return float(min(max(out, -lam), top))
     np.maximum(out, -lam, out=out)
     return np.minimum(out, top, out=out)
-
-
-def anti_diff(a: np.ndarray) -> np.ndarray:
-    """Running sum along the last axis starting at zero, one sample longer than
-    the input.
-
-    Keeps the input dtype (int64 fold counts stay exact) and inverts
-    ``np.diff`` up to the first value: ``anti_diff(np.diff(x)) == x - x[0]``.
-    """
-    a = np.asarray(a)
-    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
-    out[..., 0] = 0
-    np.cumsum(a, axis=-1, out=out[..., 1:])
-    return out
-
-
-def anti_diff_bilateral(a: np.ndarray, base: int) -> np.ndarray:
-    """Running sum along the last axis anchored at absolute index 0, extended
-    to both sides.
-
-    ``a[..., i]`` sits at absolute index ``base + i``.  ``result[0] = 0``;
-    ``result[k] = sum_{j=0}^{k-1} a[j]`` for k > 0 and
-    ``result[k] = -sum_{j=k}^{-1} a[j]`` for k < 0.  The result covers
-    ``[base, base+len]`` and keeps the input dtype.
-
-    Raises
-    ------
-    DomainError
-        If the input does not cover index 0 (``base <= 0 < base+len``).
-    """
-    a = np.asarray(a)
-    n = a.shape[-1]
-    if not (base <= 0 < base + n):
-        raise DomainError(
-            f"bilateral running sum needs index 0 inside [{base}, {base + n - 1}]"
-        )
-    c = anti_diff(a)
-    # subtracting the cumulative value at index 0 re-anchors the sum there
-    return c - c[..., -base, None]

@@ -310,14 +310,13 @@ def _recover(sigs, T: float, lams, orders_per_lam):
     K = support_index(T)
     margins, lattices = [], []
     for sig in sigs:
-        kstars, scanned = sig.scan_exceedance(T, lams)
+        kstars, lo, values = sig.scan_exceedance(T, lams)
         # (thresholds, orders) margins of this signal
         margins.append(required_margin(np.multiply(kstars, T)[:, None], T,
                                        np.array(orders_per_lam), K))
-        k_lo, lo = -int(np.max(margins[-1])), scanned.base_index
-        values = scanned.values
+        k_lo = -int(np.max(margins[-1]))
         if k_lo < lo:
-            values = np.concatenate([sig.samples(T, k_lo, lo - 1).values, values])
+            values = np.concatenate([sig.sample(np.arange(k_lo, lo) * T), values])
             lo = k_lo
         lattices.append((lo, values))
     for j, (lam, orders) in enumerate(zip(lams, orders_per_lam)):
@@ -396,7 +395,8 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     ranges = [range(trials * i // n, trials * (i + 1) // n) for i in range(n)]
     jobs = [(lams, om, ts[om], r, seed) for om in omegas for r in ranges]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork start method forks every worker at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             hits = list(pool.map(_sweep_hits, jobs))
     else:
         hits = [_sweep_hits(j) for j in jobs]

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import sici
 
-from .core import SampleSeq, Threshold, guarded_ceil, map_blocks, modulo_fold, sup_norm
+from .core import Threshold, guarded_ceil, map_blocks, modulo_fold, sup_norm
 from .errors import (
     ConfigError,
     MarginError,
@@ -316,10 +316,6 @@ class RandomBandlimitedSignal:
             acc += term
         return acc / np.pi
 
-    def samples(self, T: float, k_lo: int, k_hi: int) -> SampleSeq:
-        k = np.arange(k_lo, k_hi + 1)
-        return SampleSeq(k_lo, self.sample(k * T))
-
     def tail_bound(self, t) -> np.ndarray:
         """Upper bound on the signal's magnitude at times t beyond every edge,
         on either side.
@@ -360,9 +356,10 @@ class RandomBandlimitedSignal:
         left, right = c[np.argmax(ok, axis=1)]
         return 1 - int(left), int(right) - 1
 
-    def scan_exceedance(self, T: float, lams) -> tuple[list[int], SampleSeq]:
+    def scan_exceedance(self, T: float, lams) -> tuple[list[int], int, np.ndarray]:
         """Per threshold in ``lams``, the largest lattice |k| with |g(kT)| >= lam;
-        and the samples scanned to find them.
+        and the samples scanned to find them, as the lattice index of the first
+        and the array of values.
 
         The tails are certified before anything is sampled.  Beyond every edge
         :meth:`tail_bound` bounds |g| by the sine integral's remainder
@@ -390,7 +387,7 @@ class RandomBandlimitedSignal:
         if window is not None:
             k_lo, k_hi = window
             g = self.sample(np.arange(k_lo, k_hi + 1) * T)
-            return [_extent(_exceeding_columns(g, lam), k_lo) for lam in lams], SampleSeq(k_lo, g)
+            return [_extent(_exceeding_columns(g, lam), k_lo) for lam in lams], k_lo, g
         g = self.sample(np.arange(-kw, kw + 1) * T)
         kstars = [None] * len(lams)
         while True:
@@ -401,7 +398,7 @@ class RandomBandlimitedSignal:
                     except MarginError:
                         pass
             if None not in kstars:
-                return kstars, SampleSeq(-kw, g)
+                return kstars, -kw, g
             radius *= 2.0
             if radius > 64.0:
                 raise NumericError("exceedance region did not close within the scan limit")

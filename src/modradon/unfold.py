@@ -17,12 +17,15 @@ result does not depend on the CPU count), in one of two modes:
 
 ``unfold_compact`` unfolds one sample run as a one-row call of the same core.
 
-Both modes reduce folding to integer bookkeeping: the fold-count residual of
-the N-th forward difference is snapped to integer multiples of 2*lam once and
-all subsequent running sums are carried in int64 along each row, so results
-on the fold grid are exact by construction.  The returned fold counts are
-multiplied by 2*lam as a single product per sample, which makes a successful
-recovery bit-identical to the unfolded input.
+Both modes reduce folding to integer bookkeeping in one layout: the
+fold-count residual of the N-th forward difference is snapped to integer
+multiples of 2*lam once and placed right-aligned in a zeroed int64 block,
+which N in-place running sums along each row turn into the fold counts
+(general mode re-anchors each sum at index 0 and adds its slope correction
+between the passes).  Integer sums are exact, so results on the fold grid are
+exact by construction.  The returned fold counts are multiplied by 2*lam as a
+single product per sample, which makes a successful recovery bit-identical to
+the unfolded input.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    SampleSeq,
     Threshold,
-    anti_diff_bilateral,
     guarded_ceil,
     guarded_floor,
     map_blocks,
@@ -229,13 +230,15 @@ def compact_counts(rows: np.ndarray, lam: float, N: int, start):
     return counts, np.max(dev, axis=1, where=~pad, initial=0.0)
 
 
-def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
-    """Unfold one run of modulo samples of a signal with compact fold exceedance.
+def unfold_compact(values: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
+    """Unfold one run of modulo samples of a signal with compact fold
+    exceedance, ``values[i]`` at absolute index ``base + i``; returns the
+    values over [-K, K] and the report.
 
-    The window [-K_prime, K] must provide a quiet left margin (no folds in
-    the first N samples); every running sum is then anchored at the base
-    index and the fold counts come out exactly.  Output covers [-K, K].  The
-    run goes through the block core of :func:`unfold_sinogram` as one row.
+    The run must open with a quiet left margin (no folds in its first N
+    samples).  A convenience for tests: the program unfolds through
+    :func:`unfold_sinogram` and :func:`compact_counts`, and the benchmark's
+    patch table names this one-row call of their block core too.
 
     Raises
     ------
@@ -250,8 +253,8 @@ def unfold_compact(y: SampleSeq, cfg: UnfoldConfig, K: int):
     if cfg.mode != COMPACT:
         raise ConfigError("unfold_compact requires a compact-exceedance config")
     K = int(K)
-    out, [report] = _unfold_rows(y.values[None, :], y.base_index, cfg, K)
-    return SampleSeq(-K, out[0]), report
+    out, [report] = _unfold_rows(np.asarray(values, dtype=float)[None, :], int(base), cfg, K)
+    return out[0], report
 
 
 def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
@@ -325,12 +328,13 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
     """The [-K, K] columns of a block of checked folded rows, unfolded at order
     N, and one report per row.
 
-    General mode integrates the fold counts of the N-th difference back N
-    times with running sums anchored at index 0; after each integration a
-    slope probe at offsets 1 and J+1 fixes each row's unknown linear drift
-    (kappa), and the final additive constant is removed by the settled tail
-    value.  The tail plateau check fails (success=False) when the last
-    max(8, N) running sums disagree, which signals unreliable recovery.
+    Both modes integrate the fold counts of the N-th difference back N times
+    with in-place int64 running sums over one right-aligned block.  General
+    mode anchors each sum at index 0, and after each but the last a slope
+    probe at offsets 1 and J+1 fixes each row's unknown linear drift (kappa);
+    the final additive constant is removed by the settled tail value.  The
+    tail plateau check fails (success=False) when the last max(8, N) running
+    sums disagree, which signals unreliable recovery.
     """
     lam = cfg.lam
     cols = slice(-K - base, K - base + 1)
@@ -341,17 +345,23 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
         reports = [UnfoldReport(N, None, float(r), bool(r < 1e-9 * lam)) for r in residual]
     else:
         m, dev = _fold_residual_ints(rows, lam, N)
-        for _ in range(N - 1):
-            u = anti_diff_bilateral(m, base)  # rounding onto the grid is exact here
-            # u is 0 at index 0, so its running sum is 0 at offset 1 and
-            # sum(u[0..J]) at offset J+1; 0.0 - vj keeps the sign of a zero
+        counts = np.zeros(rows.shape, dtype=np.int64)
+        counts[:, N:] = m
+        for i in range(1, N):
+            np.cumsum(counts, axis=1, out=counts)
+            # the i-th sum covers [base, base+width-N+i); anchored at index 0,
+            # its own running sum is 0 at offset 1 and sum(u[0..J]) at offset
+            # J+1; 0.0 - vj keeps the sign of a zero
+            u = counts[:, N - i :]
+            u -= u[:, -base, None]
             vj = 2.0 * lam * np.sum(u[:, -base : J + 1 - base], axis=1)
             kappa = guarded_floor((0.0 - vj) / (12.0 * cfg.beta) + 0.5).astype(np.int64)
-            m = u + kappa[:, None]
-        s_final = anti_diff_bilateral(m, base)
-        tail = s_final[:, -max(8, N) :]
+            u += kappa[:, None]
+        # the last sum's constant is taken out by the tail value below
+        np.cumsum(counts, axis=1, out=counts)
+        tail = counts[:, -max(8, N) :]
         plateau_ok = np.all(tail == tail[:, -1:], axis=1)
-        counts = s_final - s_final[:, -1:]
+        counts -= counts[:, -1:]
         reports = [UnfoldReport(N, J, float(r), bool(ok and r < 1e-9 * lam),
                                 tail_plateau_ok=bool(ok))
                    for r, ok in zip(np.max(dev, axis=1), plateau_ok)]

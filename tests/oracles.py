@@ -13,10 +13,11 @@ The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
 time and unfold one row at a time.  The sinogram unfold copies each angle row
 into its own run and unfolds it on its own, with the general-mode unfolder
-that preceded the block core.
+that preceded the block core and its running sums, ``anti_diff`` and
+``anti_diff_bilateral``, each of which returns a new array.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
-reader, the standard parameter choice and the acquisition window cut from a
-scan serve the tests as references only.
+reader, the standard parameter choice, the acquisition window cut from a
+scan and the lattice sampling helper serve the tests as references only.
 The CSV row reader parses one cell at a time with ``float()``.
 """
 
@@ -27,14 +28,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import sici
 
-from modradon.core import (
-    SampleSeq,
-    Threshold,
-    anti_diff_bilateral,
-    guarded_ceil,
-    guarded_floor,
-    modulo_fold,
-)
+from modradon.core import Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.fbp import filter_projections
@@ -239,11 +233,10 @@ def sweep_cell_oracle(args):
             truth_sym = wide[-K - k_lo :]
             for iN, N in enumerate(orders):
                 K_prime = required_margin(kstar * T, T, N, K)
-                y = SampleSeq(-K_prime, folded[-K_prime - k_lo :])
                 cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam), omega=omega,
                                    T=T, mode=COMPACT, order_override=N)
-                rec, _ = unfold_compact(y, cfg, K)
-                if np.max(np.abs(rec.values - truth_sym)) < _SUCCESS_TOL:
+                rec, _ = unfold_compact(folded[-K_prime - k_lo :], -K_prime, cfg, K)
+                if np.max(np.abs(rec - truth_sym)) < _SUCCESS_TOL:
                     hits[it, iN] += 1
     rates = hits / float(trials)
     smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
@@ -259,20 +252,25 @@ def demo_attempt_oracle(stage, sig, T, lam, N):
     K_prime = required_margin(kstar * T, T, N, K)
     truth = sample_oracle(sig, np.arange(-K_prime, K + 1) * T)
     fold_count = np.floor((truth + lam) / (2.0 * lam)).astype(np.int64)
-    y = SampleSeq(-K_prime, modulo_fold(truth, Threshold(lam)))
     cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(sup_norm_oracle(sig), lam),
                        omega=sig.omega, T=T, mode=COMPACT, order_override=N)
-    rec, _ = unfold_compact(y, cfg, K)
-    err = np.abs(rec.values - truth[K_prime - K :])
+    rec, _ = unfold_compact(modulo_fold(truth, Threshold(lam)), -K_prime, cfg, K)
+    err = np.abs(rec - truth[K_prime - K :])
     return DemoAttempt(stage, T, N, int(np.count_nonzero(fold_count)), float(np.mean(err**2)),
                        float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL))
 
 
-def window(seq, k_lo, k_hi):
-    """The values of a ``SampleSeq`` at absolute indices [k_lo, k_hi]."""
-    if not seq.base_index <= k_lo <= k_hi < seq.base_index + len(seq):
+def window(values, base, k_lo, k_hi):
+    """The entries at absolute indices [k_lo, k_hi] of a run whose first
+    entry, ``values[0]``, sits at index ``base``."""
+    if not base <= k_lo <= k_hi < base + len(values):
         raise DomainError(f"window [{k_lo}, {k_hi}] outside the run")
-    return seq.values[k_lo - seq.base_index : k_hi - seq.base_index + 1]
+    return values[k_lo - base : k_hi - base + 1]
+
+
+def lattice_samples(sig, T, k_lo, k_hi):
+    """The signal's samples at the lattice points ``k*T``, k in [k_lo, k_hi]."""
+    return sig.sample(np.arange(k_lo, k_hi + 1) * T)
 
 
 def scan_window(scan, params):
@@ -283,17 +281,52 @@ def scan_window(scan, params):
     return Sinogram(replace(params, beta=scan.beta_raw), rows)
 
 
-def unfold_general_oracle(y, cfg):
-    """One run of general-mode unfolding: the fold counts of the N-th difference
-    are integrated back N times with running sums anchored at index 0; after
-    each integration a slope probe at offsets 1 and J+1 fixes the linear drift
-    (kappa), and the settled tail value removes the final constant.  Returns
-    the recovered run over the input window and its report."""
+def anti_diff(a):
+    """Running sum along the last axis starting at zero, one sample longer than
+    the input.
+
+    Keeps the input dtype (int64 fold counts stay exact) and inverts
+    ``np.diff`` up to the first value: ``anti_diff(np.diff(x)) == x - x[0]``.
+    """
+    a = np.asarray(a)
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
+    out[..., 0] = 0
+    np.cumsum(a, axis=-1, out=out[..., 1:])
+    return out
+
+
+def anti_diff_bilateral(a, base):
+    """Running sum along the last axis anchored at absolute index 0, extended
+    to both sides.
+
+    ``a[..., i]`` sits at absolute index ``base + i``.  ``result[0] = 0``;
+    ``result[k] = sum_{j=0}^{k-1} a[j]`` for k > 0 and
+    ``result[k] = -sum_{j=k}^{-1} a[j]`` for k < 0.  The result covers
+    ``[base, base+len]`` and keeps the input dtype.  Raises ``DomainError`` if
+    the input does not cover index 0 (``base <= 0 < base+len``).
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    if not (base <= 0 < base + n):
+        raise DomainError(
+            f"bilateral running sum needs index 0 inside [{base}, {base + n - 1}]"
+        )
+    c = anti_diff(a)
+    # subtracting the cumulative value at index 0 re-anchors the sum there
+    return c - c[..., -base, None]
+
+
+def unfold_general_oracle(values, base, cfg):
+    """One run of general-mode unfolding, ``values[0]`` at index ``base``: the
+    fold counts of the N-th difference are integrated back N times with
+    running sums anchored at index 0; after each integration a slope probe at
+    offsets 1 and J+1 fixes the linear drift (kappa), and the settled tail
+    value removes the final constant.  Returns the recovered run over the
+    input window and its report."""
     lam = cfg.lam
     N = max(1, select_order(cfg))
     J = cost_j(cfg.beta, lam)
-    base = y.base_index
-    d = np.diff(y.values, n=N)
+    d = np.diff(values, n=N)
     e0 = modulo_fold(d, Threshold(lam)) - d
     m = np.rint(e0 / (2.0 * lam))
     residual = float(np.max(np.abs(e0 - 2.0 * lam * m)))
@@ -309,20 +342,20 @@ def unfold_general_oracle(y, cfg):
     tail = s_final[-max(8, N) :]
     plateau_ok = bool(np.all(tail == tail[-1]))
     counts = s_final - s_final[-1]
-    gamma = y.values + (2.0 * lam) * counts
+    gamma = values + (2.0 * lam) * counts
     ok = plateau_ok and residual < 1e-9 * lam
-    return SampleSeq(base, gamma), UnfoldReport(N, J, residual, ok, tail_plateau_ok=plateau_ok)
+    return gamma, UnfoldReport(N, J, residual, ok, tail_plateau_ok=plateau_ok)
 
 
-def _unfold_compact_row_oracle(y, cfg, K):
+def _unfold_compact_row_oracle(values, base, cfg, K):
     """One run of compact-mode unfolding over [-K, K], ``compact_counts`` on one row."""
     N = select_order(cfg)
     if N == 0:
-        return window(y, -K, K), UnfoldReport(0, None, 0.0, True)
-    [counts], [residual] = compact_counts(y.values[None, :], cfg.lam, N, [0])
-    gamma = y.values + (2.0 * cfg.lam) * counts
+        return window(values, base, -K, K), UnfoldReport(0, None, 0.0, True)
+    [counts], [residual] = compact_counts(values[None, :], cfg.lam, N, [0])
+    gamma = values + (2.0 * cfg.lam) * counts
     report = UnfoldReport(N, None, float(residual), bool(residual < 1e-9 * cfg.lam))
-    return window(SampleSeq(y.base_index, gamma), -K, K), report
+    return window(gamma, base, -K, K), report
 
 
 def unfold_sinogram_oracle(ms, cfg, K=None):
@@ -333,12 +366,12 @@ def unfold_sinogram_oracle(ms, cfg, K=None):
     out = np.empty((p.M, 2 * K + 1))
     reports = []
     for mi in range(p.M):
-        y = SampleSeq(-p.K_prime, ms.rows[mi].copy())
+        row = ms.rows[mi].copy()
         if cfg.mode == GENERAL:
-            seq, rep = unfold_general_oracle(y, cfg)
-            out[mi] = window(seq, -K, K)
+            gamma, rep = unfold_general_oracle(row, -p.K_prime, cfg)
+            out[mi] = window(gamma, -p.K_prime, -K, K)
         else:
-            out[mi], rep = _unfold_compact_row_oracle(y, cfg, K)
+            out[mi], rep = _unfold_compact_row_oracle(row, -p.K_prime, cfg, K)
         reports.append(rep)
     return Sinogram(replace(p, K_prime=K, K=K, N=reports[0].n_used), out), reports
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from modradon.core import SampleSeq, Threshold, modulo_fold
+from modradon.core import Threshold, modulo_fold
 from modradon.experiments import base_order, downsample_demo, run_pipeline, success_sweep
 from modradon.forward import RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan, walnut_standin
@@ -23,7 +23,7 @@ from modradon.unfold import (
     required_margin,
     unfold_compact,
 )
-from oracles import line_integral_oracle, sup_norm_oracle, window
+from oracles import lattice_samples, line_integral_oracle, sup_norm_oracle, window
 
 FULL = os.environ.get("MODRADON_ACCEPTANCE_FULL") == "1"
 TRIALS = 1000 if FULL else 100
@@ -41,10 +41,6 @@ def criterion(num, name):
     print(f"\nACCEPTANCE {num} ({name}): PASS [{time.time() - t0:.1f}s]")
 
 
-def _fold_seq(seq, lam):
-    return SampleSeq(seq.base_index, modulo_fold(seq.values, Threshold(lam)))
-
-
 def test_criterion_1_exact_unfold_property_suite():
     with criterion(1, "exact unfold at the guaranteed rate"):
         t0 = time.time()
@@ -57,14 +53,14 @@ def test_criterion_1_exact_unfold_property_suite():
                 for trial in range(TRIALS):
                     sig = RandomBandlimitedSignal.draw(
                         omega, np.random.SeedSequence([20250, trial]))
-                    (kstar,), _ = sig.scan_exceedance(T, (lam,))
+                    (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
                     K_prime = required_margin(kstar * T, T, N, K)
-                    truth = sig.samples(T, -K_prime, K)
-                    y = _fold_seq(truth, lam)
+                    truth = lattice_samples(sig, T, -K_prime, K)
+                    y = modulo_fold(truth, Threshold(lam))
                     cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam),
                                        omega=omega, T=T, mode=COMPACT, order_override=N)
-                    rec, _ = unfold_compact(y, cfg, K)
-                    if np.max(np.abs(rec.values - window(truth, -K, K))) <= 1e-9:
+                    rec, _ = unfold_compact(y, -K_prime, cfg, K)
+                    if np.max(np.abs(rec - window(truth, -K_prime, -K, K))) <= 1e-9:
                         hits += 1
                 assert hits == TRIALS, (
                     f"lam={lam} omega={omega / np.pi:g}pi: {hits}/{TRIALS} exact")
@@ -120,7 +116,7 @@ def test_criterion_3_difference_bound_suite():
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([777, seed]))
             sup = sup_norm_oracle(sig)
             kw = int(np.ceil(2.5 / T))
-            g = sig.samples(T, -kw, kw).values
+            g = lattice_samples(sig, T, -kw, kw)
             for n in range(1, 7):
                 lhs = float(np.max(np.abs(np.diff(g, n=n))))
                 assert lhs <= (T * omega * np.e) ** n * sup + 1e-9, (seed, n)

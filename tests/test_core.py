@@ -3,16 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modradon.core import (
-    SampleSeq,
-    Threshold,
-    anti_diff,
-    anti_diff_bilateral,
-    modulo_fold,
-    sup_norm,
-)
-from modradon.errors import DomainError, SizeError
-from oracles import round_to_2lambda
+from modradon.core import Threshold, modulo_fold, sup_norm
+from modradon.errors import DomainError
+from oracles import anti_diff, anti_diff_bilateral, round_to_2lambda
 
 
 class TestModuloFold:
@@ -75,6 +68,7 @@ class TestSupNorm:
         assert np.isnan(sup_norm(np.array([1.0, np.nan, -2.0])))
 
 
+# the running-sum references of the general-mode oracle (tests/oracles.py)
 class TestAntiDiff:
     def test_cumulative_sums(self):
         out = anti_diff(np.array([1.0, 3.0, 5.0]))
@@ -93,9 +87,9 @@ class TestAntiDiff:
 
     @given(st.lists(st.integers(-50, 50), min_size=2, max_size=30))
     def test_inverts_difference_up_to_base_value(self, vals):
-        a = SampleSeq(-3, np.array(vals, dtype=float))
-        rt = anti_diff(np.diff(a.values))
-        np.testing.assert_array_equal(rt, a.values - a.values[0])
+        a = np.array(vals, dtype=float)
+        rt = anti_diff(np.diff(a))
+        np.testing.assert_array_equal(rt, a - a[0])
 
 
 class TestAntiDiffBilateral:
@@ -109,10 +103,10 @@ class TestAntiDiffBilateral:
 
     def test_inverts_difference_up_to_value_at_zero(self):
         rng = np.random.default_rng(11)
-        a = SampleSeq(-6, rng.normal(size=15))
-        rt = anti_diff_bilateral(np.diff(a.values), a.base_index)
-        at0 = a.values[-a.base_index]
-        np.testing.assert_allclose(rt, a.values - at0, atol=1e-12)
+        base, a = -6, rng.normal(size=15)
+        rt = anti_diff_bilateral(np.diff(a), base)
+        at0 = a[-base]
+        np.testing.assert_allclose(rt, a - at0, atol=1e-12)
 
     def test_rows_sum_along_last_axis(self):
         # a block of int64 rows sums like each row on its own
@@ -154,15 +148,3 @@ class TestRoundTo2Lambda:
         m = y / (2 * lam)
         assert abs(m - round(m)) < 1e-9
         assert round_to_2lambda(y, thr) == y
-
-
-class TestSampleSeq:
-    def test_indexing(self):
-        a = SampleSeq(-3, [1.0, 2.0, 3.0, 4.0])
-        assert len(a) == 4
-        assert a.base_index == -3
-        np.testing.assert_array_equal(a.values, [1.0, 2.0, 3.0, 4.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(SizeError):
-            SampleSeq(0, [])

@@ -50,16 +50,54 @@ class TestSweepCell:
             assert (h / float(SWEEP_CELLS[-1][2])).tobytes() == want.rates.tobytes()
 
     def test_margin_past_scanned_lattice_samples_only_the_missing_head(self, monkeypatch):
-        heads = []
-        samples = RandomBandlimitedSignal.samples
+        # the lattice indices of every sample call made after a scan returned
+        heads, spacing = [], {}
+        scan, sample = RandomBandlimitedSignal.scan_exceedance, RandomBandlimitedSignal.sample
 
-        def recording(self, T, k_lo, k_hi):
-            heads.append((k_lo, k_hi))
-            return samples(self, T, k_lo, k_hi)
+        def scanning(self, T, lams):
+            spacing.pop("T", None)
+            out = scan(self, T, lams)
+            spacing["T"] = T
+            return out
 
-        monkeypatch.setattr(RandomBandlimitedSignal, "samples", recording)
+        def recording(self, t):
+            if "T" in spacing:
+                k = np.rint(np.atleast_1d(t) / spacing["T"]).astype(int)
+                heads.append((int(k[0]), int(k[-1])))
+            return sample(self, t)
+
+        monkeypatch.setattr(RandomBandlimitedSignal, "scan_exceedance", scanning)
+        monkeypatch.setattr(RandomBandlimitedSignal, "sample", recording)
         experiments._sweep_hits(sweep_job(SWEEP_CELLS[-1]))
         assert heads == [(-181, -181)]
+
+
+class TestSuccessSweep:
+    def test_pool_holds_no_more_workers_than_jobs(self, monkeypatch):
+        # a fork start method forks every worker at the first submit, so 64
+        # workers for 2 jobs would start 62 idle processes.  The fake pool
+        # records its size and runs the jobs inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        kw = dict(lams=(0.1,), omegas=(10 * np.pi,), trials=2, tsteps=3, seed=3)
+        seq = experiments.success_sweep(**kw, workers=1)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        par = experiments.success_sweep(**kw, workers=64)
+        assert sizes == [2]
+        assert [c.to_csv() for c in par] == [c.to_csv() for c in seq]
 
 
 def disk(intensity):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modradon.core import SampleSeq
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.experiments import base_order, ingest_raw_csv, prepare_forward
 from modradon.forward import (
@@ -37,6 +36,7 @@ from oracles import (
     design_params,
     exceedance_index_oracle,
     highband_energy_fraction,
+    lattice_samples,
     sample_oracle,
     scan_window,
     sup_norm_oracle,
@@ -60,7 +60,7 @@ def prefiltered_row(p, theta, params):
     ks = support_index(params.T)
     raw = radon_phantom(p, theta, np.arange(-ks, ks + 1) * params.T)
     scan = scan_from_raw(raw[None, :], params.omega, params.T)
-    return SampleSeq(-params.K_prime, scan_window(scan, replace(params, M=1)).rows[0])
+    return scan_window(scan, replace(params, M=1)).rows[0]
 
 
 def draw_signal(omega, seed):
@@ -87,13 +87,13 @@ class TestSamplingParams:
 class TestPrefilter:
     def test_zero_phantom_zero_rows(self):
         p = small_params()
-        seq = prefiltered_row(Phantom(()), 0.3, p)
-        np.testing.assert_array_equal(seq.values, np.zeros(len(seq)))
+        row = prefiltered_row(Phantom(()), 0.3, p)
+        np.testing.assert_array_equal(row, np.zeros(len(row)))
 
     def test_unit_disk_center_value(self):
         p = design_params(300.0, lam=0.05)
-        seq = prefiltered_row(UNIT_DISK, 0.0, p)
-        assert seq.values[-seq.base_index] == pytest.approx(2.0, abs=0.05)
+        row = prefiltered_row(UNIT_DISK, 0.0, p)
+        assert row[p.K_prime] == pytest.approx(2.0, abs=0.05)
 
     def test_rows_are_band_limited(self):
         p = small_params()
@@ -107,8 +107,8 @@ class TestPrefilter:
         back = prefiltered_row(shepp_logan(), 0.7 + np.pi, p)
         # row at theta+pi equals the offset-reversed row at theta
         lo, hi = -p.K, min(p.K, p.K_prime)
-        a = window(fwd, lo, hi)
-        b = window(back, -hi, -lo)[::-1]
+        a = window(fwd, -p.K_prime, lo, hi)
+        b = window(back, -p.K_prime, -hi, -lo)[::-1]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_make_sinogram_shape_and_beta(self):
@@ -226,15 +226,15 @@ class TestRandomSignal:
         sa, sb = draw_signal(10 * np.pi, 123), draw_signal(10 * np.pi, 123)
         kw = sa.scan_exceedance(T, (0.1,))[0][0] + 32
         assert sb.scan_exceedance(T, (0.1,))[0][0] + 32 == kw
-        np.testing.assert_array_equal(sa.samples(T, -kw, kw).values,
-                                      sb.samples(T, -kw, kw).values)
+        np.testing.assert_array_equal(lattice_samples(sa, T, -kw, kw),
+                                      lattice_samples(sb, T, -kw, kw))
         np.testing.assert_array_equal(sa.levels, sb.levels)
 
     def test_different_seeds_differ(self):
         T = 0.5 / (10 * np.pi * np.e)
-        a = draw_signal(10 * np.pi, 1).samples(T, -100, 100)
-        b = draw_signal(10 * np.pi, 2).samples(T, -100, 100)
-        assert not np.array_equal(a.values, b.values)
+        a = lattice_samples(draw_signal(10 * np.pi, 1), T, -100, 100)
+        b = lattice_samples(draw_signal(10 * np.pi, 2), T, -100, 100)
+        assert not np.array_equal(a, b)
 
     def test_sup_norm_stays_near_profile_range(self):
         # levels live in [-1, 1]; ringing overshoot stays bounded
@@ -245,19 +245,19 @@ class TestRandomSignal:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, 5)
-        (kstar,), _ = sig.scan_exceedance(T, (lam,))
-        seq = sig.samples(T, -kstar - 32, kstar + 32)
+        (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+        g = lattice_samples(sig, T, -kstar - 32, kstar + 32)
         k = np.arange(-kstar - 32, kstar + 33)
         outside = np.abs(k) > kstar
-        assert np.all(np.abs(seq.values[outside]) < lam)
-        inside_peak = np.max(np.abs(seq.values[~outside])) if kstar > 0 else 0.0
+        assert np.all(np.abs(g[outside]) < lam)
+        inside_peak = np.max(np.abs(g[~outside])) if kstar > 0 else 0.0
         assert inside_peak >= lam
 
     def test_samples_match_signal(self):
         sig = draw_signal(20 * np.pi, 9)
         T = 0.01
-        seq = sig.samples(T, -5, 5)
-        np.testing.assert_allclose(seq.values, sig.sample(np.arange(-5, 6) * T), atol=0)
+        g = lattice_samples(sig, T, -5, 5)
+        np.testing.assert_allclose(g, sig.sample(np.arange(-5, 6) * T), atol=0)
 
     @pytest.mark.parametrize("t", [0.3, np.empty(0), np.linspace(-2.0, 2.0, 41),
                                    np.linspace(-3.0, 3.0, 60).reshape(6, 10)],
@@ -284,11 +284,11 @@ class TestRandomSignal:
         # assembled from three calls
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, seed)
-        (kstar,), scanned = sig.scan_exceedance(T, (lam,))
+        (kstar,), lo, scanned = sig.scan_exceedance(T, (lam,))
         assert kstar == exceedance_index_oracle(sig, T, lam)
-        lo, hi = scanned.base_index, scanned.base_index + len(scanned) - 1
+        hi = lo + len(scanned) - 1
         want = sample_oracle(sig, np.arange(lo, hi + 1) * T)
-        assert scanned.values.tobytes() == want.tobytes()
+        assert scanned.tobytes() == want.tobytes()
         if radius is None:
             K, kw = support_index(T), int(np.ceil(3.0 / T))
             assert -kw + 32 <= lo <= -K and K <= hi <= kw - 32
@@ -308,15 +308,15 @@ class TestRandomSignal:
         omega = omega_pi * np.pi
         T = np.linspace(1.0 / (omega * np.e), np.pi / omega, tsteps)[step % tsteps]
         sig = draw_signal(omega, seed)
-        kstars, scanned = sig.scan_exceedance(T, lams)
+        kstars, lo, scanned = sig.scan_exceedance(T, lams)
         assert kstars == [exceedance_index_oracle(sig, T, lam) for lam in lams]
         K = support_index(T)
-        lo, hi = scanned.base_index, scanned.base_index + len(scanned) - 1
+        hi = lo + len(scanned) - 1
         assert lo <= -K and hi >= K
         k_lo = min(lo, *(-required_margin(k * T, T, 3 * base_order(lam, omega), K)
                          for k, lam in zip(kstars, lams)))
-        head = sig.samples(T, k_lo, lo - 1).values if k_lo < lo else np.empty(0)
-        got = np.concatenate([head, scanned.values])
+        head = lattice_samples(sig, T, k_lo, lo - 1) if k_lo < lo else np.empty(0)
+        got = np.concatenate([head, scanned])
         assert got.tobytes() == sample_oracle(sig, np.arange(k_lo, hi + 1) * T).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0))
@@ -351,16 +351,16 @@ class TestRandomSignal:
         monkeypatch.setattr(RandomBandlimitedSignal, "sample", profile)
         sig = draw_signal(10 * np.pi, 0)
         assert np.all(sig.tail_bound(np.array([-17, 17]) * T) >= 0.1)
-        kstars, scanned = sig.scan_exceedance(T, (0.1, 0.05))
-        radius3 = window(scanned, -48, 48)
+        kstars, lo, scanned = sig.scan_exceedance(T, (0.1, 0.05))
+        radius3 = window(scanned, lo, -48, 48)
         assert kstars[0] == clear_band_exceedance(radius3, 0.1) == 8
         assert kstars[1] == 72 > 48
         alone = [sig.scan_exceedance(T, (lam,)) for lam in (0.1, 0.05)]
-        assert kstars == [k for (k,), _ in alone]
-        assert [-s.base_index for _, s in alone] == [48, 192]
-        widest = alone[1][1]
-        assert scanned.base_index == widest.base_index
-        assert scanned.values.tobytes() == widest.values.tobytes()
+        assert kstars == [k for (k,), _, _ in alone]
+        assert [-base for _, base, _ in alone] == [48, 192]
+        _, widest_lo, widest = alone[1]
+        assert lo == widest_lo
+        assert scanned.tobytes() == widest.tobytes()
 
 
 class TestSinogramIO:

@@ -229,10 +229,9 @@ def test_sweep_samples_each_lattice_point_once(monkeypatch):
 
     def counting_scan(self, T, lams):
         scans.append([T, tuple(lams), None, None, []])
-        kstars, scanned = scan(self, T, lams)
-        lo = scanned.base_index
+        kstars, lo, scanned = scan(self, T, lams)
         scans[-1][2:4] = (lo, lo + len(scanned) - 1), len(scans[-1][4])
-        return kstars, scanned
+        return kstars, lo, scanned
 
     def counting_sample(self, t):
         scans[-1][4].append(np.atleast_1d(t))
@@ -350,6 +349,13 @@ def test_threads_and_processes_start_in_one_place_each():
         ("core", "import"), ("core", "map_blocks")}
     assert _mentions({"ProcessPoolExecutor", "multiprocessing", "fork"}) == {
         ("experiments", "import"), ("experiments", "success_sweep")}
+
+
+def test_running_sums_live_in_the_unfold_core():
+    # general and compact unfolding share one in-place int64 running-sum
+    # layout; the copying references live in tests/oracles.py
+    assert _mentions({"cumsum", "anti_diff", "anti_diff_bilateral"}) == {
+        ("unfold", "compact_counts"), ("unfold", "_unfold_block")}
 
 
 def test_cli_imports_no_heavy_scipy_subpackage():

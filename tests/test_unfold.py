@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modradon.core import SampleSeq, Threshold, modulo_fold
+from modradon.core import Threshold, modulo_fold
 from modradon.errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
 from modradon.experiments import prepare_forward
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, fold_sinogram
@@ -25,6 +25,7 @@ from modradon.unfold import (
 )
 from oracles import (
     design_params,
+    lattice_samples,
     round_to_2lambda,
     scan_window,
     sup_norm_oracle,
@@ -36,10 +37,6 @@ from oracles import (
 def compact_cfg(lam, beta, omega, T, order=None):
     return UnfoldConfig(lam=lam, beta=beta, omega=omega, T=T, mode=COMPACT,
                         order_override=order)
-
-
-def fold_seq(seq, lam):
-    return SampleSeq(seq.base_index, modulo_fold(seq.values, Threshold(lam)))
 
 
 def sinogram(rows, K, lam, omega, T):
@@ -141,43 +138,43 @@ class TestUnfoldCompact:
         # a slow oscillation well inside [-lam, lam): differences never fold
         lam = 0.5
         k = np.arange(-32, 33)
-        y = SampleSeq(-32, 0.4 * lam * np.cos(0.05 * k))
+        y = 0.4 * lam * np.cos(0.05 * k)
         cfg = compact_cfg(lam, 2.0, omega=10.0, T=0.001, order=3)
-        rec, rep = unfold_compact(y, cfg, 20)
-        np.testing.assert_array_equal(rec.values, window(y, -20, 20))
+        rec, rep = unfold_compact(y, -32, cfg, 20)
+        np.testing.assert_array_equal(rec, window(y, -32, -20, 20))
         assert rep.success
 
     def test_order_zero_restriction(self):
-        y = SampleSeq(-8, np.linspace(-0.04, 0.04, 17))
+        y = np.linspace(-0.04, 0.04, 17)
         cfg = compact_cfg(0.05, 0.04, omega=10.0, T=0.001)
-        rec, rep = unfold_compact(y, cfg, 4)
+        rec, rep = unfold_compact(y, -8, cfg, 4)
         assert rep.n_used == 0
-        assert rec.base_index == -4
         assert len(rec) == 9
+        np.testing.assert_array_equal(rec, window(y, -8, -4, 4))
 
     def test_exact_recovery_bits(self):
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         for seed in range(25):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([99, seed]))
-            (kstar,), _ = sig.scan_exceedance(T, (lam,))
+            (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
-            truth = sig.samples(T, -Kp, kstar)
-            y = fold_seq(truth, lam)
+            truth = lattice_samples(sig, T, -Kp, kstar)
+            y = modulo_fold(truth, Threshold(lam))
             cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
-            rec, rep = unfold_compact(y, cfg, kstar)
-            assert np.array_equal(rec.values, window(truth, -kstar, kstar))
+            rec, rep = unfold_compact(y, -Kp, cfg, kstar)
+            assert np.array_equal(rec, window(truth, -Kp, -kstar, kstar))
             assert rep.success
 
     def test_fold_count_on_grid_even_for_garbage(self):
         rng = np.random.default_rng(42)
         lam = 0.03
-        y = SampleSeq(-50, rng.uniform(-lam, lam, size=101))
+        y = rng.uniform(-lam, lam, size=101)
         cfg = compact_cfg(lam, 1.02, omega=5.0, T=0.01, order=5)
-        rec, _ = unfold_compact(y, cfg, 40)
-        resid = rec.values - window(y, -40, 40)
+        rec, _ = unfold_compact(y, -50, cfg, 40)
+        resid = rec - window(y, -50, -40, 40)
         m = resid / (2 * lam)
         assert np.max(np.abs(m - np.round(m))) <= 1e-9
 
@@ -196,7 +193,7 @@ class TestUnfoldCompact:
                 row = rng.uniform(-lam, lam, size=Kp + K + 1)
             else:
                 sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([31, r]))
-                row = modulo_fold(sig.samples(T, -Kp, K).values, Threshold(lam))
+                row = modulo_fold(lattice_samples(sig, T, -Kp, K), Threshold(lam))
             block[r, width - row.size :] = row
         start = width - (np.array(margins) + K + 1)
         counts, residual = compact_counts(block, lam, N, start)
@@ -204,9 +201,9 @@ class TestUnfoldCompact:
         cfg = compact_cfg(lam, 1.2, omega, T, order=N)
         for r, Kp in enumerate(margins):
             assert not np.any(counts[r, : start[r]])
-            rec, rep = unfold_compact(SampleSeq(-Kp, block[r, start[r] :]), cfg, K)
+            rec, rep = unfold_compact(block[r, start[r] :], -Kp, cfg, K)
             got = block[r, -(2 * K + 1) :] + (2.0 * lam) * counts[r, -(2 * K + 1) :]
-            assert got.tobytes() == rec.values.tobytes()
+            assert got.tobytes() == rec.tobytes()
             assert residual[r] == rep.residual_grid_deviation
 
     def test_idempotent(self):
@@ -214,26 +211,25 @@ class TestUnfoldCompact:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(7))
-        (kstar,), _ = sig.scan_exceedance(T, (lam,))
+        (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
         Kp = kstar + 4 + 8
-        truth = sig.samples(T, -Kp, Kp)
+        truth = lattice_samples(sig, T, -Kp, Kp)
         cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T, order=4)
-        rec1, _ = unfold_compact(fold_seq(truth, lam), cfg, Kp)
-        rec2, _ = unfold_compact(fold_seq(rec1, lam), cfg, Kp)
-        np.testing.assert_array_equal(rec1.values, rec2.values)
+        rec1, _ = unfold_compact(modulo_fold(truth, Threshold(lam)), -Kp, cfg, Kp)
+        rec2, _ = unfold_compact(modulo_fold(rec1, Threshold(lam)), -Kp, cfg, Kp)
+        np.testing.assert_array_equal(rec1, rec2)
 
     def test_margin_errors(self):
-        y = SampleSeq(-5, np.zeros(11))
         cfg = compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=2)
         with pytest.raises(MarginError):
-            unfold_compact(y, cfg, 8)  # base -5 > -8
+            unfold_compact(np.zeros(11), -5, cfg, 8)  # base -5 > -8
         with pytest.raises(MarginError):
-            unfold_compact(SampleSeq(-12, np.zeros(14)), cfg, 8)  # right end short
+            unfold_compact(np.zeros(14), -12, cfg, 8)  # right end short
 
     def test_size_error(self):
         cfg = compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=6)
         with pytest.raises(SizeError):
-            unfold_compact(SampleSeq(-3, np.zeros(5)), cfg, 1)
+            unfold_compact(np.zeros(5), -3, cfg, 1)
 
 
 class TestUnfoldGeneral:
@@ -246,7 +242,7 @@ class TestUnfoldGeneral:
         J = cost_j(beta_grid, lam)
         K = max(J + N - 1, max(kstars) + 16)
         K_prime = max(K, max(kstars) + N + 16)
-        rows = [sig.samples(T, -K_prime, K).values + shift for sig in sigs]
+        rows = [lattice_samples(sig, T, -K_prime, K) + shift for sig in sigs]
         return sinogram(rows, K, lam, omega, T)
 
     def test_no_folds_identity(self):
@@ -302,6 +298,33 @@ class TestUnfoldGeneral:
         assert rep.success
         np.testing.assert_allclose(rec.rows, row.rows, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arbitrary_rows_match_per_row_oracle(self, N, seed):
+        # uniform noise and folded Gaussian bumps, with random thresholds, grid
+        # bounds, windows and output widths: the block unfold gives the per-row
+        # oracle's bits and report lines, slope probe and tail plateau included
+        rng = np.random.default_rng([N, seed])
+        lam = float(rng.uniform(0.05, 1.0))
+        beta = 2.0 * lam * int(rng.integers(1, 4))
+        J = cost_j(beta, lam)
+        K = J + N - 1 + int(rng.integers(0, 20))
+        K_prime = K + int(rng.integers(0, 30))
+        k = np.arange(-K_prime, K + 1)
+        rows = np.empty((40, k.size))
+        rows[:20] = rng.uniform(-lam, lam, size=(20, k.size))
+        for row in rows[20:]:
+            amp, centre, width = rng.uniform(-beta, beta), rng.uniform(-K, K), rng.uniform(2, 20)
+            row[:] = modulo_fold(amp * np.exp(-(((k - centre) / width) ** 2)), Threshold(lam))
+        folded = sinogram(rows, K, lam, 10.0, 0.001)
+        cfg = UnfoldConfig(lam=lam, beta=beta, omega=10.0, T=0.001, mode=GENERAL,
+                           order_override=N)
+        K_out = int(rng.integers(1, K + 1))
+        got, got_reps = unfold_sinogram(folded, cfg, K_out)
+        want, want_reps = unfold_sinogram_oracle(folded, cfg, K_out)
+        assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
+        assert [r.to_csv_line() for r in got_reps] == [r.to_csv_line() for r in want_reps]
+
     def test_window_too_short(self):
         cfg = UnfoldConfig(lam=0.1, beta=1.0, omega=10.0, T=0.001, mode=GENERAL,
                            order_override=2)
@@ -320,19 +343,19 @@ class TestUnfoldGeneral:
         cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=GENERAL,
                            order_override=1)
         with pytest.raises(ConfigError):
-            unfold_compact(SampleSeq(-5, np.zeros(11)), cfg, 5)
+            unfold_compact(np.zeros(11), -5, cfg, 5)
 
 
-def _unfold_compact_float_staged(y, lam, N, K):
+def _unfold_compact_float_staged(y, base, lam, N, K):
     """Literal float staging: cumulative sums rounded onto the fold grid at
     every stage.  Reference route for the packaged integer bookkeeping."""
     thr = Threshold(lam)
-    d = np.diff(y.values, n=N)
+    d = np.diff(y, n=N)
     s = modulo_fold(d, thr) - d
     for _ in range(N - 1):
         s = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
     eps = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
-    return window(SampleSeq(y.base_index, y.values + eps), -K, K)
+    return window(y + eps, base, -K, K)
 
 
 class TestRouteEquivalence:
@@ -341,16 +364,16 @@ class TestRouteEquivalence:
         T = 0.5 / (omega * np.e)
         for seed in range(10):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([55, seed]))
-            (kstar,), _ = sig.scan_exceedance(T, (lam,))
+            (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
-            truth = sig.samples(T, -Kp, kstar)
-            y = fold_seq(truth, lam)
+            truth = lattice_samples(sig, T, -Kp, kstar)
+            y = modulo_fold(truth, Threshold(lam))
             cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
-            rec, _ = unfold_compact(y, cfg, kstar)
-            ref = _unfold_compact_float_staged(y, lam, N, kstar)
-            np.testing.assert_allclose(rec.values, ref, rtol=0, atol=1e-9 * lam)
+            rec, _ = unfold_compact(y, -Kp, cfg, kstar)
+            ref = _unfold_compact_float_staged(y, -Kp, lam, N, kstar)
+            np.testing.assert_allclose(rec, ref, rtol=0, atol=1e-9 * lam)
 
 
 def folded_phantom(M, noise=0.0):
@@ -448,7 +471,7 @@ class TestDifferenceBound:
         for seed in range(20):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
             sup = sup_norm_oracle(sig)
-            g = sig.samples(T, -400, 400).values
+            g = lattice_samples(sig, T, -400, 400)
             for n in range(1, 7):
                 lhs = np.max(np.abs(np.diff(g, n=n)))
                 assert lhs <= (T * omega * np.e) ** n * sup + 1e-9
