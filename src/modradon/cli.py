@@ -250,12 +250,13 @@ def _cmd_fbp(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.ingest:
-        source = load_sinogram(args.ingest)
-    else:
-        source = _phantom_arg(args.phantom)
+    # the source is held by no local and passed without ``**``, whose argument
+    # tuple would keep it alive, so that run_pipeline can free a loaded
+    # sinogram once it has cut out the clean rows
     res = experiments.run_pipeline(
-        source, **_forward_kwargs(args), filter_window=args.filter_window,
+        load_sinogram(args.ingest) if args.ingest else _phantom_arg(args.phantom),
+        lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T, M=args.angles,
+        K=args.K, k_prime=args.k_prime, filter_window=args.filter_window,
         grid_size=args.size, normalize=args.normalize, outdir=args.outdir, tag=args.tag,
     )
     print(f"K'={res.params.K_prime} N={res.N} J={res.J} "

@@ -194,11 +194,15 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     """End-to-end run: forward model, fold, unfold, and both reconstructions.
 
     A bad reconstruction setting (window, grid size, bandwidth) raises before
-    the forward model runs."""
+    the forward model runs.  Once the clean sinogram is cut out (and a
+    phantom rasterised for the RMSE reference), ``source`` is dropped, so a
+    sinogram the caller holds no reference to is freed before the fold."""
     grid = ImageGrid(grid_size, grid_size)
     spec = FilterSpec(_source_omega(source, omega), filter_window)
     clean, norm_scale = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T,
                                         M=M, K=K, k_prime=k_prime, normalize=normalize)
+    truth = None if isinstance(source, Sinogram) else rasterize(source, grid)
+    del source
     params = clean.params
     K, K_prime, N = params.K, params.K_prime, params.N
     beta_grid = grid_upper_bound(params.beta, params.lam)
@@ -220,8 +224,7 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     bit_identical = bool(np.array_equal(img_clean.pixels, img_recovered.pixels))
 
     rmse_clean = rmse_recovered = None
-    if not isinstance(source, Sinogram):
-        truth = rasterize(source, grid)
+    if truth is not None:
         ref = ImageGrid(grid.width, grid.height, truth.pixels / norm_scale)
         rmse_clean = rmse(img_clean, ref)
         rmse_recovered = rmse(img_recovered, ref)

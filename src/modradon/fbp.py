@@ -178,7 +178,7 @@ def write_pgm16(grid: ImageGrid, path: str) -> None:
 def write_raw_f64(grid: ImageGrid, path: str) -> None:
     """Raw little-endian float64 dump plus a '<path>.hdr' text sidecar."""
     with open(path, "wb") as f:
-        f.write(np.ascontiguousarray(grid.pixels, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(grid.pixels, dtype="<f8")).cast("B"))
     with open(str(path) + ".hdr", "w") as f:
         f.write(f"width {grid.width}\nheight {grid.height}\nextent -1 1 -1 1\n"
                 f"dtype float64-le\norder row-major\n")

@@ -8,8 +8,9 @@ The filtered samples are exactly the lattice samples of a band-limited
 function, which is what the recovery guarantees operate on.
 
 Row convolutions (this prefilter and the FBP ramp filter) run through
-``scipy.fft`` with one kernel spectrum per call; their results equal
-``scipy.signal.fftconvolve``'s bit for bit.
+``numpy.fft`` on zero-padded row blocks, with one kernel spectrum per call;
+their results equal ``scipy.signal.fftconvolve``'s bit for bit (numpy 2 and
+scipy run the same pocketfft).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import sici
 
 from .core import Threshold, guarded_ceil, map_blocks, modulo_fold, sup_norm
 from .errors import (
@@ -135,27 +134,48 @@ def lowpass_kernel(t, omega: float) -> np.ndarray:
     return (omega / np.pi) * np.sinc(omega * t / np.pi)
 
 
+def fast_len(m: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c >= m``, a length pocketfft transforms fast
+    (``scipy.fft.next_fast_len(m, real=True)``)."""
+    best = 1 << (m - 1).bit_length()
+    p35 = p5 = 1
+    while p5 < best:
+        while p35 < best:
+            # the least power of 2 that takes p35 to m or past it
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+        p35 = p5
+    return best
+
+
 def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) -> np.ndarray:
     """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row,
     bit for bit, where rows and kernel hold two or more samples (``fftconvolve``
     multiplies a one-sample row or kernel without an FFT).
 
-    These are ``fftconvolve``'s own steps: real FFTs at the fast length ``n``
-    of the full convolution, the product of the spectra, the inverse FFT.
-    The kernel's spectrum is computed once per call and shared by every
-    block.  The rows are convolved ``_CONV_ROWS`` at a time into a fresh
-    output array, one block per thread (:func:`~modradon.core.map_blocks`), so
-    the full-length buffers of one block per thread are alive at once and the
-    FFT temporaries stay in cache.
+    These are ``fftconvolve``'s own steps on ``numpy.fft``: real FFTs at the
+    fast length ``n`` of the full convolution, the product of the spectra, the
+    inverse FFT.  The kernel's spectrum is computed once per call and shared
+    by every block.  The rows are convolved ``_CONV_ROWS`` at a time into a
+    fresh output array, one block per thread
+    (:func:`~modradon.core.map_blocks`); each block is copied into a zeroed
+    ``(rows, n)`` buffer first, because ``numpy.fft`` pads many rows slower
+    than it transforms a padded buffer.  Only the full-length buffers of one
+    block per thread are alive at once, and the FFT temporaries stay in cache.
     """
-    n = next_fast_len(rows.shape[1] + kern.size - 1, True)
-    kern_spec = rfft(kern, n)
+    n = fast_len(rows.shape[1] + kern.size - 1)
+    kern_spec = np.fft.rfft(kern, n)
     out = np.empty((rows.shape[0], width))
 
     def block(r0):
-        spec = rfft(rows[r0 : r0 + _CONV_ROWS], n, axis=1)
+        part = rows[r0 : r0 + _CONV_ROWS]
+        buf = np.zeros((part.shape[0], n))
+        buf[:, : part.shape[1]] = part
+        spec = np.fft.rfft(buf, axis=1)
+        del buf
         spec *= kern_spec
-        out[r0 : r0 + _CONV_ROWS] = irfft(spec, n, axis=1)[:, start : start + width]
+        out[r0 : r0 + _CONV_ROWS] = np.fft.irfft(spec, n, axis=1)[:, start : start + width]
 
     map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
     return out
@@ -303,8 +323,11 @@ class RandomBandlimitedSignal:
 
         One ``sici`` call covers every edge, and one product every level's
         term ``c_i * (Si_i - Si_{i+1})``; the terms are then added in level
-        order.
+        order.  ``scipy.special`` is imported here, so only the processes
+        that sample a signal (the sweep and the demo) load it.
         """
+        from scipy.special import sici
+
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = t - self.edges.reshape((-1,) + (1,) * t.ndim)
         x *= self.omega
@@ -429,7 +452,7 @@ def _save_binary(s, path):
     header += struct.pack("<ddd", p.omega, p.T, p.lam)
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(s.rows, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(s.rows, dtype="<f8")).cast("B"))
 
 
 def _load_binary(path) -> Sinogram:

@@ -1,10 +1,11 @@
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modradon import experiments
+from modradon import cli, experiments, fbp
 from modradon.cli import main
 from modradon.forward import load_sinogram
 from modradon.phantom import load_phantom
@@ -258,6 +259,31 @@ class TestPipelineCommand:
         assert unfolded.rows.tobytes() == clean.rows[:, lo:].tobytes()
         images = [(out / f"t_fbp_{which}.f64").read_bytes() for which in ("clean", "recovered")]
         assert images[0] == images[1]
+
+    def test_ingested_sinogram_is_freed_before_back_projection(self, tmp_path, monkeypatch):
+        # the pipeline needs only the clean rows it cuts out of a loaded
+        # sinogram, so the loaded one must not live on through fold, unfold
+        # and reconstruction
+        src = tmp_path / "s.mrts"
+        assert run(["forward", "--phantom", "shepp-logan", "--omega", 20, "--lam", 0.05,
+                    "--out", src]) == 0
+        loaded, alive = [], []
+        load, back_project = cli.load_sinogram, fbp.back_project
+
+        def loading(path):
+            s = load(path)
+            loaded.extend((weakref.ref(s), weakref.ref(s.rows)))
+            return s
+
+        def spying(*args):
+            alive.append([ref() is not None for ref in loaded])
+            return back_project(*args)
+
+        monkeypatch.setattr(cli, "load_sinogram", loading)
+        monkeypatch.setattr(fbp, "back_project", spying)
+        assert run(["pipeline", "--ingest", src, "--lam", 0.05, "--omega", 20, "--size", 16,
+                    "--outdir", tmp_path / "out"]) == 0
+        assert len(loaded) == 2 and alive == [[False, False]]
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_bad_size_exits_2_before_forward(self, tmp_path, capsys, monkeypatch, size):

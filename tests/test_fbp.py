@@ -352,3 +352,10 @@ class TestImageExport:
         back = read_raw_f64(path)
         assert np.array_equal(back.pixels, img.pixels)
         assert (back.width, back.height) == (7, 5)
+
+    def test_raw_of_strided_pixels_is_the_row_major_buffer(self, tmp_path):
+        pixels = np.random.default_rng(5).normal(size=(7, 5)).T
+        assert not pixels.flags.c_contiguous
+        path = tmp_path / "img.f64"
+        write_raw_f64(ImageGrid(7, 5, pixels), path)
+        assert path.read_bytes() == pixels.astype("<f8").tobytes()

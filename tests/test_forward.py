@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.experiments import base_order, ingest_raw_csv, prepare_forward
@@ -15,6 +16,7 @@ from modradon.forward import (
     SamplingParams,
     Sinogram,
     clear_band_exceedance,
+    fast_len,
     fold_sinogram,
     load_sinogram,
     lowpass_kernel,
@@ -146,6 +148,28 @@ class TestFold:
                            omega=p.omega, T=p.T, mode=COMPACT)
         with pytest.raises(DomainError):
             unfold_sinogram(s, cfg)
+
+
+def _convolution_lengths(T, K):
+    """Full-convolution lengths of a pipeline over [-K, K] at spacing T: the
+    prefilter of the radius-4 scan window, then the ramp filter."""
+    k_scan = int(np.ceil(4.0 / T))
+    return [(2 * K + 1) + 2 * (k_scan + K), 6 * K + 1]
+
+
+class TestFastLen:
+    def test_matches_scipy_next_fast_len(self):
+        ms = range(1, 200_001)
+        assert [fast_len(m) for m in ms] == [next_fast_len(m, real=True) for m in ms]
+
+    def test_benchmark_pipeline_lengths(self):
+        # Shepp-Logan at omega 300 and t_frac 0.5 (pipeline-sl), then the
+        # walnut geometry K = 1128 at T = 1/1128 (walnut-ingest)
+        T = 0.5 / (300 * np.e)
+        lengths = _convolution_lengths(T, support_index(T)) + _convolution_lengths(1 / 1128, 1128)
+        assert lengths == [19573, 9787, 13537, 6769]
+        fast = [fast_len(m) for m in lengths]
+        assert fast == [next_fast_len(m, real=True) for m in lengths] == [19683, 10000, 13824, 6912]
 
 
 class TestScan:
@@ -380,6 +404,20 @@ class TestSinogramIO:
         assert r.params.T == s.params.T
         assert r.params.lam == s.params.lam
         assert (r.params.M, r.params.K, r.params.K_prime) == (6, 12, 15)
+
+    def test_binary_sliced_rows_round_trip_bit_exact(self, tmp_path):
+        # the rows are written from their contiguous little-endian buffer; a
+        # strided view is made contiguous first, and every bit survives
+        s = self._small_sinogram()
+        wide = np.random.default_rng(5).normal(size=(6, 56))
+        wide[0, :8:2] = [-0.0, 5e-324, -np.finfo(float).max, np.finfo(float).tiny]
+        sliced = Sinogram(s.params, wide[:, ::2])
+        assert not sliced.rows.flags.c_contiguous
+        path = tmp_path / "s.mrts"
+        save_sinogram(sliced, path)
+        want = wide[:, ::2].astype("<f8").tobytes()
+        assert path.read_bytes()[44:] == want
+        assert load_sinogram(path).rows.tobytes() == want
 
     def test_csv_round_trip_bit_exact(self, tmp_path):
         s = self._small_sinogram()

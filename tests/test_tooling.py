@@ -358,17 +358,59 @@ def test_running_sums_live_in_the_unfold_core():
         ("unfold", "compact_counts"), ("unfold", "_unfold_block")}
 
 
-def test_cli_imports_no_heavy_scipy_subpackage():
-    # scipy.signal and what it pulls in cost each CLI process about 50 MB and
-    # 0.6 s.  In a child interpreter: the test modules import scipy.signal
-    # themselves, for the convolution oracle
-    heavy = ("scipy.signal", "scipy.stats", "scipy.linalg", "scipy.sparse", "scipy.optimize")
-    script = (f"import sys, modradon, modradon.cli; "
-              f"print([m for m in {heavy!r} if m in sys.modules])")
+def _child_output(script):
+    """Run ``script`` in a child interpreter that imports the package from
+    src/ and return what it prints.  The test modules import scipy.signal
+    and scipy.special themselves, for the oracles, so only a child shows
+    what the package alone loads."""
     path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                          os.environ.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-W", "error", "-c", script],
                            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    return child.stdout.strip()
+
+
+def test_cli_imports_no_heavy_scipy_subpackage():
+    # scipy.signal and what it pulls in cost each CLI process about 50 MB and
+    # 0.6 s, and scipy.fft and scipy.special about 25 MB and 0.3 s more
+    heavy = ("scipy.fft", "scipy.special", "scipy.signal", "scipy.stats", "scipy.linalg",
+             "scipy.sparse", "scipy.optimize")
+    assert _child_output(f"import sys, modradon, modradon.cli; "
+                          f"print([m for m in {heavy!r} if m in sys.modules])") == "[]"
+
+
+def test_sampling_a_sweep_signal_loads_scipy_special():
+    # RandomBandlimitedSignal.sample imports the sine integral on first use
+    script = ("import sys, numpy as np; from modradon.forward import RandomBandlimitedSignal; "
+              "sig = RandomBandlimitedSignal.draw(10.0, np.random.SeedSequence(1)); "
+              "before = 'scipy.special' in sys.modules; sig.sample(np.linspace(-2, 2, 9)); "
+              "print(before, 'scipy.special' in sys.modules)")
+    assert _child_output(script) == "False True"
+
+
+def _imports_under(node, where=()):
+    """(where, node) for every import statement below ``node``, ``where``
+    naming its enclosing definitions, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield where, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _imports_under(child, where + (child.name,))
+        else:
+            yield from _imports_under(child, where)
+
+
+def test_scipy_is_imported_only_for_the_sine_integral():
+    # numpy.fft runs the convolutions; scipy.special's sici, which only the
+    # sweep signals need, is imported where they are sampled
+    found = []
+    for path, tree in _parse("src/modradon/*.py").items():
+        for where, node in _imports_under(tree):
+            modules = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else [a.name for a in node.names])
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append((os.path.basename(path)[:-3], ".".join(where), ast.unparse(node)))
+    assert found == [("forward", "RandomBandlimitedSignal.sample",
+                      "from scipy.special import sici")]
