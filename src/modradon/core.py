@@ -1,6 +1,6 @@
 """Scalar and array primitives: centered modulo folding, the guarded floor
 and ceiling, the sup norm, plus :func:`map_blocks`, which spreads row blocks
-over the usable CPUs.
+over the :func:`usable_cpus`.
 
 Everything downstream is built from these operators.  The fold and rounding
 functions are pure and accept either scalars or numpy arrays.
@@ -22,6 +22,13 @@ from .errors import DomainError
 GUARD = 1e-12
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on; sched_getaffinity (Linux only) honours
+    taskset and cpusets."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def map_blocks(fn, starts) -> list:
     """``[fn(s) for s in starts]``, run on one thread per usable CPU.
 
@@ -34,9 +41,7 @@ def map_blocks(fn, starts) -> list:
     first block, in that order, that raised one.
     """
     starts = list(starts)
-    # sched_getaffinity (Linux only) honours taskset and cpusets
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(len(starts), cpus or 1)
+    threads = min(len(starts), usable_cpus())
     if threads <= 1:
         return [fn(s) for s in starts]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Threshold, guarded_ceil, modulo_fold, sup_norm
+from .core import Threshold, guarded_ceil, modulo_fold, sup_norm, usable_cpus
 from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
@@ -171,8 +171,8 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
         raw /= norm_scale
     k_min = K if k_prime == "auto" else max(K, int(k_prime))
     scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min)
+    beta = sup_norm(raw)
     del raw  # freed before the window is copied out of the scan
-    beta = scan.beta_raw
     N = select_order(UnfoldConfig(lam=lam, beta=grid_upper_bound(beta, lam), omega=omega,
                                   T=T, mode=COMPACT))
     rho = kstar * T
@@ -399,7 +399,7 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     jobs = [(lams, om, ts[om], r, seed) for om in omegas for r in ranges]
     if workers > 1:
         # a fork start method forks every worker at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), usable_cpus())) as pool:
             hits = list(pool.map(_sweep_hits, jobs))
     else:
         hits = [_sweep_hits(j) for j in jobs]

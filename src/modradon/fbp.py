@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import map_blocks
-from .errors import ConfigError, DomainError, SizeError
+from .errors import ConfigError, SizeError
 from .forward import SamplingParams, Sinogram, convolve_rows
 from .phantom import ImageGrid
 
@@ -86,8 +86,6 @@ def filter_projections(s: Sinogram, spec: FilterSpec) -> np.ndarray:
     """
     p = s.params
     rows = s.symmetric_rows()
-    if rows.shape[1] != 2 * p.K + 1:
-        raise SizeError("sinogram does not cover the symmetric detector grid")
     lags = np.arange(-2 * p.K, 2 * p.K + 1) * p.T
     kern = filter_kernel(spec, lags)
     return convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1)
@@ -103,8 +101,6 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
     in the fixed order m = 0..M-1, so results are deterministic and do not
     depend on how many CPUs run the bands.
     """
-    if grid.width < 1 or grid.height < 1:
-        raise DomainError("empty image grid")
     K, T, M = params.K, params.T, params.M
     if h.shape != (M, 2 * K + 1):
         raise SizeError(f"filtered rows shape {h.shape} != {(M, 2 * K + 1)}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Threshold, guarded_ceil, map_blocks, modulo_fold, sup_norm
+from .core import Threshold, guarded_ceil, map_blocks, modulo_fold
 from .errors import (
     ConfigError,
     MarginError,
@@ -200,15 +200,13 @@ def fold_sinogram(s: Sinogram) -> Sinogram:
 
 @dataclass(frozen=True, eq=False)
 class ForwardScan:
-    """Wide prefiltered materialization used to measure amplitude and tails.
+    """Wide prefiltered materialization used to measure the tails.
 
-    ``rows`` covers lattice indices [-k_scan, k_scan] for every angle;
-    ``beta_raw`` is the max absolute raw sample (before the low-pass).
+    ``rows`` covers lattice indices [-k_scan, k_scan] for every angle.
     """
 
     k_scan: int
     rows: np.ndarray
-    beta_raw: float
 
     def exceedance_index(self, lam: float) -> int:
         """:func:`clear_band_exceedance` of the scanned rows."""
@@ -280,7 +278,7 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
     lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T
     rows = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half, 2 * k_scan + 1)
     rows *= T
-    return ForwardScan(k_scan, rows, sup_norm(raw_rows))
+    return ForwardScan(k_scan, rows)
 
 
 @dataclass(frozen=True, eq=False)

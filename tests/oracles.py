@@ -16,8 +16,9 @@ into its own run and unfolds it on its own, with the general-mode unfolder
 that preceded the block core and its running sums, ``anti_diff`` and
 ``anti_diff_bilateral``, each of which returns a new array.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
-reader, the standard parameter choice, the acquisition window cut from a
-scan and the lattice sampling helper serve the tests as references only.
+reader, the standard parameter choice, the acquisition window cut from the
+scan of raw rows and the lattice sampling helper serve the tests as
+references only.
 The CSV row reader parses one cell at a time with ``float()``.
 """
 
@@ -32,7 +33,13 @@ from modradon.core import Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
 from modradon.fbp import filter_projections
-from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, support_index
+from modradon.forward import (
+    RandomBandlimitedSignal,
+    SamplingParams,
+    Sinogram,
+    scan_from_raw,
+    support_index,
+)
 from modradon.phantom import ImageGrid, Phantom
 from modradon.unfold import (
     COMPACT,
@@ -273,12 +280,13 @@ def lattice_samples(sig, T, k_lo, k_hi):
     return sig.sample(np.arange(k_lo, k_hi + 1) * T)
 
 
-def scan_window(scan, params):
-    """The clean sinogram over [-K_prime, K] cut from a ``ForwardScan``, with
-    the scan's raw amplitude as beta."""
+def scan_window(raw_rows, params, radius=4.0):
+    """The clean sinogram over [-K_prime, K] cut from the scan of ``raw_rows``
+    out to ``radius``, with the largest raw magnitude as beta."""
+    scan = scan_from_raw(raw_rows, params.omega, params.T, radius)
     lo = scan.k_scan - params.K_prime
     rows = scan.rows[:, lo : scan.k_scan + params.K + 1].copy()
-    return Sinogram(replace(params, beta=scan.beta_raw), rows)
+    return Sinogram(replace(params, beta=float(np.max(np.abs(raw_rows)))), rows)
 
 
 def anti_diff(a):

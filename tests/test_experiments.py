@@ -1,3 +1,4 @@
+import os
 import weakref
 
 import numpy as np
@@ -72,31 +73,54 @@ class TestSweepCell:
         assert heads == [(-181, -181)]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Swap the sweep's process pool for one that runs the jobs inline, so no
+    worker process starts; returns a [size, jobs mapped] entry per pool opened."""
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append([max_workers, 0])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            opened[-1][1] += len(jobs)
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return opened
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 class TestSuccessSweep:
-    def test_pool_holds_no_more_workers_than_jobs(self, monkeypatch):
+    def test_pool_holds_no_more_workers_than_jobs(self, monkeypatch, pools):
         # a fork start method forks every worker at the first submit, so 64
-        # workers for 2 jobs would start 62 idle processes.  The fake pool
-        # records its size and runs the jobs inline
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
+        # workers for 2 jobs would start 62 idle processes
+        usable_cpus(monkeypatch, 64)
         kw = dict(lams=(0.1,), omegas=(10 * np.pi,), trials=2, tsteps=3, seed=3)
         seq = experiments.success_sweep(**kw, workers=1)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         par = experiments.success_sweep(**kw, workers=64)
-        assert sizes == [2]
+        assert pools == [[2, 2]]
+        assert [c.to_csv() for c in par] == [c.to_csv() for c in seq]
+
+    def test_pool_holds_no_more_workers_than_usable_cpus(self, monkeypatch, pools):
+        # 64 workers for 8 jobs on 2 CPUs: the trials still split 8 ways, and
+        # the pool holds 2 workers
+        usable_cpus(monkeypatch, 2)
+        kw = dict(lams=(0.1,), omegas=(10 * np.pi,), trials=8, tsteps=3, seed=3)
+        seq = experiments.success_sweep(**kw, workers=1)
+        par = experiments.success_sweep(**kw, workers=64)
+        assert pools == [[2, 8]]
         assert [c.to_csv() for c in par] == [c.to_csv() for c in seq]
 
 

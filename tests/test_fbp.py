@@ -15,7 +15,7 @@ from modradon.fbp import (
     write_pgm16,
     write_raw_f64,
 )
-from modradon.forward import SamplingParams, Sinogram, fold_sinogram, scan_forward
+from modradon.forward import SamplingParams, Sinogram, fold_sinogram, phantom_rows
 from modradon.phantom import Ellipse, ImageGrid, Phantom, rasterize, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
 from oracles import (
@@ -32,7 +32,7 @@ OMEGA = 60.0
 
 
 def phantom_sinogram(phantom, p):
-    return scan_window(scan_forward(phantom, p.omega, p.T, p.M), p)
+    return scan_window(phantom_rows(phantom, p.T, p.M), p)
 
 
 def small_sinogram(lam=0.05, omega=OMEGA, M=None):

@@ -292,9 +292,20 @@ def _parse(pattern):
     return trees
 
 
+def test_package_root_holds_only_its_docstring_and_version():
+    # names are imported from the modules that define them; a re-export list
+    # here would keep names alive that no program path reaches
+    with open(os.path.join(ROOT, "src", "modradon", "__init__.py")) as f:
+        tree = ast.parse(f.read())
+    doc, version = tree.body
+    assert ast.get_docstring(tree) and isinstance(version, ast.Assign)
+    assert [ast.unparse(t) for t in version.targets] == ["__version__"]
+    assert isinstance(version.value, ast.Constant)
+
+
 def test_every_definition_has_a_program_caller():
-    # code that only the tests reach is dead weight; the package's re-exports
-    # in __init__.py do not count as a use
+    # code that only the tests reach is dead weight; __init__.py is skipped,
+    # as it defines and imports nothing (see the test above)
     program = _parse("src/modradon/*.py")
     used = set()
     for tree in [*program.values(), *_parse("bench/*.py").values()]:

@@ -284,14 +284,14 @@ class TestUnfoldGeneral:
 
     def test_reference_projection_row(self):
         # full-scale projection row: folds every few samples, recovered exactly
-        from modradon.forward import scan_from_raw, support_index
+        from modradon.forward import support_index
         from modradon.phantom import radon_phantom
 
         lam = 0.025
         p = design_params(300.0, lam=lam)
         ks = support_index(p.T)
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
-        row = scan_window(scan_from_raw(raw[None, :], p.omega, p.T), replace(p, M=1))
+        row = scan_window(raw[None, :], replace(p, M=1))
         cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(0.56, lam), omega=300.0,
                            T=p.T, mode=GENERAL)
         rec, [rep] = unfold_sinogram(fold_sinogram(row), cfg)
@@ -391,11 +391,11 @@ class TestUnfoldSinogram:
     def test_general_route_matches_compact_on_shared_ground(self):
         # both algorithms recover the same rows when both sets of
         # preconditions hold (decaying tail and quiet left margin)
-        from modradon.forward import scan_forward
+        from modradon.forward import phantom_rows
 
         lam = 0.05
         p = design_params(60.0, lam=lam, M=12)
-        s = scan_window(scan_forward(shepp_logan(), p.omega, p.T, p.M), p)
+        s = scan_window(phantom_rows(shepp_logan(), p.T, p.M), p)
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
         rec_c, _ = unfold_sinogram(
