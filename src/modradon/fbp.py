@@ -9,10 +9,18 @@ with the 1/2 of the inversion formula and the angular average enter once, as
 the T/(2M) prefactor of the back projection.
 
 Reconstruction takes one sinogram and returns one image.  Back projection
-splits the image into bands of rows, which :func:`~modradon.core.map_blocks`
-spreads over the usable CPUs; each pixel sums its filtered rows over the
-angles in the order m = 0..M-1, so its value does not depend on the number of
-CPUs.
+uses the symmetries of ``theta_m = m*pi/M``: ``theta_{M-m} = pi - theta_m``
+and, for even M, ``theta_{M/2+-m} = pi/2 +- theta_m``.  Only the base angles
+(m <= M/4 for even M, m <= M/2 for odd M) take ``np.cos``/``np.sin``; every
+other angle takes exact negated or swapped values, so its interpolation
+geometry is a flipped or transposed view of its base angle's on the exactly
+symmetric pixel axes of :meth:`~modradon.phantom.ImageGrid.pixel_axes`.  Each
+pixel sums its angles in four classes (base, mirror, quarter turn, mirrored
+quarter turn), each in ascending base angle, and adds the four sums in that
+order.  The image is split into bands of rows, which
+:func:`~modradon.core.map_blocks` spreads over the usable CPUs; the order
+depends on M alone, so a pixel's value does not depend on the grid's
+partition or the number of CPUs.
 """
 
 from __future__ import annotations
@@ -30,7 +38,10 @@ RAM_LAK = "ram_lak"
 COSINE = "cosine"
 
 #: Image rows per back-projection band, the unit of work of one thread: a
-#: 256-row image splits into two bands.
+#: 256-row image splits into two bands.  A band computes the geometry of its
+#: rows once per base angle and adds each angle of the base's class group
+#: into rows of that class's accumulator, in the class's own frame; the
+#: frames are undone and the four classes summed once, after every band.
 _ROW_TILE = 128
 
 
@@ -91,31 +102,78 @@ def filter_projections(s: Sinogram, spec: FilterSpec) -> np.ndarray:
     return convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1)
 
 
+def _angle_classes(M: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The base angles of M and the angles derived from each.
+
+    Returns ``(b, [(k, m), ...])`` for every base angle b in ascending order,
+    where angle m belongs to class k: 0 the base itself (cos, sin), 1 the
+    mirror M-b (-cos, sin), 2 the quarter turn M/2+b (-sin, cos) and 3 the
+    mirrored quarter turn M/2-b (sin, cos), with (cos, sin) those of
+    ``theta_b``.  Classes 2 and 3 exist for even M only.  Every angle is
+    listed once, at its first appearance in this order.
+    """
+    last = M // 4 if M % 2 == 0 else M // 2
+    seen = set()
+    groups = []
+    for b in range(last + 1):
+        derived = [b, M - b] + ([M // 2 + b, M // 2 - b] if M % 2 == 0 else [])
+        members = []
+        for k, m in enumerate(derived):
+            if m < M and m not in seen:
+                seen.add(m)
+                members.append((k, m))
+        groups.append((b, members))
+    return groups
+
+
 def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> ImageGrid:
     """Angular accumulation with linear interpolation between detector samples.
 
     ``image(x) = T/(2M) * sum_m interp(h_m)(x . theta_m)``; points projecting
     outside the filtered lattice contribute zero.  ``h`` holds the (M, 2K+1)
-    filtered rows of ``params``.  The image rows are split into bands of
-    ``_ROW_TILE`` rows, one thread's work each.  Every pixel sums its angles
-    in the fixed order m = 0..M-1, so results are deterministic and do not
-    depend on how many CPUs run the bands.
+    filtered rows of ``params``.  Angle m has the (cos, sin) of its class in
+    :func:`_angle_classes`, from ``np.cos``/``np.sin`` of its base angle.
+    Every pixel sums each class over ascending base angles into its own
+    accumulator A0..A3, and the image is ``((A0 + A1) + A2) + A3`` times
+    T/(2M): the order depends on M alone, not on the grid or the CPU count.
+
+    The image rows are split into bands of ``_ROW_TILE`` rows, one thread's
+    work each.  A band computes the detector position ``u`` of its rows once
+    per base angle; the mirror reads it column-reversed, and on a square
+    grid the quarter turns read it transposed and flipped.  On a non-square
+    grid the quarter turns compute their own ``u`` from (-sin, cos), which
+    the mirrored quarter turn reads column-reversed.  Each class accumulates
+    in the frame it reads ``u`` in, and the frames are undone at the end.
     """
     K, T, M = params.K, params.T, params.M
     if h.shape != (M, 2 * K + 1):
         raise SizeError(f"filtered rows shape {h.shape} != {(M, 2 * K + 1)}")
     x, y = grid.pixel_axes()
-    trig = [(np.cos(th), np.sin(th)) for th in params.thetas()]
-    acc = np.zeros((grid.height, grid.width))
+    thetas = params.thetas()
+    square = grid.width == grid.height
+    # (cos, sin, [(class, angle)]): the angles that share one geometry
+    passes = []
+    for b, members in _angle_classes(M):
+        c, s = np.cos(thetas[b]), np.sin(thetas[b])
+        if square:
+            passes.append((c, s, members))
+        else:
+            passes.append((c, s, [(k, m) for k, m in members if k < 2]))
+            quarter = [(k, m) for k, m in members if k >= 2]
+            if quarter:
+                passes.append((-s, c, quarter))
+    # one block for the four accumulators: four separate arrays raised the
+    # pipeline's peak RSS by about 6 MB through heap placement
+    acc = np.zeros((4, grid.height, grid.width))
 
     def band(r0):
         yt = y[r0 : r0 + _ROW_TILE]
         shape = (yt.size, x.size)
-        u, frac, w0, a, b = (np.empty(shape) for _ in range(5))
+        u, w0, a, b = (np.empty(shape) for _ in range(4))
         i0 = np.empty(shape, np.int64)
         inside, upper = np.empty(shape, bool), np.empty(shape, bool)
-        tile = acc[r0 : r0 + _ROW_TILE]
-        for row, (c, sn) in zip(h, trig):
+        tiles = acc[:, r0 : r0 + _ROW_TILE]
+        for c, sn, members in passes:
             # u = (x cos + y sin) / T + K with the operands and rounding order of
             # the per-pixel formula; the division is kept (1/T would move bits)
             np.add((x * c)[None, :], (yt * sn)[:, None], out=u)
@@ -124,23 +182,33 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
             np.greater_equal(u, 0.0, out=inside)
             np.less_equal(u, 2 * K, out=upper)
             np.logical_and(inside, upper, out=inside)
-            np.floor(u, out=frac)
-            np.clip(frac, 0, 2 * K - 1, out=frac)
-            i0[...] = frac
-            np.subtract(u, frac, out=frac)
+            # i0 = clip(floor(u)); frac = u - i0 overwrites u, and w0 = 1 - frac
+            np.floor(u, out=w0)
+            np.clip(w0, 0, 2 * K - 1, out=w0)
+            i0[...] = w0
+            frac = np.subtract(u, w0, out=u)
             np.subtract(1.0, frac, out=w0)
-            # row[i0] * (1 - frac) + row[i0 + 1] * frac
-            np.take(row, i0, out=a, mode="clip")
-            np.take(row[1:], i0, out=b, mode="clip")
-            np.multiply(a, w0, out=a)
-            np.multiply(b, frac, out=b)
-            np.add(a, b, out=a)
-            # skipping outside pixels equals adding 0.0 there: a tile that
-            # starts at +0.0 never holds -0.0
-            np.add(tile, a, out=tile, where=inside)
+            for k, m in members:
+                row = h[m]
+                # row[i0] * (1 - frac) + row[i0 + 1] * frac
+                np.take(row, i0, out=a, mode="clip")
+                np.take(row[1:], i0, out=b, mode="clip")
+                np.multiply(a, w0, out=a)
+                np.multiply(b, frac, out=b)
+                np.add(a, b, out=a)
+                # skipping outside pixels equals adding 0.0 there: a tile that
+                # starts at +0.0 never holds -0.0
+                np.add(tiles[k], a, out=tiles[k], where=inside)
 
     map_blocks(band, range(0, grid.height, _ROW_TILE))
-    return ImageGrid(grid.width, grid.height, acc * (T / (2.0 * M)))
+    # x[W-1-j] == -x[j] and, when square, x[n-1-i] == y[i] (ImageGrid.pixel_axes):
+    # the mirror's pixel (i, j) read u at (i, W-1-j), a square grid's quarter turn
+    # at (j, n-1-i) and its mirror at (n-1-j, n-1-i)
+    img = acc[0] + acc[1][:, ::-1]
+    img += acc[2].T[::-1] if square else acc[2]
+    img += acc[3].T[::-1, ::-1] if square else acc[3][:, ::-1]
+    img *= T / (2.0 * M)
+    return ImageGrid(grid.width, grid.height, img)
 
 
 def fbp_reconstruct(s: Sinogram, spec: FilterSpec, grid: ImageGrid) -> ImageGrid:

@@ -96,7 +96,15 @@ class SamplingParams:
             raise ConfigError(f"K_prime ({self.K_prime}) must be >= K ({self.K})")
 
     def thetas(self) -> np.ndarray:
-        return np.arange(self.M) * (np.pi / self.M)
+        return projection_angles(self.M)
+
+
+def projection_angles(M: int) -> np.ndarray:
+    """The M projection angles ``theta_m = m*pi/M``, rounded as
+    ``(m*pi)/M``; raises :class:`SizeError` when numpy cannot index M."""
+    if M > np.iinfo(np.intp).max // 8:
+        raise SizeError(f"M={M} angles are too many to index")
+    return np.arange(M) * np.pi / M
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +193,7 @@ def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
     """Analytic projection samples at t = k*T, |k| <= ceil(1/T), for each of the
     M angles: the raw rows that :func:`scan_from_raw` band-limits."""
     k_half = support_index(T)
-    return radon_phantom(p, np.arange(M) * np.pi / M, np.arange(-k_half, k_half + 1) * T)
+    return radon_phantom(p, projection_angles(M), np.arange(-k_half, k_half + 1) * T)
 
 
 def support_index(T: float) -> int:

@@ -77,9 +77,13 @@ class Phantom:
 class ImageGrid:
     """A rasterized image over the square [-1, 1]^2, row-major pixels.
 
-    Pixel (i, j) has its center at ``x = -1 + (j + 1/2) * 2/width`` and
-    ``y = 1 - (i + 1/2) * 2/height`` (row 0 is the top of the image).
-    Without ``pixels`` the grid reads as zeros through a read-only view.
+    Pixel (i, j) has its center at ``x = (2j + 1 - width) / width`` and
+    ``y = (height - 1 - 2i) / height`` (row 0 is the top of the image): one
+    rounding of an exact integer ratio, so ``x[width-1-j] == -x[j]`` and
+    ``y[height-1-i] == -y[i]`` (bit for bit but for the +0.0 middle of an odd
+    side), and on a square grid ``x[n-1-i] == y[i]`` bit for bit.  Without ``pixels`` the grid reads as zeros through a
+    read-only view.  A grid whose float64 pixel array numpy cannot index
+    raises :class:`SizeError`.
     """
 
     width: int
@@ -89,6 +93,8 @@ class ImageGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise DomainError("image grid must have at least one pixel per axis")
+        if self.width * self.height > np.iinfo(np.intp).max // 8:
+            raise SizeError(f"image grid {self.width}x{self.height} is too large to index")
         if self.pixels is None:
             # a grid that only gives an image's geometry holds no pixel buffer
             # (the pipeline keeps its grid alive through the forward model)
@@ -101,8 +107,8 @@ class ImageGrid:
 
     def pixel_axes(self):
         """1-D pixel-center coordinates: x per column (width), y per row (height)."""
-        x = -1.0 + (np.arange(self.width) + 0.5) * (2.0 / self.width)
-        y = 1.0 - (np.arange(self.height) + 0.5) * (2.0 / self.height)
+        x = (2 * np.arange(self.width) + 1 - self.width) / self.width
+        y = (self.height - 1 - 2 * np.arange(self.height)) / self.height
         return x, y
 
 

@@ -157,21 +157,37 @@ def convolve_rows_oracle(rows, kern, start, width):
 
 
 def back_project_oracle(h, params, grid):
-    """Plain per-angle back projection of one filtered sinogram: the pixel array of
-    ``T/(2M) * sum_m interp(h_m)(x . theta_m)``, zero outside the lattice."""
+    """Plain per-pixel back projection of one filtered sinogram: the pixel array of
+    ``T/(2M) * sum_m interp(h_m)(x . theta_m)``, zero outside the lattice.
+
+    Angle m takes the (cos, sin) of its base angle b, negated or swapped by its
+    class: b itself, the mirror M-b, and for even M the quarter turns M/2+b
+    and M/2-b, each angle at its first appearance over ascending b.  Each class
+    sums over ascending b, and the image is ``((A0 + A1) + A2) + A3``."""
     K, T, M = params.K, params.T, params.M
     X, Y = np.meshgrid(*grid.pixel_axes())
-    acc = np.zeros_like(X)
+    classes = [np.zeros_like(X) for _ in range(4)]
     thetas = params.thetas()
-    for m in range(M):
-        t = X * np.cos(thetas[m]) + Y * np.sin(thetas[m])
-        u = t / T + K
-        inside = (u >= 0.0) & (u <= 2 * K)
-        i0 = np.clip(np.floor(u).astype(np.int64), 0, 2 * K - 1)
-        frac = u - i0
-        row = h[m]
-        vals = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
-        acc += np.where(inside, vals, 0.0)
+    done = set()
+    for b in range(M // 4 + 1 if M % 2 == 0 else M // 2 + 1):
+        c, s = np.cos(thetas[b]), np.sin(thetas[b])
+        angles = [(b, c, s), (M - b, -c, s)]
+        if M % 2 == 0:
+            angles += [(M // 2 + b, -s, c), (M // 2 - b, s, c)]
+        for acc, (m, cm, sm) in zip(classes, angles):
+            if m >= M or m in done:
+                continue
+            done.add(m)
+            t = X * cm + Y * sm
+            u = t / T + K
+            inside = (u >= 0.0) & (u <= 2 * K)
+            i0 = np.clip(np.floor(u).astype(np.int64), 0, 2 * K - 1)
+            frac = u - i0
+            row = h[m]
+            vals = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
+            acc += np.where(inside, vals, 0.0)
+    assert done == set(range(M))
+    acc = ((classes[0] + classes[1]) + classes[2]) + classes[3]
     acc *= T / (2.0 * M)
     return acc
 

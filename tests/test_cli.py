@@ -298,6 +298,24 @@ class TestPipelineCommand:
         assert "Traceback" not in err
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--size", "image grid 99999999999999999999999x99999999999999999999999 is too "
+                   "large to index"),
+        ("--angles", "M=99999999999999999999999 angles are too many to index"),
+    ])
+    def test_unindexable_count_exits_2(self, tmp_path, capsys, monkeypatch, flag, message):
+        # both are refused before numpy is asked for an array of that size
+        projected = []
+        monkeypatch.setattr(experiments, "scan_from_raw", lambda *a, **k: projected.append(a))
+        out = tmp_path / "out"
+        code = run(["pipeline", "--omega", 20, "--lam", 0.1, flag, "99999999999999999999999",
+                    "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert projected == [] and not out.exists()
+
 
 class TestIngest:
     def _write_raw_csv(self, path, rows):

@@ -30,6 +30,21 @@ from oracles import (
 
 OMEGA = 60.0
 
+# back_project against its per-pixel oracle, (width, height, M): W != H, heights
+# below/at/above/between multiples of the 128-row band, M = 1 and odd M; then
+# every M mod 4 on square grids of one and three bands, a square side that is
+# not a power of two, W != H, and 1 x n, n x 1 and 1 x 1
+ORACLE_CASES = [
+    (40, 23, 7), (17, 130, 1), (64, 64, 4), (9, 65, 13), (33, 200, 2),
+    (12, 128, 3), (10, 257, 2),
+]
+ORACLE_CASES += [
+    (width, height, M)
+    for width, height in [(64, 64), (300, 300), (45, 45), (40, 23), (1, 50), (50, 1), (1, 1)]
+    for M in (1, 2, 3, 4, 5, 6, 8, 10)
+    if (width, height, M) not in ORACLE_CASES
+]
+
 
 def phantom_sinogram(phantom, p):
     return scan_window(phantom_rows(phantom, p.T, p.M), p)
@@ -134,13 +149,9 @@ class TestBackProject:
         rng = np.random.default_rng(seed)
         return p, rng.normal(size=(M, 2 * K + 1))
 
-    # (width, height, M): W != H, heights below/at/above/between multiples of the
-    # 128-row band, M = 1 and odd M.  With K*T = 0.6 the image corners (radius
-    # up to sqrt(2)) project outside the detector lattice at every angle.
-    @pytest.mark.parametrize("width, height, M", [
-        (40, 23, 7), (17, 130, 1), (64, 64, 4), (9, 65, 13), (33, 200, 2),
-        (12, 128, 3), (10, 257, 2),
-    ])
+    # With K*T = 0.6 the image corners (radius up to sqrt(2)) project outside
+    # the detector lattice at every angle.
+    @pytest.mark.parametrize("width, height, M", ORACLE_CASES)
     def test_matches_oracle_bitwise(self, width, height, M):
         p, h = self._random_filtered(M)
         grid = ImageGrid(width, height)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
+from modradon import forward
 from modradon.core import sup_norm
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.experiments import base_order, ingest_raw_csv, prepare_forward
@@ -85,6 +86,15 @@ class TestSamplingParams:
             SamplingParams(omega=-1, T=0.1, lam=0.1, K=5, K_prime=5, M=3)
         with pytest.raises(ConfigError):
             SamplingParams(omega=1, T=0.1, lam=0.1, K=5, K_prime=4, M=3)
+
+    def test_rows_are_projected_at_the_back_projection_angles(self, monkeypatch):
+        # one formula, (m*pi)/M, for the projected rows and for back projection
+        angles = []
+        monkeypatch.setattr(forward, "radon_phantom", lambda p, theta, t: angles.append(theta))
+        phantom_rows(shepp_logan(), 0.1, 300)
+        p = SamplingParams(omega=1, T=0.1, lam=0.1, K=5, K_prime=5, M=300)
+        assert angles[0].tobytes() == p.thetas().tobytes()
+        assert p.thetas().tolist() == [m * np.pi / 300 for m in range(300)]
 
 
 class TestPrefilter:

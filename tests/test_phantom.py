@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modradon.errors import DomainError, ParseError
+from modradon.errors import DomainError, ParseError, SizeError
 from modradon.phantom import (
     Ellipse,
     ImageGrid,
@@ -213,6 +213,27 @@ class TestImageGrid:
         g = ImageGrid(4096, 3000)
         assert g.pixels.shape == (3000, 4096) and g.pixels.strides == (0, 0)
         assert g.pixels[2999, 4095] == 0.0 and not g.pixels.flags.writeable
+
+    def test_pixel_axes_mirror_exactly(self):
+        for n in range(1, 301):
+            x, y = ImageGrid(n, n).pixel_axes()
+            # compared as values: the middle of an odd side is +0.0 on both axes
+            assert np.array_equal(x[::-1], -x) and np.array_equal(y, x[::-1])
+
+    @pytest.mark.parametrize("n", [2**k for k in range(11)])
+    def test_pixel_axes_unchanged_at_powers_of_two(self, n):
+        # the earlier form -1 + (j + 1/2) * 2/n, exact at these sides
+        x, y = ImageGrid(n, n).pixel_axes()
+        assert x.tobytes() == (-1.0 + (np.arange(n) + 0.5) * (2.0 / n)).tobytes()
+        assert y.tobytes() == (1.0 - (np.arange(n) + 0.5) * (2.0 / n)).tobytes()
+
+    @pytest.mark.parametrize("width, height", [
+        (10**23, 1), (1, 10**23), (2**31, 2**31), (10**400, 10**400),
+    ])
+    def test_unindexable_grid_raises(self, width, height):
+        # checked before the grid's zero view or any axis is made
+        with pytest.raises(SizeError, match="too large to index"):
+            ImageGrid(width, height)
 
 
 class TestRasterize:

@@ -19,7 +19,7 @@ from modradon.fbp import back_project
 from modradon.forward import SamplingParams, convolve_rows, fold_sinogram
 from modradon.phantom import ImageGrid, shepp_logan
 from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
-from oracles import convolve_rows_oracle
+from oracles import back_project_oracle, convolve_rows_oracle
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 REAL_AFFINITY = os.sched_getaffinity
@@ -106,6 +106,15 @@ class TestSameBitsOnAnyCpuCount:
         h = rng.normal(size=(7, 61))
         grid = ImageGrid(40, 300)
         self._on_cpu_counts(cpus, lambda: back_project(h, p, grid).pixels.tobytes())
+
+    def test_back_project_shared_geometry(self, cpus):
+        # a square grid of three bands, where the mirror and both quarter turns
+        # of each base angle read its geometry in their own frames
+        p = SamplingParams(omega=20.0, T=0.02, lam=1.0, K=30, K_prime=30, M=12)
+        h = np.random.default_rng(2).normal(size=(12, 61))
+        grid = ImageGrid(300, 300)
+        alone = self._on_cpu_counts(cpus, lambda: back_project(h, p, grid).pixels.tobytes())
+        assert alone == back_project_oracle(h, p, grid).tobytes()
 
     def test_convolve_rows(self, cpus):
         # one kernel spectrum serves every block, and each row still matches
