@@ -86,23 +86,26 @@ class Threshold:
 def modulo_fold(t, thr: Threshold):
     """Centered fold of t into [-lam, lam).
 
-    Computes ``t - 2*lam*floor((t + lam) / (2*lam))`` elementwise; a value
-    that rounding puts a few ulps outside [-lam, lam) is pinned to the nearer
-    end.  Scalars return a float, arrays an array of the same shape.
+    Computes ``t - 2*lam*floor((t + lam) / (2*lam))`` elementwise, in that
+    order of operations, in one output buffer; a value that rounding puts a
+    few ulps outside [-lam, lam) is pinned to the nearer end.  Scalars return
+    a float, arrays a new array of the same shape.
 
     Raises
     ------
     DomainError
-        If any input value is not finite.
+        If any input value is not finite (checked before any arithmetic).
     """
     lam = thr.lam
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("modulo_fold requires finite input")
     two_lam = 2.0 * lam
-    out = arr - two_lam * np.floor((arr + lam) / two_lam)
-    top = math.nextafter(lam, -math.inf)
-    if np.isscalar(t) or arr.ndim == 0:
-        return float(min(max(out, -lam), top))
+    out = np.add(arr, lam, out=np.empty_like(arr))
+    out /= two_lam
+    np.floor(out, out=out)
+    out *= two_lam
+    np.subtract(arr, out, out=out)
     np.maximum(out, -lam, out=out)
-    return np.minimum(out, top, out=out)
+    np.minimum(out, math.nextafter(lam, -math.inf), out=out)
+    return float(out) if arr.ndim == 0 else out

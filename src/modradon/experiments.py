@@ -95,15 +95,17 @@ class PipelineResult:
         ])
 
 
-def _scan_with_clear_tail(raw, omega, T, lam, k_min):
+def _scan_with_clear_tail(raw, omega, T, lam, k_min, K):
     """Scan the raw rows, widening the window until the exceedance region closes.
 
-    The first window reaches radius 4, or index ``k_min`` if that lies further
-    out; the radius doubles up to 32.
+    The first window reaches radius 4, or index ``k_min >= K`` if that lies
+    further out; the radius doubles up to 32.  Every window reaches K, so its
+    rows are stored over [-k_scan, K], which holds every acquisition window
+    [-K', K] with K' <= k_scan.
     """
     radius = max(4.0, k_min * T)
     while radius <= 32.0:
-        scan = scan_from_raw(raw, omega, T, radius=radius)
+        scan = scan_from_raw(raw, omega, T, radius=radius, K=K)
         try:
             return scan, scan.exceedance_index(lam)
         except MarginError:
@@ -170,7 +172,7 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
             raise ConfigError("all raw samples are zero; cannot normalize")
         raw /= norm_scale
     k_min = K if k_prime == "auto" else max(K, int(k_prime))
-    scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min)
+    scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min, K)
     beta = sup_norm(raw)
     del raw  # freed before the window is copied out of the scan
     N = select_order(UnfoldConfig(lam=lam, beta=grid_upper_bound(beta, lam), omega=omega,
@@ -212,11 +214,12 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     folded = fold_sinogram(clean)
     unfolded, reports = unfold_sinogram(folded, cfg, K)
 
-    sino_parity = float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
-    img_clean = fbp_reconstruct(clean_sym, spec, grid)
     # an exact recovery has the clean rows' bits (compared as uint64, so that
-    # -0.0 differs from +0.0), hence the clean image's pixels
-    if np.array_equal(unfolded.rows.view(np.uint64), clean_sym.rows.view(np.uint64)):
+    # -0.0 differs from +0.0), hence a parity of 0.0 and the clean image's pixels
+    exact = np.array_equal(unfolded.rows.view(np.uint64), clean_sym.rows.view(np.uint64))
+    sino_parity = 0.0 if exact else float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
+    img_clean = fbp_reconstruct(clean_sym, spec, grid)
+    if exact:
         img_recovered = ImageGrid(grid.width, grid.height, img_clean.pixels.copy())
     else:
         img_recovered = fbp_reconstruct(unfolded, spec, grid)
@@ -293,9 +296,15 @@ class SweepCell:
 
 
 def _median3(r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    for i in range(r.size):
-        out[i] = np.median(r[max(0, i - 1) : i + 2])
+    """Centered 3-point median along the first axis, as ``np.median`` of each
+    window ``r[i-1 : i+2]``: the middle of three values inside the series,
+    the mean of the two values at each end, and a one-value series itself."""
+    out = r.copy()
+    if len(r) > 1:
+        a, b, c = r[:-2], r[1:-1], r[2:]
+        out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
+        out[0] = (r[0] + r[1]) / 2.0
+        out[-1] = (r[-2] + r[-1]) / 2.0
     return out
 
 
@@ -407,9 +416,8 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     cells = []
     for (lam, om), h in zip(keys, hits.swapaxes(0, 1).reshape(-1, tsteps, 3)):
         rates = h / float(trials)
-        smooth = np.column_stack([_median3(rates[:, i]) for i in range(3)])
         cells.append(SweepCell(lam, om, ts[om] / (np.pi / om), _sweep_orders(lam, om),
-                               rates, smooth))
+                               rates, _median3(rates)))
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         for name, cell in zip(names, cells):

@@ -99,7 +99,7 @@ def filter_projections(s: Sinogram, spec: FilterSpec) -> np.ndarray:
     rows = s.symmetric_rows()
     lags = np.arange(-2 * p.K, 2 * p.K + 1) * p.T
     kern = filter_kernel(spec, lags)
-    return convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1)
+    return convolve_rows(rows, kern, 2 * p.K, 2 * p.K + 1)[0]
 
 
 def _angle_classes(M: int) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -182,12 +182,15 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
             np.greater_equal(u, 0.0, out=inside)
             np.less_equal(u, 2 * K, out=upper)
             np.logical_and(inside, upper, out=inside)
-            # i0 = clip(floor(u)); frac = u - i0 overwrites u, and w0 = 1 - frac
+            # i0 = clip(floor(u)); frac = u - i0 overwrites u, and w0 = 1 - frac;
+            # both weights are then zeroed outside the lattice
             np.floor(u, out=w0)
             np.clip(w0, 0, 2 * K - 1, out=w0)
             i0[...] = w0
             frac = np.subtract(u, w0, out=u)
             np.subtract(1.0, frac, out=w0)
+            np.multiply(frac, inside, out=frac)
+            np.multiply(w0, inside, out=w0)
             for k, m in members:
                 row = h[m]
                 # row[i0] * (1 - frac) + row[i0 + 1] * frac
@@ -196,9 +199,9 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
                 np.multiply(a, w0, out=a)
                 np.multiply(b, frac, out=b)
                 np.add(a, b, out=a)
-                # skipping outside pixels equals adding 0.0 there: a tile that
-                # starts at +0.0 never holds -0.0
-                np.add(tiles[k], a, out=tiles[k], where=inside)
+                # an outside pixel adds +-0.0, which leaves its sum's bits as
+                # they are: a tile that starts at +0.0 never holds -0.0
+                np.add(tiles[k], a, out=tiles[k])
 
     map_blocks(band, range(0, grid.height, _ROW_TILE))
     # x[W-1-j] == -x[j] and, when square, x[n-1-i] == y[i] (ImageGrid.pixel_axes):

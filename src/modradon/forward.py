@@ -157,10 +157,16 @@ def fast_len(m: int) -> int:
     return best
 
 
-def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) -> np.ndarray:
-    """``out[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row,
+def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
+                  keep: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``full[r] = fftconvolve(rows[r], kern)[start : start + width]`` for every row,
     bit for bit, where rows and kernel hold two or more samples (``fftconvolve``
     multiplies a one-sample row or kernel without an FFT).
+
+    Only the first ``keep`` columns of ``full`` (all of them by default) are
+    stored; they are returned with the ``[max; min]`` of each later column
+    over the rows (``fmax``/``fmin``, which skip NaN), a
+    ``(2, width - keep)`` array.
 
     These are ``fftconvolve``'s own steps on ``numpy.fft``: real FFTs at the
     fast length ``n`` of the full convolution, the product of the spectra, the
@@ -170,11 +176,13 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) ->
     (:func:`~modradon.core.map_blocks`); each block is copied into a zeroed
     ``(rows, n)`` buffer first, because ``numpy.fft`` pads many rows slower
     than it transforms a padded buffer.  Only the full-length buffers of one
-    block per thread are alive at once, and the FFT temporaries stay in cache.
+    block per thread are alive at once, and the FFT temporaries stay in cache;
+    a block returns the extremes of its dropped columns alone.
     """
+    keep = width if keep is None else keep
     n = fast_len(rows.shape[1] + kern.size - 1)
     kern_spec = np.fft.rfft(kern, n)
-    out = np.empty((rows.shape[0], width))
+    out = np.empty((rows.shape[0], keep))
 
     def block(r0):
         part = rows[r0 : r0 + _CONV_ROWS]
@@ -183,10 +191,17 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int) ->
         spec = np.fft.rfft(buf, axis=1)
         del buf
         spec *= kern_spec
-        out[r0 : r0 + _CONV_ROWS] = np.fft.irfft(spec, n, axis=1)[:, start : start + width]
+        full = np.fft.irfft(spec, n, axis=1)
+        del spec
+        out[r0 : r0 + _CONV_ROWS] = full[:, start : start + keep]
+        dropped = full[:, start + keep : start + width]
+        return np.stack([np.fmax.reduce(dropped, axis=0), np.fmin.reduce(dropped, axis=0)])
 
-    map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
-    return out
+    bounds, *rest = map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
+    for b in rest:
+        np.fmax(bounds[0], b[0], out=bounds[0])
+        np.fmin(bounds[1], b[1], out=bounds[1])
+    return out, bounds
 
 
 def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
@@ -208,17 +223,25 @@ def fold_sinogram(s: Sinogram) -> Sinogram:
 
 @dataclass(frozen=True, eq=False)
 class ForwardScan:
-    """Wide prefiltered materialization used to measure the tails.
+    """Prefiltered rows over a wide lattice window [-k_scan, k_scan], stored
+    where a sinogram is cut from them and summarised where only their tails
+    are measured.
 
-    ``rows`` covers lattice indices [-k_scan, k_scan] for every angle.
+    ``rows`` covers lattice indices [-k_scan, k] for every angle, for a
+    ``k <= k_scan`` set by :func:`scan_from_raw`; ``bounds`` is the
+    ``[max; min]`` of every column of the window over the angles
+    (``fmax``/``fmin``, which skip NaN), a ``(2, 2*k_scan + 1)`` array.
     """
 
     k_scan: int
     rows: np.ndarray
+    bounds: np.ndarray
 
     def exceedance_index(self, lam: float) -> int:
-        """:func:`clear_band_exceedance` of the scanned rows."""
-        return clear_band_exceedance(self.rows, lam)
+        """:func:`clear_band_exceedance` of the scanned rows, from their column
+        bounds: ``fmax``/``fmin`` of a ``[max; min]`` pair is that pair, so the
+        index is the one the rows themselves give."""
+        return clear_band_exceedance(self.bounds, lam)
 
 
 def clear_band_exceedance(rows: np.ndarray, lam: float) -> int:
@@ -267,26 +290,38 @@ def scan_forward(p: Phantom, omega: float, T: float, M: int, radius: float = 4.0
     A convenience for tests; the program scans through :func:`scan_from_raw`,
     and the benchmark's patch table names this function too.
     """
-    return scan_from_raw(phantom_rows(p, T, M), omega, T, radius)
+    return scan_from_raw(phantom_rows(p, T, M), omega, T, radius, K=int(np.ceil(radius / T)))
 
 
-def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float,
-                  radius: float = 4.0) -> ForwardScan:
-    """Band-limit raw projection samples and keep them over |t| <= radius:
-    ``rows[m, k] = T * sum_j raw_rows[m, j] * lowpass_kernel((k - j)*T)``.
+def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float, radius: float = 4.0, *,
+                  K: int) -> ForwardScan:
+    """Band-limit raw projection samples over |t| <= radius:
+    ``scan[m, k] = T * sum_j raw_rows[m, j] * lowpass_kernel((k - j)*T)`` for
+    ``|k| <= k_scan = ceil(radius/T)``.
 
     ``raw_rows`` holds one row per angle over a symmetric lattice window (odd
-    column count); values outside it are treated as zero.
+    column count); values outside it are treated as zero.  The rows are
+    stored over [-k_scan, min(K, k_scan)] (the whole window when K >= k_scan),
+    the widest acquisition window a caller with grid bound K can cut; the
+    column bounds cover the whole window.  Bounds taken from the unscaled
+    columns and then multiplied by T > 0 equal those of the scaled ones,
+    since rounding is monotonic.
     """
     raw_rows = np.asarray(raw_rows, dtype=float)
     if raw_rows.ndim != 2 or raw_rows.shape[1] % 2 != 1:
         raise SizeError("raw rows must be 2-D with an odd number of columns")
     k_half = (raw_rows.shape[1] - 1) // 2
     k_scan = int(np.ceil(radius / T))
+    keep = k_scan + 1 + min(int(K), k_scan)
     lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T
-    rows = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half, 2 * k_scan + 1)
+    rows, tail = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half,
+                               2 * k_scan + 1, keep)
     rows *= T
-    return ForwardScan(k_scan, rows)
+    bounds = np.empty((2, 2 * k_scan + 1))
+    np.fmax.reduce(rows, axis=0, out=bounds[0, :keep])
+    np.fmin.reduce(rows, axis=0, out=bounds[1, :keep])
+    np.multiply(tail, T, out=bounds[:, keep:])
+    return ForwardScan(k_scan, rows, bounds)
 
 
 @dataclass(frozen=True, eq=False)

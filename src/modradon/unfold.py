@@ -208,26 +208,37 @@ def cost_j(beta_grid: float, lam: float) -> int:
 
 
 def _fold_residual_ints(values: np.ndarray, lam: float, N: int):
-    """Integer fold-count residual of the N-th difference (last axis), plus each snap error."""
+    """Integer fold-count residual ``m = rint(e0 / (2*lam))`` of the N-th
+    difference ``d`` of a block of rows, with ``e0 = fold(d) - d``, placed
+    right-aligned in a zeroed int64 block of the rows' shape; plus each snap
+    error ``|e0 - 2*lam*m|``.  The steps after the fold run in place."""
     d = np.diff(values, n=N)
-    e0 = modulo_fold(d, Threshold(lam)) - d
-    m = np.rint(e0 / (2.0 * lam))
-    return m.astype(np.int64), np.abs(e0 - 2.0 * lam * m)
+    e0 = modulo_fold(d, Threshold(lam))
+    e0 -= d
+    m = np.divide(e0, 2.0 * lam, out=d)
+    np.rint(m, out=m)
+    counts = np.zeros(values.shape, dtype=np.int64)
+    counts[:, N:] = m
+    m *= 2.0 * lam
+    e0 -= m
+    return counts, np.abs(e0, out=e0)
 
 
 def compact_counts(rows: np.ndarray, lam: float, N: int, start):
     """int64 fold counts of folded rows, row r starting at column ``start[r]``, and
     each row's largest snap error.  Residuals whose stencil reaches the padding
     left of ``start[r]`` are zeroed before the N running sums, so every row
-    comes out as if unfolded on its own."""
-    m, dev = _fold_residual_ints(rows, lam, N)
-    pad = np.arange(m.shape[1]) < np.asarray(start)[:, None]
-    m[pad] = 0
-    counts = np.zeros(rows.shape, dtype=np.int64)
-    counts[:, N:] = m
+    comes out as if unfolded on its own (with no row starting late there is
+    no padding to mask)."""
+    counts, dev = _fold_residual_ints(rows, lam, N)
+    start = np.asarray(start)
+    used = True
+    if start.any():
+        used = np.arange(dev.shape[1]) >= start[:, None]
+        counts[:, N:][~used] = 0
     for _ in range(N):
         np.cumsum(counts, axis=1, out=counts)
-    return counts, np.max(dev, axis=1, where=~pad, initial=0.0)
+    return counts, np.max(dev, axis=1, where=used, initial=0.0)
 
 
 def unfold_compact(values: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
@@ -344,9 +355,7 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
         counts, residual = compact_counts(rows, lam, N, np.zeros(len(rows), dtype=int))
         reports = [UnfoldReport(N, None, float(r), bool(r < 1e-9 * lam)) for r in residual]
     else:
-        m, dev = _fold_residual_ints(rows, lam, N)
-        counts = np.zeros(rows.shape, dtype=np.int64)
-        counts[:, N:] = m
+        counts, dev = _fold_residual_ints(rows, lam, N)
         for i in range(1, N):
             np.cumsum(counts, axis=1, out=counts)
             # the i-th sum covers [base, base+width-N+i); anchored at index 0,

@@ -11,10 +11,12 @@ gather and scatter of its chord formula over every offset, and rasterization
 tests every ellipse on every pixel.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
-time and unfold one row at a time.  The sinogram unfold copies each angle row
+time and unfold one row at a time, and the cell smooths its rates with one
+``np.median`` per three-point window.  The sinogram unfold copies each angle row
 into its own run and unfolds it on its own, with the general-mode unfolder
 that preceded the block core and its running sums, ``anti_diff`` and
-``anti_diff_bilateral``, each of which returns a new array.
+``anti_diff_bilateral``, each of which returns a new array; the compact
+counts core is likewise taken one row at a time from its start column.
 Rounding onto the 2*lam grid, the band-limit energy check, the raw image
 reader, the standard parameter choice, the acquisition window cut from the
 scan of raw rows and the lattice sampling helper serve the tests as
@@ -31,7 +33,7 @@ from scipy.special import sici
 
 from modradon.core import Threshold, guarded_ceil, guarded_floor, modulo_fold
 from modradon.errors import DomainError, NumericError, ParseError, SizeError
-from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, _median3, base_order
+from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, base_order
 from modradon.fbp import filter_projections
 from modradon.forward import (
     RandomBandlimitedSignal,
@@ -262,8 +264,17 @@ def sweep_cell_oracle(args):
                 if np.max(np.abs(rec - truth_sym)) < _SUCCESS_TOL:
                     hits[it, iN] += 1
     rates = hits / float(trials)
-    smooth = np.column_stack([_median3(rates[:, i]) for i in range(len(orders))])
+    smooth = np.column_stack([median3_oracle(rates[:, i]) for i in range(len(orders))])
     return SweepCell(lam, omega, ts / t_sh, orders, rates, smooth)
+
+
+def median3_oracle(r):
+    """Centered 3-point median of a series: one ``np.median`` per window
+    ``r[i-1 : i+2]``, clipped at the ends."""
+    out = np.empty_like(r)
+    for i in range(r.size):
+        out[i] = np.median(r[max(0, i - 1) : i + 2])
+    return out
 
 
 def demo_attempt_oracle(stage, sig, T, lam, N):
@@ -299,7 +310,8 @@ def lattice_samples(sig, T, k_lo, k_hi):
 def scan_window(raw_rows, params, radius=4.0):
     """The clean sinogram over [-K_prime, K] cut from the scan of ``raw_rows``
     out to ``radius``, with the largest raw magnitude as beta."""
-    scan = scan_from_raw(raw_rows, params.omega, params.T, radius)
+    scan = scan_from_raw(raw_rows, params.omega, params.T, radius,
+                         K=int(np.ceil(radius / params.T)))
     lo = scan.k_scan - params.K_prime
     rows = scan.rows[:, lo : scan.k_scan + params.K + 1].copy()
     return Sinogram(replace(params, beta=float(np.max(np.abs(raw_rows)))), rows)
@@ -369,6 +381,24 @@ def unfold_general_oracle(values, base, cfg):
     gamma = values + (2.0 * lam) * counts
     ok = plateau_ok and residual < 1e-9 * lam
     return gamma, UnfoldReport(N, J, residual, ok, tail_plateau_ok=plateau_ok)
+
+
+def compact_counts_oracle(rows, lam, N, start):
+    """``compact_counts`` one row at a time: row r from column ``start[r]`` on,
+    its N-th difference's fold residual snapped to integers, summed back N
+    times with :func:`anti_diff`; each row's largest snap error (0.0 for none)."""
+    counts = np.zeros(rows.shape, dtype=np.int64)
+    dev = np.empty(len(rows))
+    for r, s in enumerate(start):
+        d = np.diff(rows[r, s:], n=N)
+        e0 = modulo_fold(d, Threshold(lam)) - d
+        m = np.rint(e0 / (2.0 * lam))
+        c = m.astype(np.int64)
+        for _ in range(N):
+            c = anti_diff(c)
+        counts[r, s:] = c
+        dev[r] = np.max(np.abs(e0 - 2.0 * lam * m), initial=0.0)
+    return counts, dev
 
 
 def _unfold_compact_row_oracle(values, base, cfg, K):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,17 @@ class TestModuloFold:
             modulo_fold(np.inf, Threshold(1.0))
         with pytest.raises(DomainError):
             modulo_fold(np.array([0.0, np.nan]), Threshold(1.0))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("where", [0, 3, -1], ids=["first", "middle", "last"])
+    def test_nonfinite_array_rejected_before_any_arithmetic(self, bad, where):
+        # an inf reaching the fold's subtraction would warn "invalid value"
+        values = np.linspace(-2.0, 2.0, 7)
+        values[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^modulo_fold requires finite input$"):
+                modulo_fold(values, Threshold(0.25))
 
     def test_bad_threshold(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from modradon import experiments
 from modradon.errors import ConfigError, DomainError, SizeError
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram
 from modradon.phantom import Ellipse, Phantom
-from oracles import demo_attempt_oracle, sample_oracle, sweep_cell_oracle
+from oracles import demo_attempt_oracle, median3_oracle, sample_oracle, sweep_cell_oracle
 
 # (lam, omega, trials, tsteps, seed); the last cell's order 3*11 = 33 exceeds the
 # 32-sample clear band, and at T = pi/omega its margin K' = 181 reaches one index
@@ -40,6 +40,14 @@ class TestSweepCell:
         assert got.orders == want.orders
         assert got.rates.tobytes() == want.rates.tobytes()
         assert got.to_csv() == want.to_csv()
+
+    @pytest.mark.parametrize("tsteps", range(1, 8))
+    def test_median3_matches_one_median_per_window(self, tsteps):
+        # three order curves of success rates in thirds, so windows hold ties
+        rates = np.random.default_rng(tsteps).integers(0, 4, size=(tsteps, 3)) / 3.0
+        got = experiments._median3(rates)
+        for i in range(3):
+            assert got[:, i].tobytes() == median3_oracle(rates[:, i]).tobytes()
 
     def test_one_job_carries_every_threshold(self):
         # every threshold of SWEEP_CELLS on the 9e-4 cell's bandwidth, trials and

@@ -150,13 +150,29 @@ class TestBackProject:
         return p, rng.normal(size=(M, 2 * K + 1))
 
     # With K*T = 0.6 the image corners (radius up to sqrt(2)) project outside
-    # the detector lattice at every angle.
+    # the detector lattice at most angles, so the cases cover pixels that lie
+    # outside at some angles; near the angle perpendicular to a corner's
+    # diagonal it projects inside, and only a tiny M such as M = 2 leaves the
+    # corners outside at every angle.
     @pytest.mark.parametrize("width, height, M", ORACLE_CASES)
     def test_matches_oracle_bitwise(self, width, height, M):
         p, h = self._random_filtered(M)
         grid = ImageGrid(width, height)
         img = back_project(h, p, grid)
         assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
+
+    def test_negative_row_ends_match_oracle_bitwise(self):
+        # outside pixels read a row's two end pairs with zero weights; with the
+        # ends negative and their neighbours positive, both products and their
+        # sum are -0.0, which must leave a pixel's running sum as it is; at
+        # M = 2 (0 and pi/2) the corners lie outside at both angles and stay +0.0
+        p, h = self._random_filtered(M=2)
+        h = np.abs(h)
+        h[:, [0, -1]] *= -1.0
+        grid = ImageGrid(45, 40)
+        img = back_project(h, p, grid)
+        assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
+        assert img.pixels[0, 0].tobytes() == np.float64(0.0).tobytes()
 
     def test_two_calls_keep_images_separate(self):
         p, h1 = self._random_filtered(M=5)

@@ -188,11 +188,47 @@ class TestScan:
     def test_blocked_prefilter_matches_single_convolution(self, M):
         T, omega, k_half = 0.02, 60.0, 20
         raw = np.random.default_rng(M).normal(size=(M, 2 * k_half + 1))
-        scan = scan_from_raw(raw, omega, T, radius=1.0)
+        scan = scan_from_raw(raw, omega, T, radius=1.0, K=50)
         k = scan.k_scan
         kern = lowpass_kernel(np.arange(-k - k_half, k + k_half + 1) * T, omega)
         full = T * convolve_rows_oracle(raw, kern, 2 * k_half, 2 * k + 1)
         assert scan.rows.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("source", ["phantom", "sinogram"])
+    def test_stored_window_and_bounds_match_the_full_scan(self, radius, source):
+        # rows kept over [-k_scan, min(K, k_scan)], the bounds of every column and
+        # the exceedance index, against the rows of the whole window
+        p = small_params()
+        k_half = support_index(p.T)
+        if source == "phantom":
+            raw = phantom_rows(shepp_logan(), p.T, 37)
+        else:
+            # a measured sinogram past the disk, whose [-K, K] block is a strided view
+            K = k_half + 40
+            sp = SamplingParams(omega=p.omega, T=p.T, lam=1.0, K=K, K_prime=K + 8, M=37)
+            rows = np.random.default_rng(3).uniform(-1.0, 1.0, size=(37, 2 * K + 9))
+            raw = Sinogram(sp, rows).symmetric_rows()
+        full = scan_from_raw(raw, p.omega, p.T, radius, K=int(np.ceil(radius / p.T)))
+        k_scan = full.k_scan
+        bounds = np.stack([np.fmax.reduce(full.rows, axis=0), np.fmin.reduce(full.rows, axis=0)])
+        outcomes = set()
+        for K in (k_half - 5, k_half, k_half + 60, k_scan, k_scan + 7):
+            scan = scan_from_raw(raw, p.omega, p.T, radius, K=K)
+            assert scan.k_scan == k_scan
+            assert scan.rows.tobytes() == full.rows[:, : k_scan + min(K, k_scan) + 1].tobytes()
+            assert scan.bounds.tobytes() == bounds.tobytes()
+            for lam in (0.5, 0.05, 5e-3, 1e-4, 1e-7):
+                try:
+                    want = clear_band_exceedance(full.rows, lam)
+                except MarginError:
+                    with pytest.raises(MarginError):
+                        scan.exceedance_index(lam)
+                    outcomes.add("margin")
+                else:
+                    assert scan.exceedance_index(lam) == want
+                    outcomes.add("index")
+        assert outcomes == {"index", "margin"}
 
     def test_exceedance_zero_when_quiet(self):
         scan = scan_forward(UNIT_DISK, 60.0, small_params().T, 8, radius=3.0)
@@ -243,7 +279,7 @@ class TestScan:
         from modradon.phantom import radon_phantom
 
         raw = np.array([radon_phantom(shepp_logan(), m * np.pi / 12, t) for m in range(12)])
-        scan_b = scan_from_raw(raw, p.omega, p.T, radius=2.0)
+        scan_b = scan_from_raw(raw, p.omega, p.T, radius=2.0, K=int(np.ceil(2.0 / p.T)))
         np.testing.assert_allclose(scan_a.rows, scan_b.rows, atol=1e-12)
         assert sup_norm(phantom_rows(shepp_logan(), p.T, 12)) == sup_norm(raw)
 

@@ -118,13 +118,26 @@ class TestSameBitsOnAnyCpuCount:
 
     def test_convolve_rows(self, cpus):
         # one kernel spectrum serves every block, and each row still matches
-        # fftconvolve bit for bit: a kernel longer than the rows, then shorter
+        # fftconvolve bit for bit: a kernel longer than the rows, then shorter,
+        # every column kept; then the short kernel keeping the first 120
+        # columns, where the blocks' extremes of the dropped columns combine
+        # to those of all rows
         rng = np.random.default_rng(1)
-        for width, taps, start in [(101, 151, 50), (301, 51, 25)]:
+        for width, taps, start, keep in [(101, 151, 50, None), (301, 51, 25, None),
+                                         (301, 51, 25, 120)]:
             rows, kern = rng.normal(size=(37, width)), rng.normal(size=taps)
-            alone = self._on_cpu_counts(
-                cpus, lambda: convolve_rows(rows, kern, start, width).tobytes())
-            assert alone == convolve_rows_oracle(rows, kern, start, width).tobytes()
+
+            def run():
+                kept, bounds = convolve_rows(rows, kern, start, width, keep)
+                return kept.shape, kept.tobytes(), bounds.shape, bounds.tobytes()
+
+            alone = self._on_cpu_counts(cpus, run)
+            full = convolve_rows_oracle(rows, kern, start, width)
+            cut = width if keep is None else keep
+            bounds = np.stack([np.fmax.reduce(full[:, cut:], axis=0),
+                               np.fmin.reduce(full[:, cut:], axis=0)])
+            assert alone == ((37, cut), full[:, :cut].tobytes(),
+                             (2, width - cut), bounds.tobytes())
 
     @staticmethod
     def _folded(M=70, lam=0.05, omega=20.0):

@@ -283,6 +283,21 @@ def test_sweep_mc_csv_bytes_match_the_benchmark_record(tmp_path):
     assert got == record["digests"]
 
 
+def test_pipeline_sl_recovered_sinograms_match_the_benchmark_record():
+    # the pipeline-sl workload's configuration recovers the sinograms whose
+    # digests bench/RECORD.json holds; its image digests were recorded before
+    # back projection changed its summation order and are not checked here
+    with open(os.path.join(ROOT, "bench", "RECORD.json")) as f:
+        record = json.load(f)["workloads"]["pipeline-sl"]
+    assert record["seed"] == 1
+    for lam in (0.025, 0.00025):
+        res = experiments.run_pipeline(shepp_logan(), lam=lam, omega=300, t_frac=0.5,
+                                       filter_window="cosine", grid_size=256)
+        rows = np.ascontiguousarray(res.unfolded.rows, dtype="<f8")
+        got = hashlib.sha256(rows.tobytes()).hexdigest()
+        assert got == record["digests"][f"lam{lam}.recovered_sinogram"]
+
+
 def _parse(pattern):
     trees = {}
     for path in sorted(glob.glob(os.path.join(ROOT, pattern))):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modradon import experiments
 from modradon.core import Threshold, modulo_fold
 from modradon.errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
 from modradon.experiments import prepare_forward
@@ -24,6 +25,7 @@ from modradon.unfold import (
     unfold_sinogram,
 )
 from oracles import (
+    compact_counts_oracle,
     design_params,
     lattice_samples,
     round_to_2lambda,
@@ -205,6 +207,40 @@ class TestUnfoldCompact:
             got = block[r, -(2 * K + 1) :] + (2.0 * lam) * counts[r, -(2 * K + 1) :]
             assert got.tobytes() == rec.tobytes()
             assert residual[r] == rep.residual_grid_deviation
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 12])
+    def test_counts_of_quiet_blocks_match_oracle(self, N):
+        # a block with no nonzero residual, then one whose only nonzero
+        # residual is in its last column: a row of zeros ending in -0.9*lam,
+        # 0.9*lam makes just its last N-th difference fold
+        lam = 0.05
+        k = np.arange(70)
+        block = 0.3 * lam * np.cos(0.02 * k + np.arange(4)[:, None])
+        for rows in (block, np.vstack([block, np.r_[np.zeros(68), -0.9 * lam, 0.9 * lam]])):
+            counts, residual = compact_counts(rows, lam, N, np.zeros(len(rows), dtype=int))
+            want_counts, want_residual = compact_counts_oracle(rows, lam, N, [0] * len(rows))
+            assert counts.tobytes() == want_counts.tobytes()
+            assert residual.tobytes() == want_residual.tobytes()
+        assert np.flatnonzero(counts).tolist() == [counts.size - 1]
+
+    def test_counts_of_sweep_blocks_match_oracle(self, monkeypatch):
+        # every zero-padded block of a small sweep: blocks with rows starting
+        # late, and blocks whose rows all start at column 0
+        calls = []
+
+        def checking(rows, lam, N, start):
+            out = compact_counts(rows, lam, N, start)
+            want = compact_counts_oracle(rows, lam, N, start)
+            same = [a.tobytes() for a in out] == [a.tobytes() for a in want]
+            calls.append((np.max(start), same))
+            return out
+
+        monkeypatch.setattr(experiments, "compact_counts", checking)
+        experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi,), trials=3, tsteps=4,
+                                  seed=1)
+        assert len(calls) == 2 * 4 * 3
+        assert all(same for _, same in calls)
+        assert {late > 0 for late, _ in calls} == {True, False}
 
     def test_idempotent(self):
         # unfold(fold(unfold(fold(x)))) == unfold(fold(x)) on a full window
