@@ -3,7 +3,7 @@ and ceiling, the sup norm, plus :func:`map_blocks`, which spreads row blocks
 over the :func:`usable_cpus`.
 
 Everything downstream is built from these operators.  The fold and rounding
-functions are pure and accept either scalars or numpy arrays.
+functions are pure and return numpy arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,37 +65,23 @@ def guarded_ceil(x):
     return np.ceil(x - GUARD * np.maximum(1.0, np.abs(x)))
 
 
-@dataclass(frozen=True)
-class Threshold:
-    """Half-range of the centered fold; values are folded into [-lam, lam).
-
-    Parameters
-    ----------
-    lam : float
-        Positive fold threshold, in signal units.
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam <= 0.0:
-            raise DomainError(f"threshold must be a positive finite real, got {self.lam}")
-
-
-def modulo_fold(t, thr: Threshold):
-    """Centered fold of t into [-lam, lam).
+def modulo_fold(t, lam: float) -> np.ndarray:
+    """Centered fold of t into [-lam, lam), the half-range ``lam`` being the
+    fold threshold.
 
     Computes ``t - 2*lam*floor((t + lam) / (2*lam))`` elementwise, in that
     order of operations, in one output buffer; a value that rounding puts a
-    few ulps outside [-lam, lam) is pinned to the nearer end.  Scalars return
-    a float, arrays a new array of the same shape.
+    few ulps outside [-lam, lam) is pinned to the nearer end.  The result is
+    a new array of the shape of ``t``.
 
     Raises
     ------
     DomainError
-        If any input value is not finite (checked before any arithmetic).
+        If ``lam`` is not a positive finite real, or any input value is not
+        finite (both checked before any arithmetic).
     """
-    lam = thr.lam
+    if not np.isfinite(lam) or lam <= 0.0:
+        raise DomainError(f"threshold must be a positive finite real, got {lam}")
     arr = np.asarray(t, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("modulo_fold requires finite input")
@@ -108,4 +93,4 @@ def modulo_fold(t, thr: Threshold):
     np.subtract(arr, out, out=out)
     np.maximum(out, -lam, out=out)
     np.minimum(out, math.nextafter(lam, -math.inf), out=out)
-    return float(out) if arr.ndim == 0 else out
+    return out

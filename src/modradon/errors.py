@@ -46,9 +46,5 @@ class MarginError(ModRadonError, ValueError):
     """
 
 
-class NumericError(ModRadonError, RuntimeError):
-    """A numerical procedure failed to converge or left its validity range."""
-
-
 class ParseError(ModRadonError, ValueError):
     """A file could not be parsed; the message names the offending location."""

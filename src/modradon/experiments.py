@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Threshold, guarded_ceil, modulo_fold, sup_norm, usable_cpus
+from .core import guarded_ceil, modulo_fold, sup_norm, usable_cpus
 from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
@@ -101,7 +101,12 @@ def _scan_with_clear_tail(raw, omega, T, lam, k_min, K):
     The first window reaches radius 4, or index ``k_min >= K`` if that lies
     further out; the radius doubles up to 32.  Every window reaches K, so its
     rows are stored over [-k_scan, K], which holds every acquisition window
-    [-K', K] with K' <= k_scan.
+    [-K', K] with K' <= k_scan.  Past radius 32 it raises
+    :class:`MarginError`, as :meth:`RandomBandlimitedSignal.scan_exceedance`
+    does past 64 from radius 3.  The schedules differ because the FFT length
+    of this scan, and so every bit of the clean sinogram, depends on its
+    radius, and the recorded benchmark digests pin this schedule; the
+    signal's samples are closed forms whose bits do not depend on the window.
     """
     radius = max(4.0, k_min * T)
     while radius <= 32.0:
@@ -114,17 +119,7 @@ def _scan_with_clear_tail(raw, omega, T, lam, k_min, K):
                       f"bounds the samples at or above lam={lam}")
 
 
-def _source_omega(source, omega: float | None) -> float:
-    """The run's bandwidth: ``omega``, else the one a sinogram source carries."""
-    if omega is None:
-        if not isinstance(source, Sinogram):
-            raise ConfigError("omega is required for a phantom source")
-        omega = source.params.omega
-    check_positive(omega=omega)
-    return omega
-
-
-def prepare_forward(source, *, lam: float, omega: float | None = None,
+def prepare_forward(source, *, lam: float, omega: float,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
                     K: int | None = None, k_prime: int | str = "auto",
                     normalize: bool = False) -> tuple[Sinogram, float]:
@@ -142,9 +137,7 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     Returns the clean sinogram over [-K', K], whose params carry beta, rho and
     N, and the normalisation scale (1.0 without ``normalize``).
     """
-    check_positive(lam=lam, t_frac=t_frac)
-    omega = _source_omega(source, omega)
-    check_positive(T=T)
+    check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
     check_counts(M=M, K=K)
     if isinstance(source, Sinogram):
         sp = source.params
@@ -188,7 +181,7 @@ def prepare_forward(source, *, lam: float, omega: float | None = None,
     return Sinogram(params, scan.rows[:, lo : lo + K_prime + K + 1].copy()), norm_scale
 
 
-def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: float = 0.5,
+def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
                  T: float | None = None, M: int | None = None, K: int | None = None,
                  k_prime: int | str = "auto", filter_window: str = "cosine",
                  grid_size: int = 256, normalize: bool = False,
@@ -200,7 +193,7 @@ def run_pipeline(source, *, lam: float, omega: float | None = None, t_frac: floa
     phantom rasterised for the RMSE reference), ``source`` is dropped, so a
     sinogram the caller holds no reference to is freed before the fold."""
     grid = ImageGrid(grid_size, grid_size)
-    spec = FilterSpec(_source_omega(source, omega), filter_window)
+    spec = FilterSpec(omega, filter_window)
     clean, norm_scale = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T,
                                         M=M, K=K, k_prime=k_prime, normalize=normalize)
     truth = None if isinstance(source, Sinogram) else rasterize(source, grid)
@@ -337,7 +330,7 @@ def _recover(sigs, T: float, lams, orders_per_lam):
         wide = np.zeros((len(sigs), width))
         for row, m_lo, (lo, values) in zip(wide, np.max(m, axis=1), lattices):
             row[width - (K + 1 + m_lo) :] = values[-m_lo - lo : K - lo + 1]
-        folded = modulo_fold(wide, Threshold(lam))
+        folded = modulo_fold(wide, lam)
         sym = slice(width - (2 * K + 1), width)
         err = np.empty((len(orders), len(sigs), 2 * K + 1))
         for i, N in enumerate(orders):

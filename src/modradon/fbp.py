@@ -8,13 +8,14 @@ discrete convolution over the detector lattice; the spacing factor T together
 with the 1/2 of the inversion formula and the angular average enter once, as
 the T/(2M) prefactor of the back projection.
 
-Reconstruction takes one sinogram and returns one image.  Back projection
-uses the symmetries of ``theta_m = m*pi/M``: ``theta_{M-m} = pi - theta_m``
-and, for even M, ``theta_{M/2+-m} = pi/2 +- theta_m``.  Only the base angles
-(m <= M/4 for even M, m <= M/2 for odd M) take ``np.cos``/``np.sin``; every
-other angle takes exact negated or swapped values, so its interpolation
-geometry is a flipped or transposed view of its base angle's on the exactly
-symmetric pixel axes of :meth:`~modradon.phantom.ImageGrid.pixel_axes`.  Each
+Reconstruction takes one sinogram and returns one square image.  Back
+projection uses the symmetries of ``theta_m = m*pi/M``:
+``theta_{M-m} = pi - theta_m`` and, for even M, ``theta_{M/2+-m} = pi/2 +-
+theta_m``.  Only the base angles (m <= M/4 for even M, m <= M/2 for odd M)
+take ``np.cos``/``np.sin``; every other angle takes exact negated or swapped
+values, so its interpolation geometry is a flipped or transposed view of its
+base angle's on the exactly symmetric pixel axes of a square
+:meth:`~modradon.phantom.ImageGrid.pixel_axes`.  Each
 pixel sums its angles in four classes (base, mirror, quarter turn, mirrored
 quarter turn), each in ascending base angle, and adds the four sums in that
 order.  The image is split into bands of rows, which
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import map_blocks
-from .errors import ConfigError, SizeError
-from .forward import SamplingParams, Sinogram, convolve_rows
+from .errors import ConfigError, SizeError, check_positive
+from .forward import SamplingParams, Sinogram, convolve_rows, projection_angles
 from .phantom import ImageGrid
 
 RAM_LAK = "ram_lak"
@@ -54,8 +55,7 @@ class FilterSpec:
     window: str = RAM_LAK
 
     def __post_init__(self):
-        if self.omega <= 0 or not np.isfinite(self.omega):
-            raise ConfigError(f"omega must be positive, got {self.omega}")
+        check_positive(omega=self.omega)
         if self.window not in (RAM_LAK, COSINE):
             raise ConfigError(f"unknown window {self.window!r}")
 
@@ -65,7 +65,7 @@ def _sinc(x):
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
-def filter_kernel(spec: FilterSpec, t) -> float | np.ndarray:
+def filter_kernel(spec: FilterSpec, t) -> np.ndarray:
     """Space-domain filter values F(t) for the given spec.
 
     Closed forms:
@@ -83,8 +83,6 @@ def filter_kernel(spec: FilterSpec, t) -> float | np.ndarray:
         out = (om**2 / (2.0 * np.pi)) * (
             _sinc(xp) + _sinc(xm) - 0.5 * _sinc(xp / 2.0) ** 2 - 0.5 * _sinc(xm / 2.0) ** 2
         )
-    if np.isscalar(t) or tt.ndim == 0:
-        return float(out)
     return out
 
 
@@ -137,31 +135,23 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
     accumulator A0..A3, and the image is ``((A0 + A1) + A2) + A3`` times
     T/(2M): the order depends on M alone, not on the grid or the CPU count.
 
-    The image rows are split into bands of ``_ROW_TILE`` rows, one thread's
-    work each.  A band computes the detector position ``u`` of its rows once
-    per base angle; the mirror reads it column-reversed, and on a square
-    grid the quarter turns read it transposed and flipped.  On a non-square
-    grid the quarter turns compute their own ``u`` from (-sin, cos), which
-    the mirrored quarter turn reads column-reversed.  Each class accumulates
-    in the frame it reads ``u`` in, and the frames are undone at the end.
+    The grid must be square; any other raises :class:`SizeError`.  Its rows
+    are split into bands of ``_ROW_TILE`` rows, one thread's work each.  A
+    band computes the detector position ``u`` of its rows once per base
+    angle; the mirror reads it column-reversed, and the quarter turns read
+    it transposed and flipped.  Each class accumulates in the frame it reads
+    ``u`` in, and the frames are undone at the end.
     """
     K, T, M = params.K, params.T, params.M
     if h.shape != (M, 2 * K + 1):
         raise SizeError(f"filtered rows shape {h.shape} != {(M, 2 * K + 1)}")
+    if grid.width != grid.height:
+        raise SizeError(f"back projection needs a square grid, got {grid.width}x{grid.height}")
     x, y = grid.pixel_axes()
-    thetas = params.thetas()
-    square = grid.width == grid.height
+    thetas = projection_angles(M)
     # (cos, sin, [(class, angle)]): the angles that share one geometry
-    passes = []
-    for b, members in _angle_classes(M):
-        c, s = np.cos(thetas[b]), np.sin(thetas[b])
-        if square:
-            passes.append((c, s, members))
-        else:
-            passes.append((c, s, [(k, m) for k, m in members if k < 2]))
-            quarter = [(k, m) for k, m in members if k >= 2]
-            if quarter:
-                passes.append((-s, c, quarter))
+    passes = [(np.cos(thetas[b]), np.sin(thetas[b]), members)
+              for b, members in _angle_classes(M)]
     # one block for the four accumulators: four separate arrays raised the
     # pipeline's peak RSS by about 6 MB through heap placement
     acc = np.zeros((4, grid.height, grid.width))
@@ -204,12 +194,12 @@ def back_project(h: np.ndarray, params: SamplingParams, grid: ImageGrid) -> Imag
                 np.add(tiles[k], a, out=tiles[k])
 
     map_blocks(band, range(0, grid.height, _ROW_TILE))
-    # x[W-1-j] == -x[j] and, when square, x[n-1-i] == y[i] (ImageGrid.pixel_axes):
-    # the mirror's pixel (i, j) read u at (i, W-1-j), a square grid's quarter turn
-    # at (j, n-1-i) and its mirror at (n-1-j, n-1-i)
+    # x[n-1-j] == -x[j] and x[n-1-i] == y[i] (ImageGrid.pixel_axes): the mirror's
+    # pixel (i, j) read u at (i, n-1-j), the quarter turn at (j, n-1-i) and its
+    # mirror at (n-1-j, n-1-i)
     img = acc[0] + acc[1][:, ::-1]
-    img += acc[2].T[::-1] if square else acc[2]
-    img += acc[3].T[::-1, ::-1] if square else acc[3][:, ::-1]
+    img += acc[2].T[::-1]
+    img += acc[3].T[::-1, ::-1]
     img *= T / (2.0 * M)
     return ImageGrid(grid.width, grid.height, img)
 

@@ -120,85 +120,69 @@ _ANGLE_BLOCK = 32
 _WINDOW_SLACK = 1e-9
 
 
-def radon_phantom(p: Phantom, theta, t) -> float | np.ndarray:
+def radon_phantom(p: Phantom, theta, t) -> np.ndarray:
     """Line-integral transform of the whole phantom (sum over ellipses).
 
-    ``theta`` is one angle or an array of angles.  The result has shape
+    ``theta`` is one angle or an array of angles, each in [0, pi), and ``t``
+    an ascending offset or array of offsets.  The result is an array of shape
     ``np.shape(theta) + np.shape(t)``, so a 1-D ``theta`` and ``t`` give one
-    row per angle; it is a float when both are scalars.
+    row per angle, and one angle with a 1-D ``t`` gives one row.
 
     The chord of an ellipse with semi-axes (a, b) rotated by phi has squared
     half-width ``r^2 = a^2 cos^2(theta-phi) + b^2 sin^2(theta-phi)`` around the
     offset ``off`` of its center, giving ``2 a b sqrt(max(r^2 - s^2, 0)) / r^2``
     per unit weight at ``s = t - off``: zero whenever the line misses the
-    ellipse.  Angles are reduced to [0, pi) with the offset negated, so the
-    evenness identity value(theta + pi, -t) == value(theta, t) holds up to the
-    one rounding step of representing the shifted angle.
+    ellipse.
 
-    Each ellipse updates the rows of up to ``_ANGLE_BLOCK`` angles at a time.
-    For an ascending ``t`` it touches only the columns within
-    ``off +- sqrt(r^2)`` of some row of the block (widened by
-    ``_WINDOW_SLACK``); the columns left out would each add an exact zero.
-    ``r^2`` and ``off`` are computed one angle at a time on float64 scalars,
-    so a row has the same bits whichever angles share its call: a scalar
-    ``** 2`` is C ``pow``, which differs from the ``x*x`` of an array ``** 2``
-    in the last bit of about one value in a thousand.
+    Each ellipse updates the rows of up to ``_ANGLE_BLOCK`` angles at a time,
+    and touches only the columns within ``off +- sqrt(r^2)`` of some row of
+    the block (widened by ``_WINDOW_SLACK``); the columns left out would each
+    add an exact zero.  ``r^2`` and ``off`` are computed one angle at a time
+    on float64 scalars, so a row has the same bits whichever angles share its
+    call: a scalar ``** 2`` is C ``pow``, which differs from the ``x*x`` of an
+    array ``** 2`` in the last bit of about one value in a thousand.
     """
     tt = np.asarray(t, dtype=float)
     thetas = np.asarray(theta, dtype=float)
     flat = tt.ravel()
-    angles = []
-    for a in thetas.ravel().tolist():
-        a %= 2.0 * np.pi
-        sign = 1.0
-        if a >= np.pi:
-            # value(a, t) == value(a - pi, -t): negate the offset, not t
-            a -= np.pi
-            sign = -1.0
-        angles.append((a, sign, float(np.cos(a)), float(np.sin(a))))
+    angles = [(a, float(np.cos(a)), float(np.sin(a))) for a in thetas.ravel().tolist()]
     out = np.zeros((len(angles), flat.size))
-    ascending = bool(np.all(flat[1:] >= flat[:-1]))
     for m0 in range(0, len(angles), _ANGLE_BLOCK):
         block = angles[m0 : m0 + _ANGLE_BLOCK]
         for e in p.ellipses:
-            _add_chords(out[m0 : m0 + len(block)], e, block, flat, ascending)
-    out = out.reshape(thetas.shape + tt.shape)
-    if thetas.ndim == 0 and np.isscalar(t):
-        return float(out)
-    return out
+            _add_chords(out[m0 : m0 + len(block)], e, block, flat)
+    return out.reshape(thetas.shape + tt.shape)
 
 
-def _add_chords(acc, e: Ellipse, block, t, ascending: bool) -> None:
-    """Add ellipse ``e``'s line integrals at the angles of ``block`` (reduced
-    angle, offset sign, cos and sin) and offsets ``t`` to the rows ``acc``."""
+def _add_chords(acc, e: Ellipse, block, t) -> None:
+    """Add ellipse ``e``'s line integrals at the angles of ``block`` (angle,
+    cos and sin) and ascending offsets ``t`` to the rows ``acc``."""
     a, b = e.semi_axes
     cx, cy = e.center
     a2, b2, phi = a**2, b**2, e.rotation
     r2, off = [], []
     lo, hi = math.inf, -math.inf
-    for th, sign, cos_th, sin_th in block:
+    for th, cos_th, sin_th in block:
         r = a2 * np.cos(th - phi) ** 2 + b2 * np.sin(th - phi) ** 2
-        o = sign * (cx * cos_th + cy * sin_th)
+        o = cx * cos_th + cy * sin_th
         if not r > 0.0:
-            # no chord (a NaN angle, or an axis whose square underflows): a NaN
-            # offset makes the row add zeros and leaves the window as it is
+            # no chord (an axis whose square underflows): a NaN offset makes
+            # the row add zeros and leaves the window as it is
             r, o = 1.0, math.nan
         h = math.sqrt(r)
         lo, hi = min(lo, o - h), max(hi, o + h)
         r2.append(r)
         off.append(o)
-    c0, c1 = 0, t.size
-    if ascending:
-        c0, c1 = t.searchsorted((lo - _WINDOW_SLACK, hi + _WINDOW_SLACK))
-        if c0 >= c1:
-            return
+    c0, c1 = t.searchsorted((lo - _WINDOW_SLACK, hi + _WINDOW_SLACK))
+    if c0 >= c1:
+        return
     r2 = np.array(r2)[:, None]
     # r^2 - s^2 > 0 exactly when s^2 < r^2, so every sample off the chord
     # adds c*0 = +-0.0, which leaves the accumulator's bits unchanged
     v = t[c0:c1] - np.array(off)[:, None]
     v *= v
     np.subtract(r2, v, out=v)
-    np.fmax(v, 0.0, out=v)  # and a NaN (offset or t) to 0
+    np.fmax(v, 0.0, out=v)  # and a NaN offset to 0
     np.sqrt(v, out=v)
     v *= 2.0 * e.intensity * a * b
     v /= r2

@@ -34,13 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    Threshold,
-    guarded_ceil,
-    guarded_floor,
-    map_blocks,
-    modulo_fold,
-)
+from .core import guarded_ceil, guarded_floor, map_blocks, modulo_fold
 from .errors import (
     ConditionError,
     ConfigError,
@@ -213,7 +207,7 @@ def _fold_residual_ints(values: np.ndarray, lam: float, N: int):
     right-aligned in a zeroed int64 block of the rows' shape; plus each snap
     error ``|e0 - 2*lam*m|``.  The steps after the fold run in place."""
     d = np.diff(values, n=N)
-    e0 = modulo_fold(d, Threshold(lam))
+    e0 = modulo_fold(d, lam)
     e0 -= d
     m = np.divide(e0, 2.0 * lam, out=d)
     np.rint(m, out=m)

@@ -31,8 +31,8 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import sici
 
-from modradon.core import Threshold, guarded_ceil, guarded_floor, modulo_fold
-from modradon.errors import DomainError, NumericError, ParseError, SizeError
+from modradon.core import guarded_ceil, guarded_floor, modulo_fold
+from modradon.errors import DomainError, MarginError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, base_order
 from modradon.fbp import filter_projections
 from modradon.forward import (
@@ -116,19 +116,12 @@ def radon_ellipse_oracle(e, theta, t):
 
 
 def radon_phantom_oracle(p: Phantom, theta, t):
-    """``radon_phantom`` at one angle: the angle is reduced to [0, pi) by
-    negating ``t``, and :func:`radon_ellipse_oracle` of every ellipse is added
-    over the whole of ``t``."""
-    theta = float(theta) % (2.0 * np.pi)
+    """``radon_phantom`` at one angle in [0, pi): :func:`radon_ellipse_oracle`
+    of every ellipse added over the whole of ``t``."""
     tt = np.asarray(t, dtype=float)
-    if theta >= np.pi:
-        theta -= np.pi
-        tt = -tt
     out = np.zeros_like(tt)
     for e in p.ellipses:
         out += radon_ellipse_oracle(e, theta, tt)
-    if np.isscalar(t):
-        return float(out)
     return out
 
 
@@ -169,7 +162,7 @@ def back_project_oracle(h, params, grid):
     K, T, M = params.K, params.T, params.M
     X, Y = np.meshgrid(*grid.pixel_axes())
     classes = [np.zeros_like(X) for _ in range(4)]
-    thetas = params.thetas()
+    thetas = np.arange(M) * np.pi / M
     done = set()
     for b in range(M // 4 + 1 if M % 2 == 0 else M // 2 + 1):
         c, s = np.cos(thetas[b]), np.sin(thetas[b])
@@ -234,7 +227,7 @@ def exceedance_index_oracle(sig, T, lam):
             cols = np.nonzero(exc)[0]
             return int(np.max(np.abs(cols - kw))) if cols.size else 0
         radius *= 2.0
-    raise NumericError("exceedance region did not close within the scan limit")
+    raise MarginError("exceedance region did not close within the scan limit")
 
 
 def sweep_cell_oracle(args):
@@ -254,7 +247,7 @@ def sweep_cell_oracle(args):
             kstar = exceedance_index_oracle(sig, T, lam)
             k_lo = -required_margin(kstar * T, T, max(orders), K)
             wide = sample_oracle(sig, np.arange(k_lo, K + 1) * T)
-            folded = modulo_fold(wide, Threshold(lam))
+            folded = modulo_fold(wide, lam)
             truth_sym = wide[-K - k_lo :]
             for iN, N in enumerate(orders):
                 K_prime = required_margin(kstar * T, T, N, K)
@@ -288,7 +281,7 @@ def demo_attempt_oracle(stage, sig, T, lam, N):
     fold_count = np.floor((truth + lam) / (2.0 * lam)).astype(np.int64)
     cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(sup_norm_oracle(sig), lam),
                        omega=sig.omega, T=T, mode=COMPACT, order_override=N)
-    rec, _ = unfold_compact(modulo_fold(truth, Threshold(lam)), -K_prime, cfg, K)
+    rec, _ = unfold_compact(modulo_fold(truth, lam), -K_prime, cfg, K)
     err = np.abs(rec - truth[K_prime - K :])
     return DemoAttempt(stage, T, N, int(np.count_nonzero(fold_count)), float(np.mean(err**2)),
                        float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL))
@@ -363,7 +356,7 @@ def unfold_general_oracle(values, base, cfg):
     N = max(1, select_order(cfg))
     J = cost_j(cfg.beta, lam)
     d = np.diff(values, n=N)
-    e0 = modulo_fold(d, Threshold(lam)) - d
+    e0 = modulo_fold(d, lam) - d
     m = np.rint(e0 / (2.0 * lam))
     residual = float(np.max(np.abs(e0 - 2.0 * lam * m)))
     m = m.astype(np.int64)
@@ -391,7 +384,7 @@ def compact_counts_oracle(rows, lam, N, start):
     dev = np.empty(len(rows))
     for r, s in enumerate(start):
         d = np.diff(rows[r, s:], n=N)
-        e0 = modulo_fold(d, Threshold(lam)) - d
+        e0 = modulo_fold(d, lam) - d
         m = np.rint(e0 / (2.0 * lam))
         c = m.astype(np.int64)
         for _ in range(N):
@@ -430,13 +423,12 @@ def unfold_sinogram_oracle(ms, cfg, K=None):
     return Sinogram(replace(p, K_prime=K, K=K, N=reports[0].n_used), out), reports
 
 
-def round_to_2lambda(x, thr: Threshold):
+def round_to_2lambda(x, lam: float):
     """Round onto the grid of even multiples of lam: ``2*lam*ceil(floor(x/lam)/2)``.
 
     Values already on the grid are fixed points; guard bands keep float
     representations of grid points from flipping to a neighbour.
     """
-    lam = thr.lam
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("round_to_2lambda requires finite input")

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from modradon.core import Threshold, modulo_fold
+from modradon.core import modulo_fold
 from modradon.experiments import base_order, downsample_demo, run_pipeline, success_sweep
 from modradon.forward import RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan, walnut_standin
@@ -56,7 +56,7 @@ def test_criterion_1_exact_unfold_property_suite():
                     (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
                     K_prime = required_margin(kstar * T, T, N, K)
                     truth = lattice_samples(sig, T, -K_prime, K)
-                    y = modulo_fold(truth, Threshold(lam))
+                    y = modulo_fold(truth, lam)
                     cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam),
                                        omega=omega, T=T, mode=COMPACT, order_override=N)
                     rec, _ = unfold_compact(y, -K_prime, cfg, K)
@@ -129,7 +129,7 @@ def test_criterion_4_modulo_decomposition_suite():
         for _ in range(100):
             lam = float(10.0 ** rng.uniform(-4, 1))
             t = rng.uniform(-1.0, 1.0, size=1000) * 10.0 ** rng.uniform(-3, 3)
-            y = modulo_fold(t, Threshold(lam))
+            y = modulo_fold(t, lam)
             assert np.all(y >= -lam) and np.all(y < lam)
             resid = t - y
             grid = 2.0 * lam * np.round(resid / (2.0 * lam))

@@ -5,32 +5,31 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modradon.core import Threshold, modulo_fold, sup_norm
+from modradon.core import modulo_fold, sup_norm
 from modradon.errors import DomainError
 from oracles import anti_diff, anti_diff_bilateral, round_to_2lambda
 
 
 class TestModuloFold:
     def test_identity_below_threshold(self):
-        assert modulo_fold(0.3, Threshold(1.0)) == 0.3
+        assert modulo_fold(np.array([0.3]), 1.0).tolist() == [0.3]
 
     def test_threshold_maps_to_negative_edge(self):
         for lam in (1.0, 0.37, 2.5e-4):
-            assert modulo_fold(lam, Threshold(lam)) == -lam
+            assert modulo_fold(np.array([lam]), lam).tolist() == [-lam]
 
     def test_direct_values(self):
-        assert modulo_fold(2.5, Threshold(1.0)) == 0.5
-        assert modulo_fold(-2.5, Threshold(1.0)) == -0.5
+        assert modulo_fold(np.array([2.5, -2.5]), 1.0).tolist() == [0.5, -0.5]
 
     def test_array_input(self):
-        out = modulo_fold(np.array([0.3, 2.5, -2.5]), Threshold(1.0))
-        np.testing.assert_array_equal(out, [0.3, 0.5, -0.5])
+        out = modulo_fold(np.array([[0.3, 2.5, -2.5]]), 1.0)
+        np.testing.assert_array_equal(out, [[0.3, 0.5, -0.5]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
-            modulo_fold(np.inf, Threshold(1.0))
+            modulo_fold(np.array([np.inf]), 1.0)
         with pytest.raises(DomainError):
-            modulo_fold(np.array([0.0, np.nan]), Threshold(1.0))
+            modulo_fold(np.array([0.0, np.nan]), 1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     @pytest.mark.parametrize("where", [0, 3, -1], ids=["first", "middle", "last"])
@@ -41,13 +40,13 @@ class TestModuloFold:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=r"^modulo_fold requires finite input$"):
-                modulo_fold(values, Threshold(0.25))
+                modulo_fold(values, 0.25)
 
     def test_bad_threshold(self):
-        with pytest.raises(DomainError):
-            Threshold(0.0)
-        with pytest.raises(DomainError):
-            Threshold(-1.0)
+        for lam in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(DomainError,
+                               match=rf"^threshold must be a positive finite real, got {lam}$"):
+                modulo_fold(np.array([0.3]), lam)
 
     @given(
         t=st.floats(-1e6, 1e6, allow_nan=False),
@@ -56,7 +55,7 @@ class TestModuloFold:
     @settings(max_examples=300)
     @example(t=-33.0, lam=1 / 3)  # rounds a few ulps below -lam unless pinned
     def test_decomposition_property(self, t, lam):
-        y = modulo_fold(t, Threshold(lam))
+        [y] = modulo_fold(np.array([t]), lam)
         assert -lam <= y < lam
         resid = t - y
         grid = 2.0 * lam * np.round(resid / (2.0 * lam))
@@ -139,16 +138,15 @@ class TestAntiDiffBilateral:
 
 class TestRoundTo2Lambda:
     def test_grid_fixed_points(self):
-        thr = Threshold(0.3)
         for m in (-7, -1, 0, 1, 2, 10):
-            assert round_to_2lambda(2 * 0.3 * m, thr) == 2 * 0.3 * m
+            assert round_to_2lambda(2 * 0.3 * m, 0.3) == 2 * 0.3 * m
 
     def test_zero(self):
-        assert round_to_2lambda(0.0, Threshold(1.0)) == 0.0
+        assert round_to_2lambda(0.0, 1.0) == 0.0
 
     def test_interior_value(self):
         lam = 0.4
-        assert round_to_2lambda(2.3 * lam, Threshold(lam)) == 2 * lam
+        assert round_to_2lambda(2.3 * lam, lam) == 2 * lam
 
     @given(
         x=st.floats(-1e3, 1e3, allow_nan=False),
@@ -156,8 +154,7 @@ class TestRoundTo2Lambda:
     )
     @settings(max_examples=200)
     def test_idempotent_and_on_grid(self, x, lam):
-        thr = Threshold(lam)
-        y = round_to_2lambda(x, thr)
+        y = round_to_2lambda(x, lam)
         m = y / (2 * lam)
         assert abs(m - round(m)) < 1e-9
-        assert round_to_2lambda(y, thr) == y
+        assert round_to_2lambda(y, lam) == y

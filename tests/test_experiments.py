@@ -172,7 +172,7 @@ class TestPrepareForward:
         monkeypatch.setattr(experiments, "scan_from_raw", lambda *a, **k: scans.append(a))
         p = SamplingParams(omega=20.0, T=0.05, lam=0.1, K=5, K_prime=5, M=4)
         with pytest.raises(SizeError, match=r"^angle count mismatch: 5 != 4$"):
-            experiments.prepare_forward(Sinogram(p, np.ones((4, 11))), lam=0.1, M=5)
+            experiments.prepare_forward(Sinogram(p, np.ones((4, 11))), lam=0.1, omega=20.0, M=5)
         assert scans == []
 
 
@@ -181,13 +181,15 @@ class TestRunPipeline:
         ({"filter_window": "hann"}, ConfigError, "unknown window 'hann'"),
         ({"grid_size": 0}, DomainError, "at least one pixel"),
         ({"grid_size": -3}, DomainError, "at least one pixel"),
-        ({"omega": None}, ConfigError, "omega is required"),
-    ], ids=["window", "size-0", "size-neg", "no-omega"])
+        ({"omega": 0.0}, ConfigError, r"^omega must be positive and finite, got 0.0$"),
+        ({"omega": None}, TypeError, "missing 1 required keyword-only argument: 'omega'"),
+    ], ids=["window", "size-0", "size-neg", "bad-omega", "no-omega"])
     def test_bad_reconstruction_setting_fails_before_forward(self, monkeypatch, kwargs,
                                                             error, message):
         calls = []
         monkeypatch.setattr(experiments, "prepare_forward", lambda *a, **k: calls.append(a))
-        kw = {"lam": 0.025, "omega": 300.0, **kwargs}
+        # a None value leaves its keyword out
+        kw = {k: v for k, v in {"lam": 0.025, "omega": 300.0, **kwargs}.items() if v is not None}
         with pytest.raises(error, match=message):
             experiments.run_pipeline(disk(1.0), **kw)
         assert calls == []

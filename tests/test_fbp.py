@@ -30,10 +30,11 @@ from oracles import (
 
 OMEGA = 60.0
 
-# back_project against its per-pixel oracle, (width, height, M): W != H, heights
-# below/at/above/between multiples of the 128-row band, M = 1 and odd M; then
-# every M mod 4 on square grids of one and three bands, a square side that is
-# not a power of two, W != H, and 1 x n, n x 1 and 1 x 1
+# back_project against its per-pixel oracle, (width, height, M): every M mod 4
+# on square grids of one and three bands, a square side that is not a power of
+# two, and 1 x 1.  The non-square grids (W != H, heights below/at/above/between
+# multiples of the 128-row band, 1 x n, n x 1) check that back_project refuses
+# them, naming both sides.
 ORACLE_CASES = [
     (40, 23, 7), (17, 130, 1), (64, 64, 4), (9, 65, 13), (33, 200, 2),
     (12, 128, 3), (10, 257, 2),
@@ -82,7 +83,10 @@ class TestFilterKernel:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * scale)
 
     def test_scalar_return(self):
-        assert isinstance(filter_kernel(FilterSpec(OMEGA, COSINE), 0.3), float)
+        # a scalar offset gives the value its one-element array gives
+        spec = FilterSpec(OMEGA, COSINE)
+        assert np.shape(filter_kernel(spec, 0.3)) == ()
+        assert filter_kernel(spec, 0.3) == filter_kernel(spec, np.array([0.3]))[0]
 
 
 class TestFilterProjections:
@@ -158,6 +162,11 @@ class TestBackProject:
     def test_matches_oracle_bitwise(self, width, height, M):
         p, h = self._random_filtered(M)
         grid = ImageGrid(width, height)
+        if width != height:
+            with pytest.raises(SizeError,
+                               match=rf"^back projection needs a square grid, got {width}x{height}$"):
+                back_project(h, p, grid)
+            return
         img = back_project(h, p, grid)
         assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
 
@@ -169,7 +178,7 @@ class TestBackProject:
         p, h = self._random_filtered(M=2)
         h = np.abs(h)
         h[:, [0, -1]] *= -1.0
-        grid = ImageGrid(45, 40)
+        grid = ImageGrid(40, 40)
         img = back_project(h, p, grid)
         assert img.pixels.tobytes() == back_project_oracle(h, p, grid).tobytes()
         assert img.pixels[0, 0].tobytes() == np.float64(0.0).tobytes()
@@ -178,7 +187,7 @@ class TestBackProject:
         p, h1 = self._random_filtered(M=5)
         h2 = h1.copy()
         h2[2, 31] += 1.0
-        grid = ImageGrid(48, 70)
+        grid = ImageGrid(70, 70)
         img1, img2 = back_project(h1, p, grid), back_project(h2, p, grid)
         assert img1.pixels.tobytes() == back_project_oracle(h1, p, grid).tobytes()
         assert img2.pixels.tobytes() == back_project_oracle(h2, p, grid).tobytes()

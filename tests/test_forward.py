@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from modradon import forward
+from modradon import fbp, forward
 from modradon.core import sup_norm
 from modradon.errors import ConfigError, DomainError, MarginError, ParseError
 from modradon.experiments import base_order, ingest_raw_csv, prepare_forward
@@ -28,7 +28,7 @@ from modradon.forward import (
     scan_from_raw,
     support_index,
 )
-from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan
+from modradon.phantom import Ellipse, ImageGrid, Phantom, radon_phantom, shepp_logan
 from modradon.unfold import (
     COMPACT,
     UnfoldConfig,
@@ -92,9 +92,16 @@ class TestSamplingParams:
         angles = []
         monkeypatch.setattr(forward, "radon_phantom", lambda p, theta, t: angles.append(theta))
         phantom_rows(shepp_logan(), 0.1, 300)
+
+        def recording(M):
+            angles.append(forward.projection_angles(M))
+            return angles[-1]
+
+        monkeypatch.setattr(fbp, "projection_angles", recording)
         p = SamplingParams(omega=1, T=0.1, lam=0.1, K=5, K_prime=5, M=300)
-        assert angles[0].tobytes() == p.thetas().tobytes()
-        assert p.thetas().tolist() == [m * np.pi / 300 for m in range(300)]
+        fbp.back_project(np.zeros((300, 11)), p, ImageGrid(2, 2))
+        assert angles[0].tobytes() == angles[1].tobytes()
+        assert angles[0].tolist() == [m * np.pi / 300 for m in range(300)]
 
 
 class TestPrefilter:
@@ -220,7 +227,7 @@ class TestScan:
             assert scan.bounds.tobytes() == bounds.tobytes()
             for lam in (0.5, 0.05, 5e-3, 1e-4, 1e-7):
                 try:
-                    want = clear_band_exceedance(full.rows, lam)
+                    want = clear_band_exceedance(*bounds, lam)
                 except MarginError:
                     with pytest.raises(MarginError):
                         scan.exceedance_index(lam)
@@ -259,11 +266,14 @@ class TestScan:
             cols = np.nonzero((np.abs(r) >= lam).reshape(-1, r.shape[-1]).any(axis=0))[0]
             return int(np.max(np.abs(cols - k))) if cols.size else 0
 
-        assert clear_band_exceedance(rows, lam) == oracle(rows)
+        def extremes(r):
+            return np.fmax.reduce(r, axis=0), np.fmin.reduce(r, axis=0)
+
+        assert clear_band_exceedance(*extremes(rows), lam) == oracle(rows)
         for row in rows:
-            assert clear_band_exceedance(row, lam) == oracle(row)
+            assert clear_band_exceedance(row, row, lam) == oracle(row)
         rows[:, 32:-32] = np.nan
-        assert clear_band_exceedance(rows, lam) == oracle(rows) == 0
+        assert clear_band_exceedance(*extremes(rows), lam) == oracle(rows) == 0
 
     def test_narrow_scan_raises(self):
         p = small_params()
@@ -423,7 +433,7 @@ class TestRandomSignal:
         assert np.all(sig.tail_bound(np.array([-17, 17]) * T) >= 0.1)
         kstars, lo, scanned = sig.scan_exceedance(T, (0.1, 0.05))
         radius3 = window(scanned, lo, -48, 48)
-        assert kstars[0] == clear_band_exceedance(radius3, 0.1) == 8
+        assert kstars[0] == clear_band_exceedance(radius3, radius3, 0.1) == 8
         assert kstars[1] == 72 > 48
         alone = [sig.scan_exceedance(T, (lam,)) for lam in (0.1, 0.05)]
         assert kstars == [k for (k,), _, _ in alone]

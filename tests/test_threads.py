@@ -78,9 +78,9 @@ class TestMapBlocks:
 
 
 class TestSameBitsOnAnyCpuCount:
-    # shapes whose last band or block is short: 300 image rows are bands of
-    # 128, 128 and 44; 37 rows are convolution blocks of 16, 16 and 5; 70 angle
-    # rows are unfold blocks of 32, 32 and 6
+    # shapes whose last band or block is short: 257 and 300 image rows are
+    # bands of 128, 128 and 1 or 44; 37 rows are convolution blocks of 16, 16
+    # and 5; 70 angle rows are unfold blocks of 32, 32 and 6
 
     @staticmethod
     def _on_cpu_counts(cpus, run):
@@ -101,10 +101,11 @@ class TestSameBitsOnAnyCpuCount:
         return alone
 
     def test_back_project(self, cpus):
+        # odd M: every base angle has a mirror and no quarter turn
         p = SamplingParams(omega=20.0, T=0.02, lam=1.0, K=30, K_prime=30, M=7)
         rng = np.random.default_rng(0)
         h = rng.normal(size=(7, 61))
-        grid = ImageGrid(40, 300)
+        grid = ImageGrid(257, 257)
         self._on_cpu_counts(cpus, lambda: back_project(h, p, grid).pixels.tobytes())
 
     def test_back_project_shared_geometry(self, cpus):

@@ -14,8 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from modradon import cli, experiments, fbp, forward, unfold
-from modradon.phantom import shepp_logan
+from modradon import cli, experiments, fbp, forward, phantom, unfold
+from modradon.phantom import shepp_logan, walnut_standin
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 BENCH_TRACING = os.path.join(ROOT, "bench", "tracing.py")
@@ -105,6 +105,14 @@ def test_benchmark_calls_bind():
         # argparse accepts prefixes of longer flags, so check the names too
         flags = {s for a in subparsers[argv[0]]._actions for s in a.option_strings}
         assert {a for a in argv if a.startswith("--")} <= flags
+    # the walnut set-up projects one scalar angle m*pi/600 at a time onto an
+    # ascending lattice, one row each
+    t = np.arange(-1128, 1129) * (1.0 / 1128.0)
+    rows = phantom.radon_phantom(walnut_standin(), np.array([0, 599]) * np.pi / 600, t)
+    for m, row in zip((0, 599), rows):
+        got = phantom.radon_phantom(walnut_standin(), m * np.pi / 600, t)
+        assert got.shape == t.shape
+        assert got.tobytes() == row.tobytes()
 
 
 def test_phantom_rows_projects_every_angle_in_one_call(monkeypatch):

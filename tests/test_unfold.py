@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modradon import experiments
-from modradon.core import Threshold, modulo_fold
+from modradon.core import modulo_fold
 from modradon.errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
 from modradon.experiments import prepare_forward
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, fold_sinogram
@@ -163,7 +163,7 @@ class TestUnfoldCompact:
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
-            y = modulo_fold(truth, Threshold(lam))
+            y = modulo_fold(truth, lam)
             cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
             rec, rep = unfold_compact(y, -Kp, cfg, kstar)
@@ -195,7 +195,7 @@ class TestUnfoldCompact:
                 row = rng.uniform(-lam, lam, size=Kp + K + 1)
             else:
                 sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([31, r]))
-                row = modulo_fold(lattice_samples(sig, T, -Kp, K), Threshold(lam))
+                row = modulo_fold(lattice_samples(sig, T, -Kp, K), lam)
             block[r, width - row.size :] = row
         start = width - (np.array(margins) + K + 1)
         counts, residual = compact_counts(block, lam, N, start)
@@ -251,8 +251,8 @@ class TestUnfoldCompact:
         Kp = kstar + 4 + 8
         truth = lattice_samples(sig, T, -Kp, Kp)
         cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T, order=4)
-        rec1, _ = unfold_compact(modulo_fold(truth, Threshold(lam)), -Kp, cfg, Kp)
-        rec2, _ = unfold_compact(modulo_fold(rec1, Threshold(lam)), -Kp, cfg, Kp)
+        rec1, _ = unfold_compact(modulo_fold(truth, lam), -Kp, cfg, Kp)
+        rec2, _ = unfold_compact(modulo_fold(rec1, lam), -Kp, cfg, Kp)
         np.testing.assert_array_equal(rec1, rec2)
 
     def test_margin_errors(self):
@@ -351,7 +351,7 @@ class TestUnfoldGeneral:
         rows[:20] = rng.uniform(-lam, lam, size=(20, k.size))
         for row in rows[20:]:
             amp, centre, width = rng.uniform(-beta, beta), rng.uniform(-K, K), rng.uniform(2, 20)
-            row[:] = modulo_fold(amp * np.exp(-(((k - centre) / width) ** 2)), Threshold(lam))
+            row[:] = modulo_fold(amp * np.exp(-(((k - centre) / width) ** 2)), lam)
         folded = sinogram(rows, K, lam, 10.0, 0.001)
         cfg = UnfoldConfig(lam=lam, beta=beta, omega=10.0, T=0.001, mode=GENERAL,
                            order_override=N)
@@ -385,12 +385,11 @@ class TestUnfoldGeneral:
 def _unfold_compact_float_staged(y, base, lam, N, K):
     """Literal float staging: cumulative sums rounded onto the fold grid at
     every stage.  Reference route for the packaged integer bookkeeping."""
-    thr = Threshold(lam)
     d = np.diff(y, n=N)
-    s = modulo_fold(d, thr) - d
+    s = modulo_fold(d, lam) - d
     for _ in range(N - 1):
-        s = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
-    eps = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), thr)
+        s = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), lam)
+    eps = round_to_2lambda(np.concatenate([[0.0], np.cumsum(s)]), lam)
     return window(y + eps, base, -K, K)
 
 
@@ -404,7 +403,7 @@ class TestRouteEquivalence:
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
-            y = modulo_fold(truth, Threshold(lam))
+            y = modulo_fold(truth, lam)
             cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
                               order=N)
             rec, _ = unfold_compact(y, -Kp, cfg, kstar)
