@@ -19,7 +19,7 @@ from .errors import ConfigError, ModRadonError
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import Sinogram, fold_sinogram, load_sinogram, save_sinogram
 from .phantom import NAMED_PHANTOMS, ImageGrid, load_phantom, rasterize, save_phantom
-from .unfold import COMPACT, GENERAL, UnfoldConfig, unfold_sinogram, write_unfold_reports
+from .unfold import COMPACT, GENERAL, select_order, unfold_sinogram, write_unfold_reports
 
 
 def _phantom_arg(spec: str):
@@ -225,14 +225,15 @@ def _cmd_fold(args) -> int:
 def _cmd_unfold(args) -> int:
     ms = load_sinogram(args.infile)
     p = ms.params
-    cfg = UnfoldConfig(lam=p.lam, beta=args.beta, omega=p.omega, T=p.T,
-                       mode=args.mode, order_override=args.order)
-    out, reports = unfold_sinogram(ms, cfg, args.K)
+    N = args.order
+    if N is None:
+        N = select_order(p.lam, args.beta, p.omega, p.T, args.mode)
+    out, reports = unfold_sinogram(ms, N, args.K, mode=args.mode, beta=args.beta)
     save_sinogram(out, args.out)
     if args.report:
         write_unfold_reports(reports, args.report)
     bad = sum(1 for r in reports if not r.success)
-    print(f"unfolded {p.M} rows (order {reports[0].n_used}); {bad} flagged")
+    print(f"unfolded {p.M} rows (order {out.params.N}); {bad} flagged")
     return 0 if bad == 0 else 3
 
 

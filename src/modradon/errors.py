@@ -34,6 +34,11 @@ def check_counts(**values) -> None:
             raise ConfigError(f"{name} must be at least 1, got {n}")
 
 
+def indexable(count) -> bool:
+    """Whether numpy can index ``count`` float64 values (8*count bytes)."""
+    return count <= np.iinfo(np.intp).max // 8
+
+
 class ConditionError(ModRadonError, ValueError):
     """A sampling condition required by a guarantee does not hold."""
 

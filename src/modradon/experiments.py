@@ -21,6 +21,7 @@ from .forward import (
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
+    check_lattice,
     fold_sinogram,
     load_sinogram,
     phantom_rows,
@@ -32,8 +33,6 @@ from .forward import (
 )
 from .phantom import ImageGrid, rasterize
 from .unfold import (
-    COMPACT,
-    UnfoldConfig,
     compact_counts,
     cost_j,
     grid_upper_bound,
@@ -129,10 +128,13 @@ def prepare_forward(source, *, lam: float, omega: float,
     :class:`Sinogram` of measured projection samples (e.g. from ingest), which
     is band-limited the same way.  With ``normalize=True`` the raw samples are
     scaled to unit sup-norm before the anti-aliasing filter (the convention
-    for measured datasets).  A value that is not positive and finite, a
-    count below 1, or an all-zero source to normalize raises
-    :class:`ConfigError`, and an ``M`` that differs from a sinogram source's
-    angle count raises :class:`SizeError`, before anything is scanned.
+    for measured datasets).  ``t_frac`` does not apply to a sinogram source,
+    which brings its own T.  A value that is not positive and finite, a
+    count below 1, a ``T`` that differs from a sinogram source's, a raw row
+    or first scan window too long for numpy to index, or an all-zero source
+    to normalize raises :class:`ConfigError`, and an ``M`` that differs from
+    a sinogram source's angle count raises :class:`SizeError`, before
+    anything is scanned.
 
     Returns the clean sinogram over [-K', K], whose params carry beta, rho and
     N, and the normalisation scale (1.0 without ``normalize``).
@@ -141,15 +143,23 @@ def prepare_forward(source, *, lam: float, omega: float,
     check_counts(M=M, K=K)
     if isinstance(source, Sinogram):
         sp = source.params
-        T = sp.T if T is None else T
         M = sp.M if M is None else M
         K = sp.K if K is None else K
         if M != sp.M:
             raise SizeError(f"angle count mismatch: {M} != {sp.M}")
+        if T is not None and T != sp.T:
+            raise ConfigError(f"sample spacing mismatch: T={T!r} given, the sinogram's "
+                              f"T={sp.T!r}")
+        T = sp.T
         raw = source.symmetric_rows().copy()
     else:
         if T is None:
             T = t_frac / (omega * np.e)
+            spacing, reach = f"t_frac={t_frac!r} at omega={omega!r}", omega * np.e / t_frac
+        else:
+            spacing, reach = f"T={T!r}", 1.0 / T
+        # a raw row covers |t| <= 1; a derived T may underflow to 0
+        check_lattice(f"{spacing} samples too finely", "a raw row", reach)
         if K is None:
             K = support_index(T)
         if M is None:
@@ -168,8 +178,7 @@ def prepare_forward(source, *, lam: float, omega: float,
     scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min, K)
     beta = sup_norm(raw)
     del raw  # freed before the window is copied out of the scan
-    N = select_order(UnfoldConfig(lam=lam, beta=grid_upper_bound(beta, lam), omega=omega,
-                                  T=T, mode=COMPACT))
+    N = select_order(lam, grid_upper_bound(beta, lam), omega, T)
     rho = kstar * T
     K_prime = required_margin(rho, T, N, K) if k_prime == "auto" else int(k_prime)
     if K_prime > scan.k_scan:
@@ -201,11 +210,9 @@ def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
     params = clean.params
     K, K_prime, N = params.K, params.K_prime, params.N
     beta_grid = grid_upper_bound(params.beta, params.lam)
-    cfg = UnfoldConfig(lam=params.lam, beta=beta_grid, omega=params.omega, T=params.T,
-                       mode=COMPACT)
     clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
     folded = fold_sinogram(clean)
-    unfolded, reports = unfold_sinogram(folded, cfg, K)
+    unfolded, reports = unfold_sinogram(folded, N, K)
 
     # an exact recovery has the clean rows' bits (compared as uint64, so that
     # -0.0 differs from +0.0), hence a parity of 0.0 and the clean image's pixels
@@ -381,11 +388,9 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
             raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
         check_positive(omega=om)
-        # 2*ceil(radius/T) + 1 float64 samples at T = 1/(omega*e)
-        points = 2.0 * np.ceil(SIGNAL_SCAN_RADIUS * om * np.e) + 1.0
-        if not 8.0 * points <= np.iinfo(np.intp).max:
-            raise ConfigError(f"omega={om / np.pi!r}pi is too large: the first scan "
-                              f"lattice would hold {points:.3g} samples")
+        # radius/T at T = 1/(omega*e)
+        check_lattice(f"omega={om / np.pi!r}pi is too large", "the first scan lattice",
+                      SIGNAL_SCAN_RADIUS * om * np.e)
     check_counts(trials=trials, tsteps=tsteps, workers=workers)
     keys = [(lam, om) for lam in lams for om in omegas]
     names = [f"success_lam{lam:g}_omega{om / np.pi:g}pi.csv" for lam, om in keys]
@@ -444,9 +449,13 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
     At the base rate a first-order recovery succeeds; after downsampling by
     ``factor`` the first differences exceed the fold threshold and order 1
     fails, while order 2 recovers the samples exactly.  A parameter that is
-    not positive and finite raises :class:`ConfigError`.
+    not positive and finite, or a base spacing whose first scan lattice
+    (``SIGNAL_SCAN_RADIUS`` either side) is too long for numpy to index,
+    raises :class:`ConfigError`.
     """
     check_positive(omega=omega, lam=lam, t0_frac=t0_frac, factor=factor)
+    check_lattice(f"omega={omega!r} with t0_frac={t0_frac!r} samples too finely",
+                  "the first scan lattice", SIGNAL_SCAN_RADIUS * omega * np.e / t0_frac)
     sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
     t0 = t0_frac / (omega * np.e)
     attempts = []

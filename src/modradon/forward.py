@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     SizeError,
     check_positive,
+    indexable,
 )
 from .phantom import Phantom, radon_phantom
 
@@ -98,7 +99,7 @@ class SamplingParams:
 def projection_angles(M: int) -> np.ndarray:
     """The M projection angles ``theta_m = m*pi/M``, rounded as
     ``(m*pi)/M``; raises :class:`SizeError` when numpy cannot index M."""
-    if M > np.iinfo(np.intp).max // 8:
+    if not indexable(M):
         raise SizeError(f"M={M} angles are too many to index")
     return np.arange(M) * np.pi / M
 
@@ -207,6 +208,15 @@ def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
     return radon_phantom(p, projection_angles(M), np.arange(-k_half, k_half + 1) * T)
 
 
+def check_lattice(what: str, lattice: str, reach: float) -> None:
+    """Raise :class:`ConfigError` "<what>: <lattice> would hold <n> samples"
+    when n = 2*ceil(reach) + 1 float64 samples, ``reach`` on each side of
+    index 0, are too many for numpy to index."""
+    points = 2.0 * np.ceil(reach) + 1.0
+    if not indexable(points):
+        raise ConfigError(f"{what}: {lattice} would hold {points:.3g} samples")
+
+
 def support_index(T: float) -> int:
     """Last lattice index that can touch the unit-disk support: ceil(1/T)."""
     return int(guarded_ceil(1.0 / T))
@@ -294,12 +304,14 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float, radius: float = 
     the widest acquisition window a caller with grid bound K can cut; the
     column bounds cover the whole window.  Bounds taken from the unscaled
     columns and then multiplied by T > 0 equal those of the scaled ones,
-    since rounding is monotonic.
+    since rounding is monotonic.  A window too long for numpy to index raises
+    :class:`ConfigError`.
     """
     raw_rows = np.asarray(raw_rows, dtype=float)
     if raw_rows.ndim != 2 or raw_rows.shape[1] % 2 != 1:
         raise SizeError("raw rows must be 2-D with an odd number of columns")
     k_half = (raw_rows.shape[1] - 1) // 2
+    check_lattice(f"T={T!r} samples too finely", "the scan window", radius / T)
     k_scan = int(np.ceil(radius / T))
     keep = k_scan + 1 + min(int(K), k_scan)
     lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T

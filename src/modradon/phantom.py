@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SizeError
+from .errors import DomainError, ParseError, SizeError, indexable
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ImageGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise DomainError("image grid must have at least one pixel per axis")
-        if self.width * self.height > np.iinfo(np.intp).max // 8:
+        if not indexable(self.width * self.height):
             raise SizeError(f"image grid {self.width}x{self.height} is too large to index")
         if self.pixels is None:
             # a grid that only gives an image's geometry holds no pixel buffer

@@ -17,6 +17,10 @@ result does not depend on the CPU count), in one of two modes:
 
 ``unfold_compact`` unfolds one sample run as a one-row call of the same core.
 
+Unfolding reads the threshold lam from the sinogram it unfolds and takes the
+difference order N as an input, which the caller that owns the sampling
+decision picks once with :func:`select_order`.
+
 Both modes reduce folding to integer bookkeeping in one layout: the
 fold-count residual of the N-th forward difference is snapped to integer
 multiples of 2*lam once and placed right-aligned in a zeroed int64 block,
@@ -51,52 +55,6 @@ COMPACT = "compact_exceedance"
 #: Angle rows per block in :func:`unfold_sinogram`, one thread's work; small
 #: for the reason given at ``forward._CONV_ROWS``.
 _UNFOLD_ROWS = 32
-
-
-@dataclass(frozen=True)
-class UnfoldConfig:
-    """Inputs of the unfolding algorithms.
-
-    Parameters
-    ----------
-    lam : float
-        Fold threshold.
-    beta : float
-        Uniform amplitude bound for the unfolded signal.  In general mode it
-        must be an even multiple of lam.
-    omega : float
-        Signal bandwidth.
-    T : float
-        Sample spacing.
-    mode : str
-        ``"general"`` or ``"compact_exceedance"``.
-    order_override : int, optional
-        Difference order to use instead of the one derived from the bound.
-    """
-
-    lam: float
-    beta: float
-    omega: float
-    T: float
-    mode: str = COMPACT
-    order_override: int | None = None
-
-    def __post_init__(self):
-        check_positive(lam=self.lam, beta=self.beta, omega=self.omega, T=self.T)
-        if self.mode not in (GENERAL, COMPACT):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == GENERAL:
-            grid = 2.0 * self.lam
-            if abs(self.beta / grid - round(self.beta / grid)) > 1e-9:
-                raise ConfigError(
-                    f"general mode requires beta on the 2*lam grid; got {self.beta}"
-                )
-        if self.order_override is not None and self.order_override < 0:
-            raise ConfigError("order_override must be >= 0")
-
-    @property
-    def oversampling(self) -> float:
-        return self.T * self.omega * np.e
 
 
 @dataclass
@@ -143,28 +101,30 @@ def grid_upper_bound(beta: float, lam: float) -> float:
     return grid * steps
 
 
-def select_order(cfg: UnfoldConfig) -> int:
-    """Difference order from the amplitude bound: ceil(log(lam/beta)/log(T*omega*e)).
+def select_order(lam: float, beta: float, omega: float, T: float, mode: str = COMPACT) -> int:
+    """Difference order from the amplitude bound beta of the unfolded signal,
+    sampled at spacing T with bandwidth omega and folded at lam:
+    ceil(log(lam/beta)/log(T*omega*e)).
 
     General mode clamps the order below at 1; compact mode at 0, where order 0
     short-circuits to the identity (no sample can fold when beta <= lam).
 
     Raises
     ------
+    ConfigError
+        If lam, beta, omega or T is not positive and finite.
     ConditionError
-        If T*omega*e >= 1 and no override is given (the formula is
-        meaningless without oversampling).
+        If T*omega*e >= 1 (the formula is meaningless without oversampling).
     """
-    if cfg.order_override is not None:
-        return int(cfg.order_override)
-    if cfg.oversampling >= 1.0:
-        raise ConditionError(
-            f"T*omega*e = {cfg.oversampling:.6f} >= 1; supply order_override or sample faster"
-        )
-    floor_n = 1 if cfg.mode == GENERAL else 0
-    if cfg.beta <= cfg.lam:
+    check_positive(lam=lam, beta=beta, omega=omega, T=T)
+    oversampling = T * omega * np.e
+    if oversampling >= 1.0:
+        raise ConditionError(f"T*omega*e = {oversampling:.6f} >= 1; supply an order or "
+                             "sample faster")
+    floor_n = 1 if mode == GENERAL else 0
+    if beta <= lam:
         return floor_n
-    n = int(guarded_ceil((np.log(cfg.lam) - np.log(cfg.beta)) / np.log(cfg.oversampling)))
+    n = int(guarded_ceil((np.log(lam) - np.log(beta)) / np.log(oversampling)))
     return max(floor_n, n)
 
 
@@ -235,10 +195,10 @@ def compact_counts(rows: np.ndarray, lam: float, N: int, start):
     return counts, np.max(dev, axis=1, where=used, initial=0.0)
 
 
-def unfold_compact(values: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
+def unfold_compact(values: np.ndarray, base: int, lam: float, N: int, K: int):
     """Unfold one run of modulo samples of a signal with compact fold
-    exceedance, ``values[i]`` at absolute index ``base + i``; returns the
-    values over [-K, K] and the report.
+    exceedance, folded at lam, at order N: ``values[i]`` at absolute index
+    ``base + i``; returns the values over [-K, K] and the report.
 
     The run must open with a quiet left margin (no folds in its first N
     samples).  A convenience for tests: the program unfolds through
@@ -255,26 +215,30 @@ def unfold_compact(values: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
     DomainError
         If a sample lies outside the folded range [-lam, lam).
     """
-    if cfg.mode != COMPACT:
-        raise ConfigError("unfold_compact requires a compact-exceedance config")
-    K = int(K)
-    out, [report] = _unfold_rows(np.asarray(values, dtype=float)[None, :], int(base), cfg, K)
+    out, [report] = _unfold_rows(np.asarray(values, dtype=float)[None, :], int(base), lam, N,
+                                 None, int(K))
     return out[0], report
 
 
-def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
-    """Unfold every angle row of a folded sinogram, routed by ``cfg.mode``.
+def unfold_sinogram(ms: Sinogram, N: int, K: int | None = None, *, mode: str = COMPACT,
+                    beta: float | None = None):
+    """Unfold every angle row of a folded sinogram at its threshold
+    ``ms.params.lam`` and difference order N, in ``mode``.
 
-    Returns a sinogram over the symmetric [-K, K] grid together with the
-    per-row reports.
+    General mode raises an order of 0 to 1 and needs ``beta``, the amplitude
+    bound on the 2*lam grid, for its slope probe; compact mode does not use
+    ``beta``.  Returns a sinogram over the symmetric [-K, K] grid, whose
+    params carry the order used, together with the per-row reports.
 
     Raises
     ------
+    ConfigError
+        If beta is given but not positive and finite, if the mode is
+        unknown, if general mode lacks a beta on the 2*lam grid, if N is
+        negative, or if K is below 1.
     DomainError
         If a sample lies outside the folded range [-lam, lam), or, in general
         mode, if [-K, K] is not inside the stored window.
-    ConfigError
-        If K is below 1.
     MarginError
         In compact mode, if the stored window stops short of -K or K.
     SizeError
@@ -282,16 +246,26 @@ def unfold_sinogram(ms: Sinogram, cfg: UnfoldConfig, K: int | None = None):
         mode, for the slope probe (end index J+N-1).
     """
     p = ms.params
+    check_positive(beta=beta)
+    if mode == COMPACT:
+        beta = None
+    elif mode != GENERAL:
+        raise ConfigError(f"unknown mode {mode!r}")
+    elif beta is None or abs(beta / (2.0 * p.lam) - round(beta / (2.0 * p.lam))) > 1e-9:
+        raise ConfigError(f"general mode requires beta on the 2*lam grid; got {beta}")
+    if N < 0:
+        raise ConfigError("order must be >= 0")
+    N = int(N) if beta is None else max(1, int(N))
     K = p.K if K is None else int(K)
-    out, reports = _unfold_rows(ms.rows, ms.base_index, cfg, K)
-    params_out = replace(p, K_prime=K, K=K, N=reports[0].n_used)
-    return Sinogram(params_out, out), reports
+    out, reports = _unfold_rows(ms.rows, ms.base_index, p.lam, N, beta, K)
+    return Sinogram(replace(p, K_prime=K, K=K, N=N), out), reports
 
 
-def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
+def _unfold_rows(rows: np.ndarray, base: int, lam: float, N: int, beta: float | None, K: int):
     """Unfold folded rows that each cover absolute indices [base, base+width-1]
-    onto [-K, K]: the window is checked once, then ``_UNFOLD_ROWS`` rows at a
-    time go through :func:`_unfold_block`, one block per thread
+    onto [-K, K] at threshold lam and order N, in compact mode for
+    ``beta=None``: the window is checked once, then ``_UNFOLD_ROWS`` rows at
+    a time go through :func:`_unfold_block`, one block per thread
     (:func:`~modradon.core.map_blocks`).  Returns the (rows, 2K+1) result and
     one report per row, in row order; a bad sample raises the error of the
     first block, in row order, that holds one."""
@@ -299,39 +273,37 @@ def _unfold_rows(rows: np.ndarray, base: int, cfg: UnfoldConfig, K: int):
     width = rows.shape[1]
     end = base + width - 1
     J = None
-    if cfg.mode == COMPACT:
+    if beta is None:
         if base > -K:
             raise MarginError(f"left margin too small: base {base} > {-K}; enlarge K_prime")
         if end < K:
             raise MarginError(f"window ends at {end}, needs to reach {K}")
-        N = select_order(cfg)
         if N > 0 and width <= N:
             raise SizeError(f"need more than {N} samples, got {width}")
     else:
-        N = max(1, select_order(cfg))
-        J = cost_j(cfg.beta, cfg.lam)
+        J = cost_j(beta, lam)
         if end < J + N - 1:
             raise SizeError(f"window too short: need end index >= {J + N - 1}, got {end}")
         if base > -K or end < K:
             raise DomainError(f"window [{-K}, {K}] outside [{base}, {end}]")
-    bound = cfg.lam * (1.0 + 1e-12)
+    bound = lam * (1.0 + 1e-12)
     out = np.empty((rows.shape[0], 2 * K + 1))
 
     def one_block(r0):
         block = rows[r0 : r0 + _UNFOLD_ROWS]
         if not (np.max(block) <= bound and np.min(block) >= -bound):  # NaN fails both
             raise DomainError("folded values must lie within [-lam, lam)")
-        out[r0 : r0 + _UNFOLD_ROWS], reports = _unfold_block(block, base, cfg, N, J, K)
+        out[r0 : r0 + _UNFOLD_ROWS], reports = _unfold_block(block, base, lam, N, beta, J, K)
         return reports
 
     blocks = map_blocks(one_block, range(0, rows.shape[0], _UNFOLD_ROWS))
     return out, [r for reports in blocks for r in reports]
 
 
-def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int | None,
-                  K: int):
+def _unfold_block(rows: np.ndarray, base: int, lam: float, N: int, beta: float | None,
+                  J: int | None, K: int):
     """The [-K, K] columns of a block of checked folded rows, unfolded at order
-    N, and one report per row.
+    N, and one report per row; compact mode for ``beta=None``.
 
     Both modes integrate the fold counts of the N-th difference back N times
     with in-place int64 running sums over one right-aligned block.  General
@@ -341,11 +313,10 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
     tail plateau check fails (success=False) when the last max(8, N) running
     sums disagree, which signals unreliable recovery.
     """
-    lam = cfg.lam
     cols = slice(-K - base, K - base + 1)
     if N == 0:
         return rows[:, cols], [UnfoldReport(0, None, 0.0, True) for _ in rows]
-    if cfg.mode == COMPACT:
+    if beta is None:
         counts, residual = compact_counts(rows, lam, N, np.zeros(len(rows), dtype=int))
         reports = [UnfoldReport(N, None, float(r), bool(r < 1e-9 * lam)) for r in residual]
     else:
@@ -358,7 +329,7 @@ def _unfold_block(rows: np.ndarray, base: int, cfg: UnfoldConfig, N: int, J: int
             u = counts[:, N - i :]
             u -= u[:, -base, None]
             vj = 2.0 * lam * np.sum(u[:, -base : J + 1 - base], axis=1)
-            kappa = guarded_floor((0.0 - vj) / (12.0 * cfg.beta) + 0.5).astype(np.int64)
+            kappa = guarded_floor((0.0 - vj) / (12.0 * beta) + 0.5).astype(np.int64)
             u += kappa[:, None]
         # the last sum's constant is taken out by the tail value below
         np.cumsum(counts, axis=1, out=counts)

@@ -46,13 +46,10 @@ from modradon.phantom import ImageGrid, Phantom
 from modradon.unfold import (
     COMPACT,
     GENERAL,
-    UnfoldConfig,
     UnfoldReport,
     compact_counts,
     cost_j,
-    grid_upper_bound,
     required_margin,
-    select_order,
     unfold_compact,
 )
 
@@ -251,9 +248,7 @@ def sweep_cell_oracle(args):
             truth_sym = wide[-K - k_lo :]
             for iN, N in enumerate(orders):
                 K_prime = required_margin(kstar * T, T, N, K)
-                cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam), omega=omega,
-                                   T=T, mode=COMPACT, order_override=N)
-                rec, _ = unfold_compact(folded[-K_prime - k_lo :], -K_prime, cfg, K)
+                rec, _ = unfold_compact(folded[-K_prime - k_lo :], -K_prime, lam, N, K)
                 if np.max(np.abs(rec - truth_sym)) < _SUCCESS_TOL:
                     hits[it, iN] += 1
     rates = hits / float(trials)
@@ -279,9 +274,7 @@ def demo_attempt_oracle(stage, sig, T, lam, N):
     K_prime = required_margin(kstar * T, T, N, K)
     truth = sample_oracle(sig, np.arange(-K_prime, K + 1) * T)
     fold_count = np.floor((truth + lam) / (2.0 * lam)).astype(np.int64)
-    cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(sup_norm_oracle(sig), lam),
-                       omega=sig.omega, T=T, mode=COMPACT, order_override=N)
-    rec, _ = unfold_compact(modulo_fold(truth, lam), -K_prime, cfg, K)
+    rec, _ = unfold_compact(modulo_fold(truth, lam), -K_prime, lam, N, K)
     err = np.abs(rec - truth[K_prime - K :])
     return DemoAttempt(stage, T, N, int(np.count_nonzero(fold_count)), float(np.mean(err**2)),
                        float(np.max(err)), bool(np.max(err) < _SUCCESS_TOL))
@@ -345,16 +338,16 @@ def anti_diff_bilateral(a, base):
     return c - c[..., -base, None]
 
 
-def unfold_general_oracle(values, base, cfg):
-    """One run of general-mode unfolding, ``values[0]`` at index ``base``: the
-    fold counts of the N-th difference are integrated back N times with
-    running sums anchored at index 0; after each integration a slope probe at
-    offsets 1 and J+1 fixes the linear drift (kappa), and the settled tail
-    value removes the final constant.  Returns the recovered run over the
-    input window and its report."""
-    lam = cfg.lam
-    N = max(1, select_order(cfg))
-    J = cost_j(cfg.beta, lam)
+def unfold_general_oracle(values, base, lam, N, beta):
+    """One run of general-mode unfolding at threshold lam, order N (at least
+    1) and grid bound beta, ``values[0]`` at index ``base``: the fold counts
+    of the N-th difference are integrated back N times with running sums
+    anchored at index 0; after each integration a slope probe at offsets 1
+    and J+1 fixes the linear drift (kappa), and the settled tail value
+    removes the final constant.  Returns the recovered run over the input
+    window and its report."""
+    N = max(1, N)
+    J = cost_j(beta, lam)
     d = np.diff(values, n=N)
     e0 = modulo_fold(d, lam) - d
     m = np.rint(e0 / (2.0 * lam))
@@ -365,7 +358,7 @@ def unfold_general_oracle(values, base, cfg):
         v = anti_diff_bilateral(u, base)
         v1 = 2.0 * lam * v[1 - base]
         vj = 2.0 * lam * v[J + 1 - base]
-        kappa = int(guarded_floor((v1 - vj) / (12.0 * cfg.beta) + 0.5))
+        kappa = int(guarded_floor((v1 - vj) / (12.0 * beta) + 0.5))
         m = u + kappa
     s_final = anti_diff_bilateral(m, base)
     tail = s_final[-max(8, N) :]
@@ -394,31 +387,32 @@ def compact_counts_oracle(rows, lam, N, start):
     return counts, dev
 
 
-def _unfold_compact_row_oracle(values, base, cfg, K):
-    """One run of compact-mode unfolding over [-K, K], ``compact_counts`` on one row."""
-    N = select_order(cfg)
+def _unfold_compact_row_oracle(values, base, lam, N, K):
+    """One run of compact-mode unfolding over [-K, K] at threshold lam and
+    order N, ``compact_counts`` on one row."""
     if N == 0:
         return window(values, base, -K, K), UnfoldReport(0, None, 0.0, True)
-    [counts], [residual] = compact_counts(values[None, :], cfg.lam, N, [0])
-    gamma = values + (2.0 * cfg.lam) * counts
-    report = UnfoldReport(N, None, float(residual), bool(residual < 1e-9 * cfg.lam))
+    [counts], [residual] = compact_counts(values[None, :], lam, N, [0])
+    gamma = values + (2.0 * lam) * counts
+    report = UnfoldReport(N, None, float(residual), bool(residual < 1e-9 * lam))
     return window(gamma, base, -K, K), report
 
 
-def unfold_sinogram_oracle(ms, cfg, K=None):
+def unfold_sinogram_oracle(ms, N, K=None, *, mode=COMPACT, beta=None):
     """``unfold_sinogram`` one angle row at a time: each row is copied into its
-    own run and unfolded on its own, in the mode ``cfg`` names."""
+    own run and unfolded on its own at the sinogram's threshold, at order N in
+    ``mode``, general mode with the grid bound ``beta``."""
     p = ms.params
     K = p.K if K is None else int(K)
     out = np.empty((p.M, 2 * K + 1))
     reports = []
     for mi in range(p.M):
         row = ms.rows[mi].copy()
-        if cfg.mode == GENERAL:
-            gamma, rep = unfold_general_oracle(row, -p.K_prime, cfg)
+        if mode == GENERAL:
+            gamma, rep = unfold_general_oracle(row, -p.K_prime, p.lam, N, beta)
             out[mi] = window(gamma, -p.K_prime, -K, K)
         else:
-            out[mi], rep = _unfold_compact_row_oracle(row, -p.K_prime, cfg, K)
+            out[mi], rep = _unfold_compact_row_oracle(row, -p.K_prime, p.lam, N, K)
         reports.append(rep)
     return Sinogram(replace(p, K_prime=K, K=K, N=reports[0].n_used), out), reports
 

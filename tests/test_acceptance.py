@@ -16,13 +16,7 @@ from modradon.core import modulo_fold
 from modradon.experiments import base_order, downsample_demo, run_pipeline, success_sweep
 from modradon.forward import RandomBandlimitedSignal
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan, walnut_standin
-from modradon.unfold import (
-    COMPACT,
-    UnfoldConfig,
-    grid_upper_bound,
-    required_margin,
-    unfold_compact,
-)
+from modradon.unfold import required_margin, unfold_compact
 from oracles import lattice_samples, line_integral_oracle, sup_norm_oracle, window
 
 FULL = os.environ.get("MODRADON_ACCEPTANCE_FULL") == "1"
@@ -57,9 +51,7 @@ def test_criterion_1_exact_unfold_property_suite():
                     K_prime = required_margin(kstar * T, T, N, K)
                     truth = lattice_samples(sig, T, -K_prime, K)
                     y = modulo_fold(truth, lam)
-                    cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(2.0, lam),
-                                       omega=omega, T=T, mode=COMPACT, order_override=N)
-                    rec, _ = unfold_compact(y, -K_prime, cfg, K)
+                    rec, _ = unfold_compact(y, -K_prime, lam, N, K)
                     if np.max(np.abs(rec - window(truth, -K_prime, -K, K))) <= 1e-9:
                         hits += 1
                 assert hits == TRIALS, (

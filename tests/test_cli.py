@@ -141,7 +141,7 @@ class TestUnfoldCommand:
 
 
     def test_general_mode_matches_per_row_oracle(self, tmp_path, capsys):
-        from modradon.unfold import GENERAL, UnfoldConfig, UnfoldReport
+        from modradon.unfold import GENERAL, UnfoldReport, select_order
 
         sino, folded = tmp_path / "s.mrts", tmp_path / "m.mrts"
         assert run(["forward", "--omega", 20, "--lam", 0.05, "--out", sino]) == 0
@@ -151,8 +151,8 @@ class TestUnfoldCommand:
                     "--out", out, "--report", report])
         ms = load_sinogram(folded)
         p = ms.params
-        cfg = UnfoldConfig(lam=p.lam, beta=0.6, omega=p.omega, T=p.T, mode=GENERAL)
-        want, reps = unfold_sinogram_oracle(ms, cfg)
+        N = select_order(p.lam, 0.6, p.omega, p.T, GENERAL)
+        want, reps = unfold_sinogram_oracle(ms, N, mode=GENERAL, beta=0.6)
         got = load_sinogram(out)
         assert got.params == replace(want.params, N=None)  # .mrts keeps no order
         assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
@@ -161,6 +161,24 @@ class TestUnfoldCommand:
             + [f"{i},{r.to_csv_line()}\n" for i, r in enumerate(reps)])
         assert code == (0 if all(r.success for r in reps) else 3)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_refolded_file_unfolds_at_its_own_threshold(self, tmp_path, capsys):
+        # fold --lam stores its threshold in the file, and unfold reads it there:
+        # at 0.1 the order is 3, where the forward run's 0.05 gives 4
+        from modradon.unfold import select_order
+
+        sino, folded, out = tmp_path / "s.mrts", tmp_path / "m.mrts", tmp_path / "r.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--out", sino]) == 0
+        assert run(["fold", "--in", sino, "--lam", 0.1, "--out", folded]) == 0
+        ms = load_sinogram(folded)
+        assert ms.params.lam == 0.1
+        assert 0.05 < np.max(np.abs(ms.rows)) < 0.1
+        N = select_order(0.1, 0.6, ms.params.omega, ms.params.T)
+        assert N == 3
+        capsys.readouterr()
+        assert run(["unfold", "--in", folded, "--beta", 0.6, "--out", out]) == 0
+        assert capsys.readouterr().out == f"unfolded 20 rows (order {N}); 0 flagged\n"
+        assert load_sinogram(out).rows.tobytes() == load_sinogram(sino).symmetric_rows().tobytes()
 
 
 class TestForwardCommand:
@@ -315,6 +333,49 @@ class TestPipelineCommand:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert projected == [] and not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("pipeline", "--T", "1e-300", "T=1e-300 samples too finely: a raw row would hold "
+                                      "2e+300 samples"),
+        ("pipeline", "--t-frac", "1e-300", "t_frac=1e-300 at omega=20.0 samples too finely: "
+                                           "a raw row would hold 1.09e+302 samples"),
+        ("forward", "--T", "1e-300", "T=1e-300 samples too finely: a raw row would hold "
+                                     "2e+300 samples"),
+        # 1/T overflows to inf, and t_frac/(omega*e) underflows to 0
+        ("forward", "--T", "5e-324", "T=5e-324 samples too finely: a raw row would hold "
+                                     "inf samples"),
+        ("pipeline", "--t-frac", "5e-324", "t_frac=5e-324 at omega=20.0 samples too finely: "
+                                           "a raw row would hold inf samples"),
+    ])
+    def test_unindexable_spacing_exits_2(self, tmp_path, capsys, monkeypatch, command, flag,
+                                         value, message):
+        # the raw rows are sized before numpy is asked for them
+        projected = []
+        for stage in ("phantom_rows", "scan_from_raw"):
+            monkeypatch.setattr(experiments, stage, lambda *a, **k: projected.append(a))
+        out = tmp_path / "out"
+        code = run([command, "--omega", 20, "--lam", 0.1, flag, value,
+                    "--outdir" if command == "pipeline" else "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert projected == [] and not out.exists()
+
+    def test_ingested_file_with_another_spacing_exits_2(self, tmp_path, capsys, monkeypatch):
+        sino = tmp_path / "s.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--angles", 4, "--out", sino]) == 0
+        T = load_sinogram(sino).params.T
+        scans = []
+        monkeypatch.setattr(experiments, "scan_from_raw", lambda *a, **k: scans.append(a))
+        out = tmp_path / "out"
+        code = run(["pipeline", "--ingest", sino, "--omega", 20, "--lam", 0.05, "--T", 0.004,
+                    "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: sample spacing mismatch: T=0.004 given, the sinogram's T={T!r}" in err
+        assert "Traceback" not in err
+        assert scans == [] and not out.exists()
 
 
 class TestIngest:
@@ -624,6 +685,25 @@ class TestDemoCommand:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--omega-pi", "1e300", "omega=3.141592653589793e+300 with t0_frac=0.5 samples too "
+                                "finely: the first scan lattice would hold 1.02e+302 samples"),
+        ("--t0-frac", "1e-300", "omega=31.41592653589793 with t0_frac=1e-300 samples too "
+                                "finely: the first scan lattice would hold 5.12e+302 samples"),
+    ])
+    def test_unindexable_lattice_exits_2(self, tmp_path, capsys, monkeypatch, flag, value,
+                                         message):
+        # the first lattice is sized before any signal is sampled
+        recovered = []
+        monkeypatch.setattr(experiments, "_recover", lambda *a: recovered.append(a))
+        outdir = tmp_path / "demo"
+        code = run(["downsample-demo", flag, value, "--outdir", outdir])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert recovered == [] and not outdir.exists()
 
 
 class TestConfigFile:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from modradon import experiments
+from modradon import experiments, forward
 from modradon.errors import ConfigError, DomainError, SizeError
 from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram
 from modradon.phantom import Ellipse, Phantom
@@ -174,6 +174,29 @@ class TestPrepareForward:
         with pytest.raises(SizeError, match=r"^angle count mismatch: 5 != 4$"):
             experiments.prepare_forward(Sinogram(p, np.ones((4, 11))), lam=0.1, omega=20.0, M=5)
         assert scans == []
+
+    def test_spacing_of_a_sinogram_source_fails_before_scanning(self, monkeypatch):
+        # a given T would be taken over the spacing the rows were sampled at,
+        # and the order and margin derived from it would be wrong
+        scans = []
+        monkeypatch.setattr(experiments, "scan_from_raw", lambda *a, **k: scans.append(a))
+        p = SamplingParams(omega=20.0, T=0.009, lam=0.05, K=5, K_prime=5, M=4)
+        with pytest.raises(ConfigError, match=r"^sample spacing mismatch: T=0\.004 given, "
+                                              r"the sinogram's T=0\.009$"):
+            experiments.run_pipeline(Sinogram(p, np.ones((4, 11))), lam=0.05, omega=20.0,
+                                     T=0.004)
+        assert scans == []
+
+    def test_unindexable_scan_window_of_a_sinogram_source(self, monkeypatch):
+        # three samples a row at T=1e-300, but radius 4 at that spacing is
+        # about 8e300 lattice points: refused before the scan allocates
+        convolved = []
+        monkeypatch.setattr(forward, "convolve_rows", lambda *a: convolved.append(a))
+        p = SamplingParams(omega=20.0, T=1e-300, lam=0.1, K=1, K_prime=1, M=2)
+        with pytest.raises(ConfigError, match=r"^T=1e-300 samples too finely: the scan "
+                                              r"window would hold 8e\+300 samples$"):
+            experiments.prepare_forward(Sinogram(p, np.zeros((2, 3))), lam=0.1, omega=20.0)
+        assert convolved == []
 
 
 class TestRunPipeline:

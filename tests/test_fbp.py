@@ -17,7 +17,7 @@ from modradon.fbp import (
 )
 from modradon.forward import SamplingParams, Sinogram, fold_sinogram, phantom_rows
 from modradon.phantom import Ellipse, ImageGrid, Phantom, rasterize, shepp_logan
-from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
+from modradon.unfold import grid_upper_bound, select_order, unfold_sinogram
 from oracles import (
     back_project_oracle,
     convolve_rows_oracle,
@@ -264,9 +264,8 @@ class TestReconstruction:
         lam = 0.05
         s = small_sinogram(lam=lam)
         p = s.params
-        cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(p.beta, lam), omega=p.omega,
-                           T=p.T, mode=COMPACT)
-        rec, _ = unfold_sinogram(fold_sinogram(s), cfg, p.K)
+        N = select_order(lam, grid_upper_bound(p.beta, lam), p.omega, p.T)
+        rec, _ = unfold_sinogram(fold_sinogram(s), N, p.K)
         spec = FilterSpec(p.omega, COSINE)
         g = ImageGrid(96, 96)
         img_clean = fbp_reconstruct(s, spec, g)
@@ -316,8 +315,8 @@ class TestReconstruction:
             cleans.append(prepare(*args, **kwargs))
             return cleans[-1]
 
-        def changing(folded, cfg, K):
-            out, reports = unfold(folded, cfg, K)
+        def changing(folded, N, K):
+            out, reports = unfold(folded, N, K)
             m = 4  # the sample at t = 0 is column K
             if change == "one_sample":
                 out.rows[m, K] += 1e-3

@@ -29,13 +29,7 @@ from modradon.forward import (
     support_index,
 )
 from modradon.phantom import Ellipse, ImageGrid, Phantom, radon_phantom, shepp_logan
-from modradon.unfold import (
-    COMPACT,
-    UnfoldConfig,
-    grid_upper_bound,
-    required_margin,
-    unfold_sinogram,
-)
+from modradon.unfold import grid_upper_bound, required_margin, select_order, unfold_sinogram
 from oracles import (
     convolve_rows_oracle,
     design_params,
@@ -162,10 +156,9 @@ class TestFold:
     def test_modulo_sinogram_rejects_unfolded(self):
         p = small_params(lam=0.01)
         s = phantom_sinogram(shepp_logan(), p)
-        cfg = UnfoldConfig(lam=0.01, beta=grid_upper_bound(s.params.beta, 0.01),
-                           omega=p.omega, T=p.T, mode=COMPACT)
+        N = select_order(0.01, grid_upper_bound(s.params.beta, 0.01), p.omega, p.T)
         with pytest.raises(DomainError):
-            unfold_sinogram(s, cfg)
+            unfold_sinogram(s, N)
 
 
 def _convolution_lengths(T, K):
@@ -638,9 +631,8 @@ class TestSinogramIO:
         path = tmp_path / "m.mrts"
         save_sinogram(ms, path)
         loaded = load_sinogram(path)
-        cfg = UnfoldConfig(lam=0.05, beta=grid_upper_bound(s.params.beta, 0.05),
-                           omega=p.omega, T=p.T, mode=COMPACT)
-        rec, reports = unfold_sinogram(loaded, cfg, p.K)
+        N = select_order(0.05, grid_upper_bound(s.params.beta, 0.05), p.omega, p.T)
+        rec, reports = unfold_sinogram(loaded, N, p.K)
         lo = p.K_prime - p.K
         np.testing.assert_array_equal(rec.rows, s.rows[:, lo : lo + 2 * p.K + 1])
         assert all(r.success for r in reports)

@@ -18,7 +18,7 @@ from modradon.experiments import prepare_forward
 from modradon.fbp import back_project
 from modradon.forward import SamplingParams, convolve_rows, fold_sinogram
 from modradon.phantom import ImageGrid, shepp_logan
-from modradon.unfold import COMPACT, UnfoldConfig, grid_upper_bound, unfold_sinogram
+from modradon.unfold import grid_upper_bound, select_order, unfold_sinogram
 from oracles import back_project_oracle, convolve_rows_oracle
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -144,27 +144,26 @@ class TestSameBitsOnAnyCpuCount:
     def _folded(M=70, lam=0.05, omega=20.0):
         clean, _ = prepare_forward(shepp_logan(), lam=lam, omega=omega, M=M)
         p = clean.params
-        cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(p.beta, lam), omega=omega, T=p.T,
-                           mode=COMPACT)
-        return fold_sinogram(clean), cfg
+        N = select_order(lam, grid_upper_bound(p.beta, lam), omega, p.T)
+        return fold_sinogram(clean), N
 
     def test_unfold_sinogram(self, cpus):
-        folded, cfg = self._folded()
+        folded, N = self._folded()
 
         def run():
-            out, reports = unfold_sinogram(folded, cfg)
+            out, reports = unfold_sinogram(folded, N)
             return out.rows.tobytes(), reports
 
         self._on_cpu_counts(cpus, run)
 
     @pytest.mark.parametrize("bad", [3.0, np.nan])
     def test_bad_sample_in_a_later_block_raises(self, cpus, bad):
-        folded, cfg = self._folded()
-        folded.rows[65, 10] = bad * cfg.lam
+        folded, N = self._folded()
+        folded.rows[65, 10] = bad * folded.params.lam
         cpus(2)
         with pytest.raises(DomainError, match=re.escape("folded values must lie within "
                                                         "[-lam, lam)")):
-            unfold_sinogram(folded, cfg)
+            unfold_sinogram(folded, N)
 
 
 def test_pipeline_leaves_no_thread_for_a_forked_sweep():

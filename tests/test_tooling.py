@@ -165,9 +165,9 @@ def test_pipeline_back_projects_a_failed_recovery_on_its_own_rows(monkeypatch):
 def _corrupt_unfold(monkeypatch):
     unfold = experiments.unfold_sinogram
 
-    def corrupting(folded, cfg, K):
-        out, reports = unfold(folded, cfg, K)
-        out.rows[3, 5] += 2.0 * cfg.lam
+    def corrupting(folded, N, K):
+        out, reports = unfold(folded, N, K)
+        out.rows[3, 5] += 2.0 * folded.params.lam
         return out, reports
 
     monkeypatch.setattr(experiments, "unfold_sinogram", corrupting)
@@ -390,6 +390,20 @@ def test_running_sums_live_in_the_unfold_core():
     # layout; the copying references live in tests/oracles.py
     assert _mentions({"cumsum", "anti_diff", "anti_diff_bilateral"}) == {
         ("unfold", "compact_counts"), ("unfold", "_unfold_block")}
+
+
+def test_unfolding_takes_its_order_from_the_caller():
+    # the threshold comes from the sinogram and the order is picked once, by
+    # the caller that owns the sampling decision; no config object carries
+    # copies of lam, omega and T
+    assert _mentions({"UnfoldConfig", "order_override"}) == set()
+    assert _mentions({"select_order"}) == {
+        ("experiments", "import"), ("experiments", "prepare_forward"), ("cli", "import"),
+        ("cli", "_cmd_unfold")}
+
+
+def test_index_size_bound_lives_in_one_definition():
+    assert _mentions({"iinfo", "intp"}) == {("errors", "indexable")}
 
 
 def _child_output(script):

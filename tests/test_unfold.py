@@ -13,7 +13,6 @@ from modradon.phantom import shepp_logan
 from modradon.unfold import (
     COMPACT,
     GENERAL,
-    UnfoldConfig,
     compact_counts,
     cost_j,
     grid_upper_bound,
@@ -36,11 +35,6 @@ from oracles import (
 )
 
 
-def compact_cfg(lam, beta, omega, T, order=None):
-    return UnfoldConfig(lam=lam, beta=beta, omega=omega, T=T, mode=COMPACT,
-                        order_override=order)
-
-
 def sinogram(rows, K, lam, omega, T):
     """Rows over [-K', K], one per angle, with K' taken from the row width."""
     rows = np.atleast_2d(rows)
@@ -51,37 +45,50 @@ def sinogram(rows, K, lam, omega, T):
 
 class TestSelectOrder:
     def test_reference_order_twelve(self):
-        cfg = compact_cfg(0.00025, 1.0, omega=300.0, T=1.0 / (600.0 * np.e))
-        assert cfg.oversampling == pytest.approx(0.5)
-        assert select_order(cfg) == 12
+        T = 1.0 / (600.0 * np.e)
+        assert T * 300.0 * np.e == pytest.approx(0.5)
+        assert select_order(0.00025, 1.0, 300.0, T) == 12
 
     def test_identity_when_bound_below_threshold(self):
-        cfg = compact_cfg(0.1, 0.05, omega=10.0, T=0.001)
-        assert select_order(cfg) == 0
+        assert select_order(0.1, 0.05, 10.0, 0.001) == 0
 
     def test_general_mode_floor_is_one(self):
         # smallest admissible grid bound with heavy oversampling: formula gives 1
-        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=1e-5, mode=GENERAL)
-        assert select_order(cfg) == 1
+        assert select_order(0.1, 0.2, 10.0, 1e-5, GENERAL) == 1
 
     def test_log_ratio_example(self):
         T = 1.0 / (10.0 * np.e**2)  # oversampling factor exactly 1/e
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=T)
-        assert cfg.oversampling == pytest.approx(1.0 / np.e)
-        assert select_order(cfg) == 3
+        assert T * 10.0 * np.e == pytest.approx(1.0 / np.e)
+        assert select_order(0.1, 1.0, 10.0, T) == 3
 
     def test_condition_error_without_oversampling(self):
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=1.0)
-        with pytest.raises(ConditionError):
-            select_order(cfg)
+        with pytest.raises(ConditionError, match=r"^T\*omega\*e = 27\.182818 >= 1; "):
+            select_order(0.1, 1.0, 10.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["lam", "beta", "omega", "T"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_value_is_named(self, name, bad):
+        values = dict(lam=0.1, beta=1.0, omega=10.0, T=0.001)
+        values[name] = bad
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {bad}$"):
+            select_order(**values)
 
     def test_override_wins(self):
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=1.0, order=7)
-        assert select_order(cfg) == 7
+        # an order given to the unfold is used as it is, even where the
+        # sampling condition gives none
+        with pytest.raises(ConditionError):
+            select_order(0.1, 1.0, 10.0, 1.0)
+        s = sinogram(np.zeros((2, 31)), 10, 0.1, 10.0, 1.0)
+        out, reports = unfold_sinogram(s, 7)
+        assert out.params.N == 7
+        assert [r.n_used for r in reports] == [7, 7]
 
     def test_beta_grid_required_in_general_mode(self):
-        with pytest.raises(ConfigError):
-            UnfoldConfig(lam=0.1, beta=0.33, omega=10.0, T=0.001, mode=GENERAL)
+        s = sinogram(np.zeros((2, 61)), 30, 0.1, 10.0, 0.001)
+        for beta in (0.33, None):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"general mode requires beta on the 2*lam grid; got {beta}")):
+                unfold_sinogram(s, 1, mode=GENERAL, beta=beta)
 
 
 class TestRequiredMargin:
@@ -141,15 +148,14 @@ class TestUnfoldCompact:
         lam = 0.5
         k = np.arange(-32, 33)
         y = 0.4 * lam * np.cos(0.05 * k)
-        cfg = compact_cfg(lam, 2.0, omega=10.0, T=0.001, order=3)
-        rec, rep = unfold_compact(y, -32, cfg, 20)
+        rec, rep = unfold_compact(y, -32, lam, 3, 20)
         np.testing.assert_array_equal(rec, window(y, -32, -20, 20))
         assert rep.success
 
     def test_order_zero_restriction(self):
         y = np.linspace(-0.04, 0.04, 17)
-        cfg = compact_cfg(0.05, 0.04, omega=10.0, T=0.001)
-        rec, rep = unfold_compact(y, -8, cfg, 4)
+        N = select_order(0.05, 0.04, 10.0, 0.001)
+        rec, rep = unfold_compact(y, -8, 0.05, N, 4)
         assert rep.n_used == 0
         assert len(rec) == 9
         np.testing.assert_array_equal(rec, window(y, -8, -4, 4))
@@ -164,9 +170,7 @@ class TestUnfoldCompact:
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
             y = modulo_fold(truth, lam)
-            cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
-                              order=N)
-            rec, rep = unfold_compact(y, -Kp, cfg, kstar)
+            rec, rep = unfold_compact(y, -Kp, lam, N, kstar)
             assert np.array_equal(rec, window(truth, -Kp, -kstar, kstar))
             assert rep.success
 
@@ -174,8 +178,7 @@ class TestUnfoldCompact:
         rng = np.random.default_rng(42)
         lam = 0.03
         y = rng.uniform(-lam, lam, size=101)
-        cfg = compact_cfg(lam, 1.02, omega=5.0, T=0.01, order=5)
-        rec, _ = unfold_compact(y, -50, cfg, 40)
+        rec, _ = unfold_compact(y, -50, lam, 5, 40)
         resid = rec - window(y, -50, -40, 40)
         m = resid / (2 * lam)
         assert np.max(np.abs(m - np.round(m))) <= 1e-9
@@ -200,10 +203,9 @@ class TestUnfoldCompact:
         start = width - (np.array(margins) + K + 1)
         counts, residual = compact_counts(block, lam, N, start)
         assert counts.dtype == np.int64
-        cfg = compact_cfg(lam, 1.2, omega, T, order=N)
         for r, Kp in enumerate(margins):
             assert not np.any(counts[r, : start[r]])
-            rec, rep = unfold_compact(block[r, start[r] :], -Kp, cfg, K)
+            rec, rep = unfold_compact(block[r, start[r] :], -Kp, lam, N, K)
             got = block[r, -(2 * K + 1) :] + (2.0 * lam) * counts[r, -(2 * K + 1) :]
             assert got.tobytes() == rec.tobytes()
             assert residual[r] == rep.residual_grid_deviation
@@ -250,22 +252,19 @@ class TestUnfoldCompact:
         (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
         Kp = kstar + 4 + 8
         truth = lattice_samples(sig, T, -Kp, Kp)
-        cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T, order=4)
-        rec1, _ = unfold_compact(modulo_fold(truth, lam), -Kp, cfg, Kp)
-        rec2, _ = unfold_compact(modulo_fold(rec1, lam), -Kp, cfg, Kp)
+        rec1, _ = unfold_compact(modulo_fold(truth, lam), -Kp, lam, 4, Kp)
+        rec2, _ = unfold_compact(modulo_fold(rec1, lam), -Kp, lam, 4, Kp)
         np.testing.assert_array_equal(rec1, rec2)
 
     def test_margin_errors(self):
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=2)
         with pytest.raises(MarginError):
-            unfold_compact(np.zeros(11), -5, cfg, 8)  # base -5 > -8
+            unfold_compact(np.zeros(11), -5, 0.1, 2, 8)  # base -5 > -8
         with pytest.raises(MarginError):
-            unfold_compact(np.zeros(14), -12, cfg, 8)  # right end short
+            unfold_compact(np.zeros(14), -12, 0.1, 2, 8)  # right end short
 
     def test_size_error(self):
-        cfg = compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=6)
         with pytest.raises(SizeError):
-            unfold_compact(np.zeros(5), -3, cfg, 1)
+            unfold_compact(np.zeros(5), -3, 0.1, 6, 1)
 
 
 class TestUnfoldGeneral:
@@ -286,9 +285,8 @@ class TestUnfoldGeneral:
         lam = 1.0
         k = np.arange(-259, 260)
         vals = 0.7 * lam * np.cos(0.04 * k) * np.exp(-((k / 150.0) ** 2))
-        cfg = UnfoldConfig(lam=lam, beta=2 * lam, omega=5.0, T=0.001, mode=GENERAL,
-                           order_override=1)
-        rec, [rep] = unfold_sinogram(sinogram(vals, 259, lam, 5.0, 0.001), cfg)
+        rec, [rep] = unfold_sinogram(sinogram(vals, 259, lam, 5.0, 0.001), 1, mode=GENERAL,
+                                     beta=2 * lam)
         np.testing.assert_array_equal(rec.rows[0], vals)
         assert rep.tail_plateau_ok
 
@@ -296,10 +294,9 @@ class TestUnfoldGeneral:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         beta_grid = grid_upper_bound(1.4, lam)
-        cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=GENERAL)
-        N = select_order(cfg)
+        N = select_order(lam, beta_grid, omega, T, GENERAL)
         truth = self._signal_sinogram((3, 11, 27), lam, omega, T, N, beta_grid)
-        rec, reps = unfold_sinogram(fold_sinogram(truth), cfg)
+        rec, reps = unfold_sinogram(fold_sinogram(truth), N, mode=GENERAL, beta=beta_grid)
         assert all(rep.success for rep in reps)
         np.testing.assert_allclose(rec.rows, truth.symmetric_rows(), atol=1e-9)
 
@@ -309,13 +306,12 @@ class TestUnfoldGeneral:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         beta_grid = grid_upper_bound(1.4, lam)
-        cfg = UnfoldConfig(lam=lam, beta=beta_grid, omega=omega, T=T, mode=GENERAL)
-        N = select_order(cfg)
+        N = select_order(lam, beta_grid, omega, T, GENERAL)
         truth = self._signal_sinogram((5,), lam, omega, T, N, beta_grid)
         shifted = self._signal_sinogram((5,), lam, omega, T, N, beta_grid, shift=2 * lam)
         y_shifted, y_plain = fold_sinogram(shifted), fold_sinogram(truth)
         np.testing.assert_allclose(y_shifted.rows, y_plain.rows, atol=1e-12)
-        rec, _ = unfold_sinogram(y_shifted, cfg)
+        rec, _ = unfold_sinogram(y_shifted, N, mode=GENERAL, beta=beta_grid)
         np.testing.assert_allclose(rec.rows, truth.symmetric_rows(), atol=1e-9)
 
     def test_reference_projection_row(self):
@@ -328,9 +324,9 @@ class TestUnfoldGeneral:
         ks = support_index(p.T)
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
         row = scan_window(raw[None, :], replace(p, M=1))
-        cfg = UnfoldConfig(lam=lam, beta=grid_upper_bound(0.56, lam), omega=300.0,
-                           T=p.T, mode=GENERAL)
-        rec, [rep] = unfold_sinogram(fold_sinogram(row), cfg)
+        beta_grid = grid_upper_bound(0.56, lam)
+        N = select_order(lam, beta_grid, 300.0, p.T, GENERAL)
+        rec, [rep] = unfold_sinogram(fold_sinogram(row), N, mode=GENERAL, beta=beta_grid)
         assert rep.success
         np.testing.assert_allclose(rec.rows, row.rows, rtol=0, atol=1e-9)
 
@@ -353,33 +349,28 @@ class TestUnfoldGeneral:
             amp, centre, width = rng.uniform(-beta, beta), rng.uniform(-K, K), rng.uniform(2, 20)
             row[:] = modulo_fold(amp * np.exp(-(((k - centre) / width) ** 2)), lam)
         folded = sinogram(rows, K, lam, 10.0, 0.001)
-        cfg = UnfoldConfig(lam=lam, beta=beta, omega=10.0, T=0.001, mode=GENERAL,
-                           order_override=N)
         K_out = int(rng.integers(1, K + 1))
-        got, got_reps = unfold_sinogram(folded, cfg, K_out)
-        want, want_reps = unfold_sinogram_oracle(folded, cfg, K_out)
+        got, got_reps = unfold_sinogram(folded, N, K_out, mode=GENERAL, beta=beta)
+        want, want_reps = unfold_sinogram_oracle(folded, N, K_out, mode=GENERAL, beta=beta)
         assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
         assert [r.to_csv_line() for r in got_reps] == [r.to_csv_line() for r in want_reps]
 
     def test_window_too_short(self):
-        cfg = UnfoldConfig(lam=0.1, beta=1.0, omega=10.0, T=0.001, mode=GENERAL,
-                           order_override=2)
         with pytest.raises(SizeError, match=r"need end index >= 61, got 14"):
-            unfold_sinogram(sinogram(np.zeros(29), 14, 0.1, 10.0, 0.001), cfg)
+            unfold_sinogram(sinogram(np.zeros(29), 14, 0.1, 10.0, 0.001), 2, mode=GENERAL,
+                            beta=1.0)
 
     def test_output_window_outside_stored_rows(self):
-        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=GENERAL,
-                           order_override=1)
         s = sinogram(np.zeros(61), 30, 0.1, 10.0, 0.001)
         with pytest.raises(DomainError, match=r"window \[-31, 31\] outside \[-30, 30\]"):
-            unfold_sinogram(s, cfg, 31)
+            unfold_sinogram(s, 1, 31, mode=GENERAL, beta=0.2)
 
     def test_mode_mismatch(self):
-        # the one-run entry unfolds in compact mode only
-        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=GENERAL,
-                           order_override=1)
-        with pytest.raises(ConfigError):
-            unfold_compact(np.zeros(11), -5, cfg, 5)
+        # a mode that is neither general nor compact is refused, not taken
+        # for compact
+        s = sinogram(np.zeros(61), 30, 0.1, 10.0, 0.001)
+        with pytest.raises(ConfigError, match="^unknown mode 'generel'$"):
+            unfold_sinogram(s, 1, mode="generel", beta=0.2)
 
 
 def _unfold_compact_float_staged(y, base, lam, N, K):
@@ -404,9 +395,7 @@ class TestRouteEquivalence:
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
             y = modulo_fold(truth, lam)
-            cfg = compact_cfg(lam, grid_upper_bound(sup_norm_oracle(sig), lam), omega, T,
-                              order=N)
-            rec, _ = unfold_compact(y, -Kp, cfg, kstar)
+            rec, _ = unfold_compact(y, -Kp, lam, N, kstar)
             ref = _unfold_compact_float_staged(y, -Kp, lam, N, kstar)
             np.testing.assert_allclose(rec, ref, rtol=0, atol=1e-9 * lam)
 
@@ -433,12 +422,9 @@ class TestUnfoldSinogram:
         s = scan_window(phantom_rows(shepp_logan(), p.T, p.M), p)
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
-        rec_c, _ = unfold_sinogram(
-            folded, UnfoldConfig(lam=lam, beta=beta_grid, omega=60.0, T=p.T,
-                                 mode=COMPACT), p.K)
-        rec_g, reps = unfold_sinogram(
-            folded, UnfoldConfig(lam=lam, beta=beta_grid, omega=60.0, T=p.T,
-                                 mode=GENERAL), p.K)
+        rec_c, _ = unfold_sinogram(folded, select_order(lam, beta_grid, 60.0, p.T), p.K)
+        rec_g, reps = unfold_sinogram(folded, select_order(lam, beta_grid, 60.0, p.T, GENERAL),
+                                      p.K, mode=GENERAL, beta=beta_grid)
         assert all(r.tail_plateau_ok for r in reps)
         np.testing.assert_array_equal(rec_c.rows, rec_g.rows)
 
@@ -452,10 +438,9 @@ class TestUnfoldSinogram:
         # order 0 is the identity in compact mode and order 1 in general mode
         folded, beta_grid = folded_phantom(M, noise)
         p = folded.params
-        cfg = UnfoldConfig(lam=p.lam, beta=beta_grid, omega=p.omega, T=p.T, mode=mode,
-                           order_override=order)
-        got, got_reps = unfold_sinogram(folded, cfg)
-        want, want_reps = unfold_sinogram_oracle(folded, cfg)
+        N = select_order(p.lam, beta_grid, p.omega, p.T, mode) if order is None else order
+        got, got_reps = unfold_sinogram(folded, N, mode=mode, beta=beta_grid)
+        want, want_reps = unfold_sinogram_oracle(folded, N, mode=mode, beta=beta_grid)
         assert got.params == want.params
         assert np.array_equal(got.rows.view(np.uint64), want.rows.view(np.uint64))
         assert [r.to_csv_line() for r in got_reps] == [r.to_csv_line() for r in want_reps]
@@ -467,12 +452,13 @@ class TestUnfoldSinogram:
         (20, 40, 2, 25, MarginError, "window ends at 20, needs to reach 25"),
         (1, 1, 6, 1, SizeError, "need more than 6 samples, got 3"),
         (30, 30, 2, 0, ConfigError, "K must be at least 1, got 0"),
-    ], ids=["left-margin", "right-end", "too-few-samples", "K-below-1"])
+        (30, 30, -1, 30, ConfigError, "order must be >= 0"),
+    ], ids=["left-margin", "right-end", "too-few-samples", "K-below-1", "negative-order"])
     def test_rejected_window(self, K, K_prime, order, K_out, error, message):
         s = Sinogram(SamplingParams(omega=10.0, T=0.01, lam=0.1, K=K, K_prime=K_prime, M=2),
                      np.zeros((2, K + K_prime + 1)))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            unfold_sinogram(s, compact_cfg(0.1, 1.0, omega=10.0, T=0.01, order=order), K_out)
+            unfold_sinogram(s, order, K_out)
 
     @pytest.mark.parametrize("mode", [COMPACT, GENERAL])
     @pytest.mark.parametrize("value", [0.1 * (1.0 + 1e-11), -0.1 * (1.0 + 1e-11)])
@@ -480,10 +466,8 @@ class TestUnfoldSinogram:
         rows = np.zeros((70, 61))
         rows[66, 40] = value
         s = sinogram(rows, 30, 0.1, 10.0, 0.001)
-        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=mode,
-                           order_override=1)
         with pytest.raises(DomainError, match=r"^folded values must lie within \[-lam, lam\)$"):
-            unfold_sinogram(s, cfg)
+            unfold_sinogram(s, 1, mode=mode, beta=0.2)
 
     @pytest.mark.parametrize("mode", [COMPACT, GENERAL])
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -493,10 +477,8 @@ class TestUnfoldSinogram:
         rows = np.zeros((2, 61))
         rows[1, 40] = np.nan
         s = sinogram(rows, 30, 0.1, 10.0, 0.001)
-        cfg = UnfoldConfig(lam=0.1, beta=0.2, omega=10.0, T=0.001, mode=mode,
-                           order_override=order)
         with pytest.raises(DomainError, match=r"^folded values must lie within \[-lam, lam\)$"):
-            unfold_sinogram(s, cfg)
+            unfold_sinogram(s, order, mode=mode, beta=0.2)
 
 
 class TestDifferenceBound:
