@@ -1,5 +1,7 @@
 """Exception types raised by the modradon package."""
 
+import sys
+
 import numpy as np
 
 
@@ -21,9 +23,9 @@ class ConfigError(ModRadonError, ValueError):
 
 def check_positive(**values) -> None:
     """Raise :class:`ConfigError` naming the first value that is given (not
-    None) but is not a positive finite number."""
+    None) but is not a positive number that a float holds finitely."""
     for name, v in values.items():
-        if v is not None and not (np.isfinite(v) and v > 0):
+        if v is not None and not 0 < v <= sys.float_info.max:
             raise ConfigError(f"{name} must be positive and finite, got {v}")
 
 
@@ -37,6 +39,21 @@ def check_counts(**values) -> None:
 def indexable(count) -> bool:
     """Whether numpy can index ``count`` float64 values (8*count bytes)."""
     return count <= np.iinfo(np.intp).max // 8
+
+
+def check_indexable(**counts) -> None:
+    """Raise :class:`ConfigError` naming the first count that is not
+    :func:`indexable`."""
+    for name, n in counts.items():
+        if not indexable(n):
+            raise ConfigError(f"{name}={n} is more than numpy can index")
+
+
+def check_seed(seed) -> None:
+    """Raise :class:`ConfigError` for a negative seed, which numpy's
+    ``SeedSequence`` refuses."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 class ConditionError(ModRadonError, ValueError):

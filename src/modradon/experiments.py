@@ -14,10 +14,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import guarded_ceil, modulo_fold, sup_norm, usable_cpus
-from .errors import ConfigError, MarginError, ParseError, SizeError, check_counts, check_positive
+from .errors import (
+    ConfigError,
+    MarginError,
+    ParseError,
+    SizeError,
+    check_counts,
+    check_indexable,
+    check_positive,
+    check_seed,
+)
 from .fbp import FilterSpec, fbp_reconstruct, rmse, write_pgm16, write_raw_f64
 from .forward import (
-    SIGNAL_SCAN_RADIUS,
     RandomBandlimitedSignal,
     SamplingParams,
     Sinogram,
@@ -27,6 +35,7 @@ from .forward import (
     phantom_rows,
     read_csv_rows,
     save_sinogram,
+    scan_exceedance,
     scan_forward,  # unused here; bench/tracing.py's patch table names it
     scan_from_raw,
     support_index,
@@ -101,11 +110,9 @@ def _scan_with_clear_tail(raw, omega, T, lam, k_min, K):
     further out; the radius doubles up to 32.  Every window reaches K, so its
     rows are stored over [-k_scan, K], which holds every acquisition window
     [-K', K] with K' <= k_scan.  Past radius 32 it raises
-    :class:`MarginError`, as :meth:`RandomBandlimitedSignal.scan_exceedance`
-    does past 64 from radius 3.  The schedules differ because the FFT length
-    of this scan, and so every bit of the clean sinogram, depends on its
-    radius, and the recorded benchmark digests pin this schedule; the
-    signal's samples are closed forms whose bits do not depend on the window.
+    :class:`MarginError`.  The FFT length of this scan, and so every bit of
+    the clean sinogram, depends on its radius, and the recorded benchmark
+    digests pin this schedule.
     """
     radius = max(4.0, k_min * T)
     while radius <= 32.0:
@@ -130,11 +137,12 @@ def prepare_forward(source, *, lam: float, omega: float,
     scaled to unit sup-norm before the anti-aliasing filter (the convention
     for measured datasets).  ``t_frac`` does not apply to a sinogram source,
     which brings its own T.  A value that is not positive and finite, a
-    count below 1, a ``T`` that differs from a sinogram source's, a raw row
-    or first scan window too long for numpy to index, or an all-zero source
-    to normalize raises :class:`ConfigError`, and an ``M`` that differs from
-    a sinogram source's angle count raises :class:`SizeError`, before
-    anything is scanned.
+    count below 1, a ``T`` that differs from a sinogram source's, a raw row,
+    the M raw rows or a scan window too long for numpy to index, or an
+    all-zero source to normalize raises :class:`ConfigError`, and an ``M``
+    that differs from a sinogram source's angle count raises
+    :class:`SizeError`, before anything is scanned; M rows of a scan window
+    too long to index raise :class:`ConfigError` before that scan allocates.
 
     Returns the clean sinogram over [-K', K], whose params carry beta, rho and
     N, and the normalisation scale (1.0 without ``normalize``).
@@ -315,14 +323,14 @@ def _recover(sigs, T: float, lams, orders_per_lam):
     shape (orders, signals, 2K+1).  Callers reduce the errors to what they
     report.
 
-    Each signal is scanned once for every threshold; a head left of that
-    lattice is sampled only where a margin reaches past it.  Each threshold's
+    Each signal is sampled once for every threshold, over the window that
+    :func:`~modradon.forward.scan_exceedance` certifies; a head left of that
+    window is sampled only where a margin reaches past it.  Each threshold's
     windows ``[-K'(max order), K]`` are sliced from it and right-aligned in
     one zero-padded block: one fold, one :func:`compact_counts` per order."""
     K = support_index(T)
     margins, lattices = [], []
-    for sig in sigs:
-        kstars, lo, values = sig.scan_exceedance(T, lams)
+    for sig, (kstars, lo, values) in zip(sigs, scan_exceedance(sigs, T, lams)):
         # (thresholds, orders) margins of this signal
         margins.append(required_margin(np.multiply(kstars, T)[:, None], T,
                                        np.array(orders_per_lam), K))
@@ -376,10 +384,12 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
     ``workers`` > 1 each bandwidth's trials are split into up to ``workers``
     ranges, whose integer hit counts sum exactly, so the cells do not depend
     on the worker count.  A threshold not in (0, 1), a bandwidth that is not
-    positive and finite or whose first scan lattice (``SIGNAL_SCAN_RADIUS``
-    at the guaranteed spacing) is too long for numpy to index, fewer than one
-    trial, rate step or worker, or two cells that would write one file in
-    ``outdir`` raise :class:`ConfigError` before any job runs.
+    positive and finite, whose Nyquist spacing is not finite, or whose
+    support lattice (|t| <= 1 at the guaranteed spacing, which every sampled
+    window holds) is too long for numpy to index, fewer than one trial, rate
+    step or worker, more trials or rate steps than numpy can index, a
+    negative seed, or two cells that would write one file in ``outdir``
+    raise :class:`ConfigError` before any job runs.
     """
     for lam in lams:
         check_positive(lam=lam)
@@ -388,10 +398,13 @@ def success_sweep(*, lams=(0.1, 0.05), omegas=(10 * np.pi, 20 * np.pi, 30 * np.p
             raise ConfigError(f"lam must be below 1, got {lam}")
     for om in omegas:
         check_positive(omega=om)
-        # radius/T at T = 1/(omega*e)
-        check_lattice(f"omega={om / np.pi!r}pi is too large", "the first scan lattice",
-                      SIGNAL_SCAN_RADIUS * om * np.e)
+        check_positive(T=np.pi / om)  # the Nyquist spacing, infinite for a tiny omega
+        # 1/T at T = 1/(omega*e)
+        check_lattice(f"omega={om / np.pi!r}pi is too large", "the support lattice",
+                      om * np.e)
     check_counts(trials=trials, tsteps=tsteps, workers=workers)
+    check_indexable(trials=trials, tsteps=tsteps)
+    check_seed(seed)
     keys = [(lam, om) for lam in lams for om in omegas]
     names = [f"success_lam{lam:g}_omega{om / np.pi:g}pi.csv" for lam, om in keys]
     dup = [name for name in names if names.count(name) > 1]
@@ -449,15 +462,18 @@ def downsample_demo(*, omega: float = 10 * np.pi, lam: float = 0.1, seed: int = 
     At the base rate a first-order recovery succeeds; after downsampling by
     ``factor`` the first differences exceed the fold threshold and order 1
     fails, while order 2 recovers the samples exactly.  A parameter that is
-    not positive and finite, or a base spacing whose first scan lattice
-    (``SIGNAL_SCAN_RADIUS`` either side) is too long for numpy to index,
-    raises :class:`ConfigError`.
+    not positive and finite, a negative seed, a downsampled spacing that is
+    not finite, or a base spacing whose support lattice (|t| <= 1, which
+    every sampled window holds) is too long for numpy to index, raises
+    :class:`ConfigError`.
     """
     check_positive(omega=omega, lam=lam, t0_frac=t0_frac, factor=factor)
+    check_seed(seed)
     check_lattice(f"omega={omega!r} with t0_frac={t0_frac!r} samples too finely",
-                  "the first scan lattice", SIGNAL_SCAN_RADIUS * omega * np.e / t0_frac)
-    sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
+                  "the support lattice", omega * np.e / t0_frac)
     t0 = t0_frac / (omega * np.e)
+    check_positive(T=factor * t0)  # infinite for a tiny omega or a huge t0_frac
+    sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
     attempts = []
     for stage, T, N in (("base_rate", t0, 1), ("downsampled", factor * t0, 1),
                         ("downsampled", factor * t0, 2)):

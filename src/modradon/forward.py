@@ -45,8 +45,10 @@ _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
 _CONV_ROWS = 16
 #: Outermost lattice positions of a tail scan that must stay below lam.
 _CLEAR_BAND = 32
-#: Radius of the first window of :meth:`RandomBandlimitedSignal.scan_exceedance`.
-SIGNAL_SCAN_RADIUS = 3.0
+#: Lattice points from one tail probe of :func:`scan_exceedance` to the next.
+_PROBE_STEP = 8
+#: Probes, over signals and sides, that :func:`scan_exceedance` evaluates at once.
+_PROBE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -203,16 +205,21 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
 
 def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
     """Analytic projection samples at t = k*T, |k| <= ceil(1/T), for each of the
-    M angles: the raw rows that :func:`scan_from_raw` band-limits."""
+    M angles: the raw rows that :func:`scan_from_raw` band-limits.  Rows too
+    many for numpy to index raise :class:`ConfigError` (:class:`SizeError`
+    when M alone is) before anything is allocated."""
     k_half = support_index(T)
+    if indexable(M):
+        check_lattice(f"M={M} angles at T={T!r}", "the raw rows", k_half, M)
     return radon_phantom(p, projection_angles(M), np.arange(-k_half, k_half + 1) * T)
 
 
-def check_lattice(what: str, lattice: str, reach: float) -> None:
+def check_lattice(what: str, lattice: str, reach: float, rows: int = 1) -> None:
     """Raise :class:`ConfigError` "<what>: <lattice> would hold <n> samples"
-    when n = 2*ceil(reach) + 1 float64 samples, ``reach`` on each side of
-    index 0, are too many for numpy to index."""
-    points = 2.0 * np.ceil(reach) + 1.0
+    when n = rows*(2*ceil(reach) + 1) float64 samples, ``rows`` rows that
+    reach ``reach`` on each side of index 0, are too many for numpy to
+    index."""
+    points = rows * (2.0 * np.ceil(reach) + 1.0)
     if not indexable(points):
         raise ConfigError(f"{what}: {lattice} would hold {points:.3g} samples")
 
@@ -304,14 +311,15 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float, radius: float = 
     the widest acquisition window a caller with grid bound K can cut; the
     column bounds cover the whole window.  Bounds taken from the unscaled
     columns and then multiplied by T > 0 equal those of the scaled ones,
-    since rounding is monotonic.  A window too long for numpy to index raises
-    :class:`ConfigError`.
+    since rounding is monotonic.  A window, or the rows convolved over it,
+    too long for numpy to index raises :class:`ConfigError`.
     """
     raw_rows = np.asarray(raw_rows, dtype=float)
     if raw_rows.ndim != 2 or raw_rows.shape[1] % 2 != 1:
         raise SizeError("raw rows must be 2-D with an odd number of columns")
-    k_half = (raw_rows.shape[1] - 1) // 2
+    M, k_half = raw_rows.shape[0], (raw_rows.shape[1] - 1) // 2
     check_lattice(f"T={T!r} samples too finely", "the scan window", radius / T)
+    check_lattice(f"M={M} angles at T={T!r}", "the scanned rows", radius / T, M)
     k_scan = int(np.ceil(radius / T))
     keep = k_scan + 1 + min(int(K), k_scan)
     lags = np.arange(-k_scan - k_half, k_scan + k_half + 1) * T
@@ -338,14 +346,6 @@ class RandomBandlimitedSignal:
     omega: float
     edges: np.ndarray
     levels: np.ndarray
-
-    def __post_init__(self):
-        # for tail_bound and its window: |a_i| / pi (the level jumps at the
-        # edges over pi), the rounding margin and the furthest edge from 0
-        jumps = np.abs(np.diff(self.levels, prepend=0.0, append=0.0))
-        object.__setattr__(self, "_weights", jumps / np.pi)
-        object.__setattr__(self, "_margin", 1e-12 * float(np.sum(jumps)))
-        object.__setattr__(self, "_reach", float(np.max(np.abs(self.edges))))
 
     @classmethod
     def draw(cls, omega: float, seed_seq) -> "RandomBandlimitedSignal":
@@ -381,102 +381,78 @@ class RandomBandlimitedSignal:
             acc += term
         return acc / np.pi
 
-    def tail_bound(self, t) -> np.ndarray:
-        """Upper bound on the signal's magnitude at times t beyond every edge,
-        on either side.
 
-        With the level jumps ``a_i`` at the edges ``e_i`` (they sum to 0), the
-        signal is ``(1/pi) sum_i a_i Si(x_i)`` with ``x_i = omega*(t - e_i)``.
-        Past every edge all ``x_i`` share a sign, and for x > 0
-        ``Si(x) = pi/2 - f(x) cos x - g(x) sin x`` with the auxiliary functions
-        ``0 < f(x) < 1/x`` and ``0 < g(x) < 1/x**2`` (Abramowitz & Stegun 5.2.8,
-        5.2.12-13; Si is odd).  The pi/2 terms cancel, so the magnitude is at
-        most ``(1/pi) sum_i |a_i| (1/|x_i| + 1/x_i**2)``, which falls as |t|
-        grows.
-        """
-        w = np.abs(np.asarray(t, dtype=float)[..., None] - self.edges)
-        np.divide(1.0 / self.omega, w, out=w)  # 1/|x_i|
-        return ((w + 1.0) * w) @ self._weights
+def scan_exceedance(sigs, T: float, lams):
+    """Yield per signal of ``sigs``: for each threshold in ``lams`` the
+    largest lattice |k| with |g(kT)| >= lam, and the window sampled to find
+    them, as its first lattice index and its samples.
 
-    def _certified_window(self, T: float, lam: float, k_max: int) -> tuple[int, int] | None:
-        """A lattice window [k_lo, k_hi] that holds every edge and outside which
-        :meth:`tail_bound`, less a rounding margin, is below lam; None if no
-        point up to index ``k_max`` on a side clears that side.
+    Each signal is sampled once, over a window that holds [-K, K]
+    (K = ceil(1/T)), outside which no sample can reach ``min(lams)``; a
+    sample's bits do not depend on the window.  From K + 1 outward, each
+    side ends with the outermost interval of ``_PROBE_STEP`` lattice points
+    whose :func:`_probe_bounds` is not below ``min(lams)`` less a rounding
+    margin, ``1e-12 * (lam + sum_j |a_j|)``, some hundred times what the
+    rounding of ``sici`` and of the sums in samples and bounds can reach.
+    Probing stops where the coarser bound ``(1/pi) sum_j |a_j| (u + u**2)``,
+    ``u = 1/(omega*(|t| - 1))`` (from ``f(x) < 1/x``, ``g(x) < 1/x**2``),
+    which falls as |t| grows, clears in closed form; where that lies past
+    the lattice numpy can index, :class:`MarginError` is raised.  The probes of all signals are
+    evaluated together, ``_PROBE_BLOCK`` at a time.
+    """
+    low, K = min(lams), support_index(T)
+    omega = np.array([sig.omega for sig in sigs])
+    edges = np.stack([sig.edges for sig in sigs])
+    jumps = np.diff([sig.levels for sig in sigs], axis=1, prepend=0.0, append=0.0)
+    total = np.sum(np.abs(jumps), axis=1)
+    clear = low - 1e-12 * (low + total)
+    with np.errstate(divide="ignore", over="ignore"):
+        # the coarser bound is below clear where u < u_max, the positive root
+        # of u**2 + u = 1/q, q = total/(pi*clear), so 1/u_max = (q + sqrt(q**2 + 4q))/2
+        q = total / (np.pi * np.maximum(clear, 0.0))
+        reach = 1.0 + (q + np.hypot(q, 2.0 * np.sqrt(q))) / (2.0 * omega)
+        if not indexable(2.0 * np.max(reach) / T + 3.0):
+            raise MarginError(f"lam={low!r} needs the tails sampled out to |t| = "
+                              f"{np.max(reach):.3g}, past what numpy can index")
+    stop = np.floor(reach / T).astype(np.int64) + 1  # the coarser bound clears |k| >= stop
+    k = np.arange(K + 1, np.max(stop), _PROBE_STEP)
+    ends = np.full((len(sigs), 2), K)  # the window's last |k|, left and right
+    rows = max(1, _PROBE_BLOCK // (2 * k.size + 1))
+    for i in range(0, len(sigs), rows):
+        b = slice(i, i + rows)
+        fail = _probe_bounds(omega[b], edges[b], jumps[b], T, k) >= clear[b, None, None]
+        fail &= k < stop[b, None, None]
+        ends[b] += _PROBE_STEP * np.max(fail * np.arange(1, k.size + 1), axis=-1, initial=0)
+    for sig, (left, right) in zip(sigs, ends.tolist()):
+        g = sig.sample(np.arange(-left, right + 1) * T)
+        yield [_extent(_exceeding_columns(g, g, lam), -left) for lam in lams], -left, g
 
-        The margin, ``1e-12 * (lam + sum|a_i|)``, is some hundred times what the
-        rounding of ``sici`` and of the sums in :meth:`sample` and in the bound
-        can reach.  Since the bound falls as |t| grows, a lattice point where it
-        holds clears every point beyond it on its side.  It is taken at every
-        ``step``-th point counted down from ``k_max``, at most 64 per side, and
-        each side's window ends just inside the first of them that it clears.
-        """
-        c = np.arange(int(np.ceil(self._reach / T)) + 1, k_max + 1)
-        if c.size == 0:
-            return None
-        step = -(-c.size // 64)
-        c = c[::-step][::-1]
-        ok = self.tail_bound(np.array([[-T], [T]]) * c) < lam * (1.0 - 1e-12) - self._margin
-        if not (ok[0, -1] and ok[1, -1]):
-            return None
-        left, right = c[np.argmax(ok, axis=1)]
-        return 1 - int(left), int(right) - 1
 
-    def scan_exceedance(self, T: float, lams) -> tuple[list[int], int, np.ndarray]:
-        """Per threshold in ``lams``, the largest lattice |k| with |g(kT)| >= lam;
-        and the samples scanned to find them, as the lattice index of the first
-        and the array of values.
+def _probe_bounds(omega, edges, jumps, T: float, k) -> np.ndarray:
+    """Bounds on |g| over the lattice intervals [k, k + _PROBE_STEP - 1] and
+    their mirror images, all beyond the edges, of signals with bandwidths
+    ``omega``, edges ``edges`` and level jumps ``jumps`` at them (one row a
+    signal); shape (signals, 2, len(k)).
 
-        The tails are certified before anything is sampled.  Beyond every edge
-        :meth:`tail_bound` bounds |g| by the sine integral's remainder
-        (Abramowitz & Stegun 5.2.8, 5.2.12-13), and the bound falls as |t|
-        grows, so past a lattice point where it is below ``min(lams)`` less a
-        rounding margin, no sample can reach a threshold.  When such a point
-        on each side lies inside the 32-sample clear band of the radius-3 window
-        ``[-ceil(3/T), ceil(3/T)]``, only the window between them is sampled;
-        the far tails are not, and each threshold takes its index from those
-        samples.  The radius-3 scan would then have accepted every threshold
-        and found the same indices, and each sample has the same bits, so the
-        results downstream (the sweep and demo CSV bytes) are unchanged.
-
-        Otherwise the scan covers [-kw, kw] with ``kw = ceil(radius/T)``.  Each
-        threshold takes its index from the first window, radius 3 first, whose
-        clear band :func:`clear_band_exceedance` accepts for it, as a scan for
-        it alone would.  While one is pending, the radius doubles up to 64 and
-        only the lattice points outside the previous scan are evaluated.
-
-        Either way the samples reach every edge on both sides.  A threshold
-        still pending past radius 64 raises :class:`MarginError`, the error of
-        the phantom scan (``experiments._scan_with_clear_tail``).  That scan
-        starts at radius 4 and stops at 32 instead: its FFT length, and so
-        every bit of the clean sinogram, depends on its radius, and the
-        recorded benchmark digests pin its schedule.  These samples are closed
-        forms whose bits do not depend on the window.
-        """
-        radius = SIGNAL_SCAN_RADIUS
-        kw = int(np.ceil(radius / T))
-        window = self._certified_window(T, min(lams), kw - _CLEAR_BAND + 1)
-        if window is not None:
-            k_lo, k_hi = window
-            g = self.sample(np.arange(k_lo, k_hi + 1) * T)
-            return [_extent(_exceeding_columns(g, g, lam), k_lo) for lam in lams], k_lo, g
-        g = self.sample(np.arange(-kw, kw + 1) * T)
-        kstars = [None] * len(lams)
-        while True:
-            for i, lam in enumerate(lams):
-                if kstars[i] is None:
-                    try:
-                        kstars[i] = clear_band_exceedance(g, g, lam)
-                    except MarginError:
-                        pass
-            if None not in kstars:
-                return kstars, -kw, g
-            radius *= 2.0
-            if radius > 64.0:
-                raise MarginError("exceedance region did not close within the scan limit")
-            ext = np.arange(kw + 1, int(np.ceil(radius / T)) + 1)
-            flanks = self.sample(np.concatenate([-ext[::-1], ext]) * T)
-            g = np.concatenate([flanks[: ext.size], g, flanks[ext.size :]])
-            kw += ext.size
+    With the level jumps a_j at the edges e_j (they sum to 0), the signal is
+    ``(1/pi) sum_j a_j Si(x_j)`` with ``x_j = omega*(t - e_j)``.  Beyond every
+    edge the x_j share a sign, and for x > 0
+    ``Si(x) = pi/2 - f(x) cos x - g(x) sin x`` with ``0 < 1/x - f(x) < 2/x**3``
+    and ``0 < g(x) < 1/x**2`` (Abramowitz & Stegun 5.2.8, 5.2.12-13; Si is
+    odd).  So the pi/2 terms cancel, and with
+    ``F(t) = sum_j a_j exp(-i*omega*e_j)/(t - e_j)``,
+    ``|g(t)| <= (1/pi) [|F(t)|/omega + sum_j |a_j| (1/x_j**2 + 2/|x_j|**3)]``.
+    Outward from p over a length L, |F| grows by at most
+    ``L sum_j |a_j|/(p - e_j)**2`` and the other terms fall, so the bound at
+    p plus that slack holds over the interval.
+    """
+    om = omega[:, None, None, None]
+    r = np.abs(np.multiply.outer([-T, T], k)[..., None] - edges[:, None, None])
+    r *= om
+    np.divide(1.0, r, out=r)  # 1/|x_j| at each probe: (signals, side, probe, edge)
+    f = np.abs(r @ (jumps * np.exp(-1j * omega[:, None] * edges))[:, None, :, None])
+    r *= r * ((_PROBE_STEP - 1) * T * om + 1.0 + 2.0 * r)
+    return ((f + r @ np.abs(jumps)[:, None, :, None]) / np.pi)[..., 0]
 
 
 def save_sinogram(s: Sinogram, path: str) -> None:

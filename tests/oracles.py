@@ -32,7 +32,7 @@ from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from modradon.core import guarded_ceil, guarded_floor, modulo_fold
-from modradon.errors import DomainError, MarginError, ParseError, SizeError
+from modradon.errors import DomainError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, base_order
 from modradon.fbp import filter_projections
 from modradon.forward import (
@@ -211,20 +211,28 @@ def sup_norm_oracle(sig):
     return float(np.max(np.abs(sig.sample(t))))
 
 
+def tail_bound_oracle(sig, t):
+    """``(1/pi) [|F(t)|/omega + sum_j |a_j| (1/x_j**2 + 2/|x_j|**3)]`` at times t
+    beyond every edge, with a_j the level jumps at the edges e_j,
+    ``x_j = omega*(t - e_j)`` and ``F(t) = sum_j a_j exp(-i*omega*e_j)/(t - e_j)``,
+    summed edge by edge."""
+    t = np.asarray(t, dtype=float)
+    f = np.zeros(t.shape, dtype=complex)
+    rest = np.zeros(t.shape)
+    for j, e in enumerate(sig.edges):
+        a = (sig.levels[j] if j < len(sig.levels) else 0.0) - (sig.levels[j - 1] if j else 0.0)
+        f += a * np.exp(-1j * sig.omega * e) / (t - e)
+        x = np.abs(sig.omega * (t - e))
+        rest += abs(a) * (1.0 / x**2 + 2.0 / x**3)
+    return (np.abs(f) / sig.omega + rest) / np.pi
+
+
 def exceedance_index_oracle(sig, T, lam):
-    """Largest lattice |k| with |g(kT)| >= lam and the outermost 32 samples on
-    each side below it; every doubled scan (radius 3 up to 64) evaluates its
-    whole lattice again."""
-    radius = 3.0
-    while radius <= 64.0:
-        kw = int(np.ceil(radius / T))
-        g = sample_oracle(sig, np.arange(-kw, kw + 1) * T)
-        exc = np.abs(g) >= lam
-        if not (np.any(exc[:32]) or np.any(exc[-32:])):
-            cols = np.nonzero(exc)[0]
-            return int(np.max(np.abs(cols - kw))) if cols.size else 0
-        radius *= 2.0
-    raise MarginError("exceedance region did not close within the scan limit")
+    """Largest lattice |k| with |g(kT)| >= lam over |t| <= 16, from one plain
+    scan of that whole lattice with :func:`sample_oracle`; 0 if there is none."""
+    k = np.arange(-int(16.0 / T), int(16.0 / T) + 1)
+    exc = np.abs(sample_oracle(sig, k * T)) >= lam
+    return int(np.max(np.abs(k[exc]), initial=0))
 
 
 def sweep_cell_oracle(args):

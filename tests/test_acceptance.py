@@ -14,7 +14,7 @@ import pytest
 
 from modradon.core import modulo_fold
 from modradon.experiments import base_order, downsample_demo, run_pipeline, success_sweep
-from modradon.forward import RandomBandlimitedSignal
+from modradon.forward import RandomBandlimitedSignal, scan_exceedance
 from modradon.phantom import Ellipse, Phantom, radon_phantom, shepp_logan, walnut_standin
 from modradon.unfold import required_margin, unfold_compact
 from oracles import lattice_samples, line_integral_oracle, sup_norm_oracle, window
@@ -47,7 +47,7 @@ def test_criterion_1_exact_unfold_property_suite():
                 for trial in range(TRIALS):
                     sig = RandomBandlimitedSignal.draw(
                         omega, np.random.SeedSequence([20250, trial]))
-                    (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+                    [((kstar,), _, _)] = scan_exceedance([sig], T, (lam,))
                     K_prime = required_margin(kstar * T, T, N, K)
                     truth = lattice_samples(sig, T, -K_prime, K)
                     y = modulo_fold(truth, lam)

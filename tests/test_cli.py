@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from modradon import cli, experiments, fbp
+from modradon import cli, experiments, fbp, forward
 from modradon.cli import main
 from modradon.forward import load_sinogram
 from modradon.phantom import load_phantom
@@ -334,6 +336,22 @@ class TestPipelineCommand:
         assert "Traceback" not in err
         assert projected == [] and not out.exists()
 
+    def test_unindexable_raw_rows_exit_2(self, tmp_path, capsys, monkeypatch):
+        # numpy can count 1e17 angles but not index 1e17 raw rows of 219
+        # samples: refused before any angle or row is allocated
+        projected = []
+        for stage in ("projection_angles", "radon_phantom"):
+            monkeypatch.setattr(forward, stage, lambda *a: projected.append(a))
+        out = tmp_path / "out"
+        code = run(["pipeline", "--omega", 20, "--lam", 0.1, "--angles", 10**17,
+                    "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("error: M=100000000000000000 angles at T=0.009196986029286059: the raw rows "
+                "would hold 2.19e+19 samples") in err
+        assert "Traceback" not in err
+        assert projected == [] and not out.exists()
+
     @pytest.mark.parametrize("command, flag, value, message", [
         ("pipeline", "--T", "1e-300", "T=1e-300 samples too finely: a raw row would hold "
                                       "2e+300 samples"),
@@ -607,6 +625,11 @@ class TestSweepCommand:
         ("--lams", "2", "lam must be below 1, got 2.0"),
         ("--workers", "0", "workers must be at least 1, got 0"),
         ("--workers", "-3", "workers must be at least 1, got -3"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        ("--trials", str(10**23), "trials=100000000000000000000000 is more than numpy can index"),
+        ("--tsteps", str(10**23), "tsteps=100000000000000000000000 is more than numpy can index"),
+        # the Nyquist spacing pi/omega overflows
+        ("--omegas-pi", "1e-320", "T must be positive and finite, got inf"),
     ])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
         outdir = tmp_path / "sw"
@@ -620,7 +643,7 @@ class TestSweepCommand:
 
     def test_unindexable_bandwidth_exits_2_before_any_job(self, tmp_path, capsys,
                                                           monkeypatch):
-        # radius 3 at the guaranteed spacing of 1e300*pi is about 5e301 lattice
+        # |t| <= 1 at the guaranteed spacing of 1e300*pi is about 1.7e301 lattice
         # points, more than numpy can size: the check runs before any allocation
         jobs = []
         monkeypatch.setattr(experiments, "_sweep_hits", jobs.append)
@@ -629,7 +652,8 @@ class TestSweepCommand:
                     "--outdir", outdir])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: omega=1e+300pi is too large: the first scan lattice would hold " in err
+        assert ("error: omega=1e+300pi is too large: the support lattice would hold "
+                "1.71e+301 samples") in err
         assert "Traceback" not in err
         assert jobs == []
         assert not outdir.exists()
@@ -676,6 +700,11 @@ class TestDemoCommand:
         ("--omega-pi", "0", "omega must be positive and finite, got 0.0"),
         ("--lam", "0", "lam must be positive and finite, got 0.0"),
         ("--lam", "nan", "lam must be positive and finite, got nan"),
+        pytest.param("--factor", "1" + "0" * 400, "factor must be positive and finite, got 10000",
+                     id="factor-1e400"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+        # the base spacing 0.5/(omega*e) overflows
+        ("--omega-pi", "1e-310", "T must be positive and finite, got inf"),
     ])
     def test_bad_parameter_exits_2(self, tmp_path, capsys, flag, value, message):
         outdir = tmp_path / "demo"
@@ -688,9 +717,9 @@ class TestDemoCommand:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--omega-pi", "1e300", "omega=3.141592653589793e+300 with t0_frac=0.5 samples too "
-                                "finely: the first scan lattice would hold 1.02e+302 samples"),
+                                "finely: the support lattice would hold 3.42e+301 samples"),
         ("--t0-frac", "1e-300", "omega=31.41592653589793 with t0_frac=1e-300 samples too "
-                                "finely: the first scan lattice would hold 5.12e+302 samples"),
+                                "finely: the support lattice would hold 1.71e+302 samples"),
     ])
     def test_unindexable_lattice_exits_2(self, tmp_path, capsys, monkeypatch, flag, value,
                                          message):
@@ -738,3 +767,67 @@ class TestConfigFile:
         assert "error: bad.cfg: line 3: not UTF-8 text" in err
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+
+#: Numeric flag values the property test below draws: not numbers a count
+#: takes, not positive, too small or too large to sample, beyond numpy's
+#: index range, or the flag's own small valid value ("ok").
+DRAWN = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(10**23), "ok"]
+
+#: Per command: its numeric flags with their small valid values, and the
+#: other flags it needs (``{dir}`` is the directory of the input files).
+#: ``--workers`` only draws values that start no pool (the ``pools`` fixture
+#: of test_experiments covers the cap).
+COMMANDS = {
+    "phantom": ({"--size": "16"}, ["--out", "{dir}/o.txt"]),
+    "forward": ({"--omega": "20", "--lam": "0.1", "--t-frac": "0.5", "--T": "0.01",
+                 "--angles": "4", "--K": "40", "--k-prime": "120"}, ["--out", "{dir}/o.mrts"]),
+    "fold": ({"--lam": "0.05"}, ["--in", "{dir}/s.mrts", "--out", "{dir}/o.mrts"]),
+    "unfold": ({"--beta": "0.4", "--order": "3", "--K": "20"},
+               ["--in", "{dir}/m.mrts", "--out", "{dir}/o.mrts"]),
+    "fbp": ({"--size": "16"}, ["--in", "{dir}/s.mrts", "--out", "{dir}/o.pgm"]),
+    "pipeline": ({"--omega": "20", "--lam": "0.1", "--t-frac": "0.5", "--T": "0.01",
+                  "--angles": "4", "--K": "40", "--k-prime": "120", "--size": "16"},
+                 ["--outdir", "{dir}/p"]),
+    "ingest": ({"--omega": "20", "--T": "0.05", "--angles": "2", "--K": "1", "--lam": "0.1"},
+               ["--in", "{dir}/raw.csv", "--out", "{dir}/o.mrts"]),
+    "sweep-success": ({"--lams": "0.1", "--omegas-pi": "10", "--trials": "2", "--tsteps": "2",
+                       "--seed": "1", "--workers": "1"}, ["--outdir", "{dir}/sw"]),
+    "downsample-demo": ({"--omega-pi": "10", "--lam": "0.1", "--seed": "1", "--t0-frac": "0.5",
+                         "--factor": "2"}, ["--outdir", "{dir}/demo"]),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory with a small sinogram, its folded form and a raw CSV."""
+    d = tmp_path_factory.mktemp("cli_inputs")
+    assert run(["forward", "--omega", 20, "--lam", 0.05, "--angles", 4, "--T", 0.01,
+                "--out", d / "s.mrts"]) == 0
+    assert run(["fold", "--in", d / "s.mrts", "--out", d / "m.mrts"]) == 0
+    (d / "raw.csv").write_text("0.5,1.0,0.25\n0.0,0.75,0.5\n")
+    return d
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_numeric_flags_exit_0_2_or_3(cli_inputs, command, data):
+    # up to three numeric flags drawn from DRAWN, the others valid: the
+    # command runs, exits 2 with a message (argparse's own exit included) or
+    # 3 for a flagged recovery, and raises nothing else
+    numeric, rest = COMMANDS[command]
+    argv = [command] + [a.format(dir=cli_inputs) for a in rest]
+    drawn = data.draw(st.sets(st.sampled_from(sorted(numeric)), max_size=3), label="drawn")
+    for flag, ok in numeric.items():
+        value = "ok"
+        if flag in drawn:
+            values = ["nan", "-1", "0", "ok"] if flag == "--workers" else DRAWN
+            value = data.draw(st.sampled_from(values), label=flag)
+        argv += [flag, ok if value == "ok" else value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 2, 3)

@@ -51,7 +51,7 @@ class TestSweepCell:
 
     def test_one_job_carries_every_threshold(self):
         # every threshold of SWEEP_CELLS on the 9e-4 cell's bandwidth, trials and
-        # seed, so the head left of the shared lattice is sampled here too
+        # seed: one window, certified for the smallest, serves them all
         lams = tuple(c[0] for c in SWEEP_CELLS)
         hits = experiments._sweep_hits(sweep_job(SWEEP_CELLS[-1], lams))
         for lam, h in zip(lams, hits):
@@ -59,26 +59,28 @@ class TestSweepCell:
             assert (h / float(SWEEP_CELLS[-1][2])).tobytes() == want.rates.tobytes()
 
     def test_margin_past_scanned_lattice_samples_only_the_missing_head(self, monkeypatch):
-        # the lattice indices of every sample call made after a scan returned
-        heads, spacing = [], {}
-        scan, sample = RandomBandlimitedSignal.scan_exceedance, RandomBandlimitedSignal.sample
+        # per spacing, a signal's first sample call is its certified window
+        # and any later one the head that a margin reaches left of it: at most
+        # one, ending where the window starts
+        calls, spacing = {}, {}
+        scan, sample = experiments.scan_exceedance, RandomBandlimitedSignal.sample
 
-        def scanning(self, T, lams):
-            spacing.pop("T", None)
-            out = scan(self, T, lams)
+        def scanning(sigs, T, lams):
             spacing["T"] = T
-            return out
+            return scan(sigs, T, lams)
 
         def recording(self, t):
-            if "T" in spacing:
-                k = np.rint(np.atleast_1d(t) / spacing["T"]).astype(int)
-                heads.append((int(k[0]), int(k[-1])))
+            k = np.rint(np.atleast_1d(t) / spacing["T"]).astype(int)
+            calls.setdefault((spacing["T"], id(self)), []).append((int(k[0]), int(k[-1])))
             return sample(self, t)
 
-        monkeypatch.setattr(RandomBandlimitedSignal, "scan_exceedance", scanning)
+        monkeypatch.setattr(experiments, "scan_exceedance", scanning)
         monkeypatch.setattr(RandomBandlimitedSignal, "sample", recording)
-        experiments._sweep_hits(sweep_job(SWEEP_CELLS[-1]))
-        assert heads == [(-181, -181)]
+        experiments._sweep_hits(sweep_job(SWEEP_CELLS[2]))
+        assert len(calls) == 2 * 4
+        assert all(len(c) == 1 or len(c) == 2 and c[1][1] == c[0][0] - 1
+                   for c in calls.values())
+        assert [c[1] for c in calls.values() if len(c) == 2] == [(-62, -62), (-55, -53)]
 
 
 @pytest.fixture
@@ -195,6 +197,18 @@ class TestPrepareForward:
         p = SamplingParams(omega=20.0, T=1e-300, lam=0.1, K=1, K_prime=1, M=2)
         with pytest.raises(ConfigError, match=r"^T=1e-300 samples too finely: the scan "
                                               r"window would hold 8e\+300 samples$"):
+            experiments.prepare_forward(Sinogram(p, np.zeros((2, 3))), lam=0.1, omega=20.0)
+        assert convolved == []
+
+
+    def test_unindexable_scan_rows_of_a_sinogram_source(self, monkeypatch):
+        # numpy can index one row's scan window, 8e17 lattice points at
+        # T=1e-17, but not two of them: refused before the scan allocates
+        convolved = []
+        monkeypatch.setattr(forward, "convolve_rows", lambda *a: convolved.append(a))
+        p = SamplingParams(omega=20.0, T=1e-17, lam=0.1, K=1, K_prime=1, M=2)
+        with pytest.raises(ConfigError, match=r"^M=2 angles at T=1e-17: the scanned rows "
+                                              r"would hold 1\.6e\+18 samples$"):
             experiments.prepare_forward(Sinogram(p, np.zeros((2, 3))), lam=0.1, omega=20.0)
         assert convolved == []
 

@@ -24,6 +24,7 @@ from modradon.forward import (
     lowpass_kernel,
     phantom_rows,
     save_sinogram,
+    scan_exceedance,
     scan_forward,
     scan_from_raw,
     support_index,
@@ -39,6 +40,7 @@ from oracles import (
     sample_oracle,
     scan_window,
     sup_norm_oracle,
+    tail_bound_oracle,
     window,
 )
 
@@ -63,6 +65,19 @@ def prefiltered_row(p, theta, params):
 
 def draw_signal(omega, seed):
     return RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
+
+
+def scan_one(sig, T, lams):
+    """:func:`scan_exceedance` of one signal: its indices, window start and samples."""
+    [scan] = scan_exceedance([sig], T, lams)
+    return scan
+
+
+def probe_bounds(sig, T, k):
+    """``forward._probe_bounds`` of one signal: shape (2, len(k)), left side first."""
+    jumps = np.diff(sig.levels, prepend=0.0, append=0.0)
+    return forward._probe_bounds(np.array([sig.omega]), sig.edges[None], jumps[None], T,
+                                 np.asarray(k))[0]
 
 
 class TestSamplingParams:
@@ -297,8 +312,8 @@ class TestRandomSignal:
     def test_deterministic_in_seed(self):
         T = 0.5 / (10 * np.pi * np.e)
         sa, sb = draw_signal(10 * np.pi, 123), draw_signal(10 * np.pi, 123)
-        kw = sa.scan_exceedance(T, (0.1,))[0][0] + 32
-        assert sb.scan_exceedance(T, (0.1,))[0][0] + 32 == kw
+        kw = scan_one(sa, T, (0.1,))[0][0] + 32
+        assert scan_one(sb, T, (0.1,))[0][0] + 32 == kw
         np.testing.assert_array_equal(lattice_samples(sa, T, -kw, kw),
                                       lattice_samples(sb, T, -kw, kw))
         np.testing.assert_array_equal(sa.levels, sb.levels)
@@ -318,7 +333,7 @@ class TestRandomSignal:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, 5)
-        (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+        (kstar,), _, _ = scan_one(sig, T, (lam,))
         g = lattice_samples(sig, T, -kstar - 32, kstar + 32)
         k = np.arange(-kstar - 32, kstar + 33)
         outside = np.abs(k) > kstar
@@ -341,47 +356,47 @@ class TestRandomSignal:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("seed, lam, omega, radius", [
-        pytest.param(5, 0.1, 10 * np.pi, None, id="5-0.1"),
-        pytest.param(6, 0.05, 10 * np.pi, 3.0, id="6-0.05"),
-        pytest.param(3, 0.01, 10 * np.pi, 12.0, id="3-0.01"),
-        pytest.param(2, 0.05, 30 * np.pi, None, id="30pi-2-0.05"),
+    @pytest.mark.parametrize("seed, lam, omega", [
+        pytest.param(5, 0.1, 10 * np.pi, id="5-0.1"),
+        pytest.param(6, 0.05, 10 * np.pi, id="6-0.05"),
+        pytest.param(3, 0.01, 10 * np.pi, id="3-0.01"),
+        pytest.param(2, 0.05, 30 * np.pi, id="30pi-2-0.05"),
     ])
-    def test_scan_exceedance_returns_scanned_lattice(self, seed, lam, omega, radius):
-        # the exceedance matches the full-rescan oracle, and the returned
-        # samples are the scanned lattice, bit for bit.  Where the tail bound
-        # clears both sides inside the radius-3 clear band (radius None), that
-        # lattice is the window between the first cleared points, and holds
-        # [-K, K]; otherwise it is the whole lattice up to the radius that
-        # closed: (3, 0.01) doubles the radius twice, so its lattice is
-        # assembled from three calls
+    def test_scan_exceedance_returns_scanned_lattice(self, seed, lam, omega):
+        # the exceedance matches the wide-scan oracle, and the returned samples
+        # are the oracle's bits over a window that holds [-K, K] and ends, on
+        # each side, where a probe interval of the tail bound did not clear
         T = 0.5 / (omega * np.e)
         sig = draw_signal(omega, seed)
-        (kstar,), lo, scanned = sig.scan_exceedance(T, (lam,))
+        (kstar,), lo, scanned = scan_one(sig, T, (lam,))
         assert kstar == exceedance_index_oracle(sig, T, lam)
         hi = lo + len(scanned) - 1
         want = sample_oracle(sig, np.arange(lo, hi + 1) * T)
         assert scanned.tobytes() == want.tobytes()
-        if radius is None:
-            K, kw = support_index(T), int(np.ceil(3.0 / T))
-            assert -kw + 32 <= lo <= -K and K <= hi <= kw - 32
-            assert np.all(sig.tail_bound(np.array([lo - 1, hi + 1]) * T) < lam)
-        else:
-            assert lo == -hi == -int(np.ceil(radius / T))
+        K, step = support_index(T), forward._PROBE_STEP
+        total = np.sum(np.abs(np.diff(sig.levels, prepend=0.0, append=0.0)))
+        assert lo <= -K and hi >= K
+        for side, end in enumerate((-lo, hi)):
+            assert (end - K) % step == 0
+            if end > K:
+                # the window's last interval on this side, [end - step + 1, end],
+                # is one whose bound did not clear lam less the rounding margin
+                bound = probe_bounds(sig, T, [end - step + 1])[side, 0]
+                assert bound >= lam - 1e-12 * (lam + total)
 
     @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0),
            tsteps=st.integers(2, 100), step=st.integers(0, 99),
            lams=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_scan_exceedance_matches_oracle(self, seed, omega_pi, tsteps, step, lams):
-        # on a sweep rate grid: each threshold's index is the full-rescan
+        # on a sweep rate grid: each threshold's index is the wide-scan
         # oracle's, and the scanned samples are the oracle's bits over their
         # range, which holds [-K, K].  With the head left of it that a sweep
         # samples on its own, they cover every order's margin [-K', K]
         omega = omega_pi * np.pi
         T = np.linspace(1.0 / (omega * np.e), np.pi / omega, tsteps)[step % tsteps]
         sig = draw_signal(omega, seed)
-        kstars, lo, scanned = sig.scan_exceedance(T, lams)
+        kstars, lo, scanned = scan_one(sig, T, lams)
         assert kstars == [exceedance_index_oracle(sig, T, lam) for lam in lams]
         K = support_index(T)
         hi = lo + len(scanned) - 1
@@ -392,48 +407,65 @@ class TestRandomSignal:
         got = np.concatenate([head, scanned])
         assert got.tobytes() == sample_oracle(sig, np.arange(k_lo, hi + 1) * T).tobytes()
 
-    @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0))
+    @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0),
+           tsteps=st.integers(2, 100), step=st.integers(0, 99),
+           lams=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
-    def test_tail_bound_holds_beyond_the_edges(self, seed, omega_pi):
-        # |g(t)| <= B(t) over 1 < |t| <= 6, and B falls as |t| grows
-        sig = draw_signal(omega_pi * np.pi, seed)
-        t = np.linspace(1.0, 6.0, 20001)[1:]
-        for side in (-t, t):
-            bound = sig.tail_bound(side)
-            assert np.all(np.abs(sig.sample(side)) <= bound)
-            assert np.all(np.diff(bound) <= 0.0)
+    def test_no_sample_outside_the_window_reaches_a_threshold(self, seed, omega_pi, tsteps,
+                                                               step, lams):
+        # the certificate is sound: on a sweep rate grid, every lattice sample
+        # left and right of the returned window, out to |t| <= 16, is below
+        # the smallest threshold
+        omega = omega_pi * np.pi
+        T = np.linspace(1.0 / (omega * np.e), np.pi / omega, tsteps)[step % tsteps]
+        sig = draw_signal(omega, seed)
+        _, lo, scanned = scan_one(sig, T, lams)
+        far = int(16.0 / T)
+        hi = lo + len(scanned) - 1
+        for k in (np.arange(-far, lo), np.arange(hi + 1, far + 1)):
+            assert np.all(np.abs(sample_oracle(sig, k * T)) < min(lams))
 
-    def test_each_threshold_reads_its_first_clear_window(self, monkeypatch):
-        # a made-up profile on T = 1/16: 0.5 over |k| <= 8, 0.07 at k = +-24
-        # (inside the radius-3 clear band |k| >= 17) and 0.2 at k = 72 (t = 4.5,
-        # past radius 3).  lam = 0.1 closes at radius 3 with k = 8; lam = 0.05
-        # meets 0.07 in that band and 0.2 in the radius-6 band (|k| >= 65), and
-        # closes at radius 12 with k = 72.  The widest window would give 72 to
-        # lam = 0.1 too.  The drawn signal's tail bound cannot clear the
-        # radius-3 clear band (|k| >= 17, t <= 1.0625), so every scan here
-        # takes the doubling path.
-        T = 0.0625
+    def test_signals_probed_together_or_alone_get_the_same_windows(self, monkeypatch):
+        # the probes of several signals (two bandwidths) evaluated in one pass,
+        # in blocks of one signal or all at once, give each signal the window
+        # and the samples it gets alone
+        T = 0.5 / (10 * np.pi * np.e)
+        sigs = [draw_signal(om * np.pi, seed) for om in (10, 14) for seed in range(4)]
+        alone = [scan_one(sig, T, (0.1, 0.05)) for sig in sigs]
+        for block in (1, 1 << 14):
+            monkeypatch.setattr(forward, "_PROBE_BLOCK", block)
+            together = list(scan_exceedance(sigs, T, (0.1, 0.05)))
+            assert [(k, lo) for k, lo, _ in together] == [(k, lo) for k, lo, _ in alone]
+            assert all(a[2].tobytes() == b[2].tobytes() for a, b in zip(together, alone))
 
-        def profile(self, t):
-            k = np.rint(np.atleast_1d(t) / T)
-            g = np.where(np.abs(k) <= 8, 0.5, 0.0)
-            g[np.abs(k) == 24] = 0.07
-            g[k == 72] = 0.2
-            return g
+    @given(seed=st.integers(0, 2**32 - 1), omega_pi=st.floats(5.0, 60.0),
+           t_frac=st.floats(1.0 / np.e, np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_tail_bound_holds_beyond_the_edges(self, seed, omega_pi, t_frac):
+        # |g(t)| <= the pointwise bound <= the probe bound at every t of each
+        # probe interval [kT, (k + step - 1)T] and of its mirror image, out to
+        # |t| <= 6; without the slack for |F| the second step fails
+        omega = omega_pi * np.pi
+        T = t_frac / omega
+        sig = draw_signal(omega, seed)
+        step = forward._PROBE_STEP
+        k = np.arange(support_index(T) + 1, int(6.0 / T), step)
+        bounds = probe_bounds(sig, T, k)
+        t = (k[:, None] + np.linspace(0.0, step - 1.0, 4 * step - 3)) * T
+        for side, bound in zip((-1.0, 1.0), bounds):
+            pointwise = tail_bound_oracle(sig, side * t)
+            assert np.all(np.abs(sig.sample(side * t)) <= pointwise)
+            assert np.all(pointwise <= bound[:, None])
 
-        monkeypatch.setattr(RandomBandlimitedSignal, "sample", profile)
+    @pytest.mark.parametrize("T, lams, reach", [
+        (0.01, (0.1, 1e-300), r"inf"),  # below the rounding margin: never
+        (1e-10, (1e-10,), r"\d\.\d\de\+0[89]"),
+    ])
+    def test_unindexable_window_raises_margin_error(self, T, lams, reach):
         sig = draw_signal(10 * np.pi, 0)
-        assert np.all(sig.tail_bound(np.array([-17, 17]) * T) >= 0.1)
-        kstars, lo, scanned = sig.scan_exceedance(T, (0.1, 0.05))
-        radius3 = window(scanned, lo, -48, 48)
-        assert kstars[0] == clear_band_exceedance(radius3, radius3, 0.1) == 8
-        assert kstars[1] == 72 > 48
-        alone = [sig.scan_exceedance(T, (lam,)) for lam in (0.1, 0.05)]
-        assert kstars == [k for (k,), _, _ in alone]
-        assert [-base for _, base, _ in alone] == [48, 192]
-        _, widest_lo, widest = alone[1]
-        assert lo == widest_lo
-        assert scanned.tobytes() == widest.tobytes()
+        with pytest.raises(MarginError, match=rf"^lam=1e-(300|10) needs the tails sampled out "
+                                              rf"to \|t\| = {reach}, past what numpy can index$"):
+            scan_one(sig, T, lams)
 
 
 class TestSinogramIO:

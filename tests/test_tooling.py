@@ -228,52 +228,40 @@ def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
     # the benchmark's forward.sampler span patches RandomBandlimitedSignal.sample;
-    # a sweep job scans each (trial, T) lattice once for every threshold and
-    # slices each threshold's unfold window from those samples, sampling on
-    # its own only the head that a margin reaches left of the scan
+    # a sweep job samples each (trial, T) lattice once for every threshold,
+    # over the window its tail certificate gives, and on its own only the
+    # head that a margin reaches left of that window
     signal = forward.RandomBandlimitedSignal
-    scan, sample = signal.scan_exceedance, signal.sample
-    scans = []  # [T, thresholds, scanned (lo, hi), calls made by the scan, [t of every call]]
+    scan, sample = experiments.scan_exceedance, signal.sample
+    spacing, calls = {}, {}  # (T, signal) -> [lattice indices of every call]
 
-    def counting_scan(self, T, lams):
-        scans.append([T, tuple(lams), None, None, []])
-        kstars, lo, scanned = scan(self, T, lams)
-        scans[-1][2:4] = (lo, lo + len(scanned) - 1), len(scans[-1][4])
-        return kstars, lo, scanned
+    def counting_scan(sigs, T, lams):
+        assert lams == (0.1, 0.05)
+        spacing["T"] = T
+        return scan(sigs, T, lams)
 
     def counting_sample(self, t):
-        scans[-1][4].append(np.atleast_1d(t))
+        k = np.rint(np.atleast_1d(t) / spacing["T"]).astype(int)
+        calls.setdefault((spacing["T"], id(self)), []).append(k)
         return sample(self, t)
 
-    monkeypatch.setattr(signal, "scan_exceedance", counting_scan)
+    monkeypatch.setattr(experiments, "scan_exceedance", counting_scan)
     monkeypatch.setattr(signal, "sample", counting_sample)
     experiments.success_sweep(lams=(0.1, 0.05), omegas=(10 * np.pi, 30 * np.pi), trials=3,
                               tsteps=4, seed=1)
-    assert len(scans) == 2 * 3 * 4
-    certified = doubled = 0
-    for T, lams, (lo, hi), n_scan, calls in scans:
-        assert lams == (0.1, 0.05)
-        kw = int(np.ceil(3.0 / T))
-        if n_scan == 1 and -kw < lo:
-            # the tail bound cleared both sides inside the radius-3 clear band:
-            # one call over the window between the first cleared points
-            certified += 1
-            assert -kw + 32 <= lo and hi <= kw - 32
-        else:
-            # one call at radius 3, and one more per doubling of the radius;
-            # each later call only reaches past everything evaluated before it
-            assert lo == -hi == -int(np.ceil(3.0 * 2 ** (n_scan - 1) / T))
-            doubled += n_scan > 1
-            for i in range(1, n_scan):
-                assert np.min(np.abs(calls[i])) > np.max(np.abs(np.concatenate(calls[:i])))
-        scanned = np.concatenate(calls[:n_scan])
-        assert np.unique(scanned).size == scanned.size == hi - lo + 1
-        # at most one more call: the head, left of everything the scan sampled
-        assert len(calls) <= n_scan + 1
-        every = np.concatenate(calls)
-        assert np.unique(every).size == every.size
-        assert np.max(np.concatenate(calls[n_scan:] + [[-np.inf]])) < np.min(scanned)
-    assert certified and doubled
+    assert len(calls) == 2 * 3 * 4
+    heads = 0
+    for (T, _), (window, *head) in calls.items():
+        # one call over a window that holds [-K, K], lattice points in order
+        K = forward.support_index(T)
+        assert np.array_equal(window, np.arange(window[0], window[-1] + 1))
+        assert window[0] <= -K and window[-1] >= K
+        # at most one more: the head, which ends where the window starts
+        assert len(head) <= 1
+        for h in head:
+            assert np.array_equal(h, np.arange(h[0], window[0]))
+            heads += 1
+    assert heads > 0
 
 
 def test_sweep_mc_csv_bytes_match_the_benchmark_record(tmp_path):
@@ -400,6 +388,19 @@ def test_unfolding_takes_its_order_from_the_caller():
     assert _mentions({"select_order"}) == {
         ("experiments", "import"), ("experiments", "prepare_forward"), ("cli", "import"),
         ("cli", "_cmd_unfold")}
+
+
+def test_signal_tails_have_one_certificate():
+    # the sweep's signals are sampled over the window their tail bound
+    # certifies; the clear band and the radius schedule belong to the phantom
+    # scan alone
+    signal = {"RandomBandlimitedSignal", "scan_exceedance", "_probe_bounds"}
+    for names in ({"clear_band_exceedance", "_CLEAR_BAND"},
+                  {"radius", "SIGNAL_SCAN_RADIUS", "tail_bound", "_certified_window"}):
+        assert not {where for _, where in _mentions(names)} & signal
+    assert _mentions({"clear_band_exceedance", "_CLEAR_BAND"}) == {
+        ("forward", None), ("forward", "ForwardScan"), ("forward", "clear_band_exceedance")}
+    assert _mentions({"SIGNAL_SCAN_RADIUS", "tail_bound", "_certified_window"}) == set()
 
 
 def test_index_size_bound_lives_in_one_definition():

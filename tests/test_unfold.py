@@ -8,7 +8,13 @@ from modradon import experiments
 from modradon.core import modulo_fold
 from modradon.errors import ConditionError, ConfigError, DomainError, MarginError, SizeError
 from modradon.experiments import prepare_forward
-from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram, fold_sinogram
+from modradon.forward import (
+    RandomBandlimitedSignal,
+    SamplingParams,
+    Sinogram,
+    fold_sinogram,
+    scan_exceedance,
+)
 from modradon.phantom import shepp_logan
 from modradon.unfold import (
     COMPACT,
@@ -165,7 +171,7 @@ class TestUnfoldCompact:
         T = 0.5 / (omega * np.e)
         for seed in range(25):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([99, seed]))
-            (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+            [((kstar,), _, _)] = scan_exceedance([sig], T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
@@ -249,7 +255,7 @@ class TestUnfoldCompact:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(7))
-        (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+        [((kstar,), _, _)] = scan_exceedance([sig], T, (lam,))
         Kp = kstar + 4 + 8
         truth = lattice_samples(sig, T, -Kp, Kp)
         rec1, _ = unfold_compact(modulo_fold(truth, lam), -Kp, lam, 4, Kp)
@@ -273,7 +279,7 @@ class TestUnfoldGeneral:
         and every settled tail, K' every exceedance plus the difference stencil."""
         sigs = [RandomBandlimitedSignal.draw(omega, np.random.SeedSequence(seed))
                 for seed in seeds]
-        kstars = [sig.scan_exceedance(T, (lam,))[0][0] for sig in sigs]
+        kstars = [k for (k,), _, _ in scan_exceedance(sigs, T, (lam,))]
         J = cost_j(beta_grid, lam)
         K = max(J + N - 1, max(kstars) + 16)
         K_prime = max(K, max(kstars) + N + 16)
@@ -390,7 +396,7 @@ class TestRouteEquivalence:
         T = 0.5 / (omega * np.e)
         for seed in range(10):
             sig = RandomBandlimitedSignal.draw(omega, np.random.SeedSequence([55, seed]))
-            (kstar,), _, _ = sig.scan_exceedance(T, (lam,))
+            [((kstar,), _, _)] = scan_exceedance([sig], T, (lam,))
             N = 4
             Kp = required_margin(kstar * T, T, N, kstar)
             truth = lattice_samples(sig, T, -Kp, kstar)
