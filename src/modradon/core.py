@@ -49,8 +49,10 @@ def map_blocks(fn, starts) -> list:
 
 def sup_norm(a: np.ndarray) -> float:
     """``max |a|`` over every element, without the ``|a|`` copy: +0.0 for an
-    all-zero array, NaN if any element is NaN."""
-    return max(float(a.max()), -float(a.min())) + 0.0  # + 0.0 turns -0.0 into 0.0
+    all-zero or empty array, NaN if any element is NaN, inf if any is
+    infinite and none is NaN."""
+    # + 0.0 turns -0.0 into 0.0
+    return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))) + 0.0
 
 
 def guarded_floor(x):
@@ -77,15 +79,24 @@ def modulo_fold(t, lam: float) -> np.ndarray:
     Raises
     ------
     DomainError
-        If ``lam`` is not a positive finite real, or any input value is not
-        finite (both checked before any arithmetic).
+        If ``lam`` is not a positive finite real, ``2*lam`` overflows, any
+        input value is not finite, or the quotient ``(max|t| + lam)/(2*lam)``
+        overflows (all checked before any arithmetic on the samples).
     """
     if not np.isfinite(lam) or lam <= 0.0:
         raise DomainError(f"threshold must be a positive finite real, got {lam}")
-    arr = np.asarray(t, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("modulo_fold requires finite input")
+    lam = float(lam)  # a numpy scalar would warn where the checks below overflow
     two_lam = 2.0 * lam
+    if not math.isfinite(two_lam):
+        raise DomainError(f"threshold {lam} is too large: 2*lam overflows")
+    arr = np.asarray(t, dtype=float)
+    peak = sup_norm(arr)
+    if not math.isfinite(peak):
+        raise DomainError("modulo_fold requires finite input")
+    # |t + lam| <= max|t| + lam bounds every quotient the fold divides out
+    if not math.isfinite((peak + lam) / two_lam):
+        raise DomainError(f"cannot fold samples up to {peak} at threshold {lam}: "
+                          "(max|t| + lam)/(2*lam) overflows")
     out = np.add(arr, lam, out=np.empty_like(arr))
     out /= two_lam
     np.floor(out, out=out)

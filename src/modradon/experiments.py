@@ -65,7 +65,12 @@ _SUCCESS_TOL = 1e-6
 
 @dataclass
 class PipelineResult:
-    """Everything a pipeline run produced, for inspection and CSV export."""
+    """What a pipeline run produced, for inspection and CSV export: the
+    figures of the metrics CSV, the clean sinogram over [-K', K], the
+    unfolded one over [-K, K], both reconstructions and the per-row unfold
+    reports.  The folded measurement is not kept: it is
+    ``fold_sinogram(res.clean)``, which folds deterministically to the same
+    bits."""
 
     tag: str
     params: SamplingParams
@@ -81,7 +86,6 @@ class PipelineResult:
     rmse_recovered: float | None
     success: bool
     clean: Sinogram = field(repr=False, default=None)
-    folded: Sinogram = field(repr=False, default=None)
     unfolded: Sinogram = field(repr=False, default=None)
     image_clean: ImageGrid = field(repr=False, default=None)
     image_recovered: ImageGrid = field(repr=False, default=None)
@@ -208,7 +212,9 @@ def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
     A bad reconstruction setting (window, grid size, bandwidth) raises before
     the forward model runs.  Once the clean sinogram is cut out (and a
     phantom rasterised for the RMSE reference), ``source`` is dropped, so a
-    sinogram the caller holds no reference to is freed before the fold."""
+    sinogram the caller holds no reference to is freed before the fold.  The
+    folded rows live only until they are unfolded; ``outdir`` output folds
+    the clean rows again for ``{tag}_modulo.mrts``."""
     grid = ImageGrid(grid_size, grid_size)
     spec = FilterSpec(omega, filter_window)
     clean, norm_scale = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T,
@@ -219,8 +225,7 @@ def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
     K, K_prime, N = params.K, params.K_prime, params.N
     beta_grid = grid_upper_bound(params.beta, params.lam)
     clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
-    folded = fold_sinogram(clean)
-    unfolded, reports = unfold_sinogram(folded, N, K)
+    unfolded, reports = unfold_sinogram(fold_sinogram(clean), N, K)
 
     # an exact recovery has the clean rows' bits (compared as uint64, so that
     # -0.0 differs from +0.0), hence a parity of 0.0 and the clean image's pixels
@@ -248,7 +253,7 @@ def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
         sino_parity_max=sino_parity, image_parity_max=image_parity,
         images_bit_identical=bit_identical, rmse_clean=rmse_clean, rmse_recovered=rmse_recovered,
         success=bool(all(r.success for r in reports) and sino_parity < 1e-9),
-        clean=clean, folded=folded, unfolded=unfolded,
+        clean=clean, unfolded=unfolded,
         image_clean=img_clean, image_recovered=img_recovered, reports=reports,
     )
     if outdir:
@@ -260,7 +265,7 @@ def _write_pipeline_outputs(res: PipelineResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     tag = res.tag
     save_sinogram(res.clean, os.path.join(outdir, f"{tag}_sinogram.mrts"))
-    save_sinogram(res.folded, os.path.join(outdir, f"{tag}_modulo.mrts"))
+    save_sinogram(fold_sinogram(res.clean), os.path.join(outdir, f"{tag}_modulo.mrts"))
     save_sinogram(res.unfolded, os.path.join(outdir, f"{tag}_unfolded.mrts"))
     for name, img in (("fbp_clean", res.image_clean),
                       ("fbp_recovered", res.image_recovered)):

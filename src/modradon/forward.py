@@ -225,8 +225,9 @@ def check_lattice(what: str, lattice: str, reach: float, rows: int = 1) -> None:
 
 
 def support_index(T: float) -> int:
-    """Last lattice index that can touch the unit-disk support: ceil(1/T)."""
-    return int(guarded_ceil(1.0 / T))
+    """Last lattice index that can touch the unit-disk support: ceil(1/T), at
+    least 1 (the guard band takes 1/T <= 1e-12 to 0)."""
+    return max(1, int(guarded_ceil(1.0 / T)))
 
 
 def fold_sinogram(s: Sinogram) -> Sinogram:
@@ -418,7 +419,9 @@ def scan_exceedance(sigs, T: float, lams):
     k = np.arange(K + 1, np.max(stop), _PROBE_STEP)
     ends = np.full((len(sigs), 2), K)  # the window's last |k|, left and right
     rows = max(1, _PROBE_BLOCK // (2 * k.size + 1))
-    for i in range(0, len(sigs), rows):
+    # no probes (a T past the closed-form reach): nothing to bound, and T*omega
+    # may overflow
+    for i in range(0, len(sigs) if k.size else 0, rows):
         b = slice(i, i + rows)
         fail = _probe_bounds(omega[b], edges[b], jumps[b], T, k) >= clear[b, None, None]
         fail &= k < stop[b, None, None]

@@ -114,13 +114,17 @@ def select_order(lam: float, beta: float, omega: float, T: float, mode: str = CO
     ConfigError
         If lam, beta, omega or T is not positive and finite.
     ConditionError
-        If T*omega*e >= 1 (the formula is meaningless without oversampling).
+        If T*omega*e >= 1 (the formula is meaningless without oversampling), or
+        if it underflows to 0.
     """
     check_positive(lam=lam, beta=beta, omega=omega, T=T)
     oversampling = T * omega * np.e
     if oversampling >= 1.0:
         raise ConditionError(f"T*omega*e = {oversampling:.6f} >= 1; supply an order or "
                              "sample faster")
+    if oversampling == 0.0:
+        raise ConditionError(f"T*omega*e underflows to 0 at T={T!r}, omega={omega!r}; "
+                             "the order formula needs it above 0")
     floor_n = 1 if mode == GENERAL else 0
     if beta <= lam:
         return floor_n

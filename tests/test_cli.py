@@ -240,8 +240,46 @@ class TestFoldCommand:
         assert "error:" in err and "truncated header" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lam, message", [
+        ("1e308", "threshold 1e+308 is too large: 2*lam overflows"),
+        ("1e-320", "at threshold 1e-320: (max|t| + lam)/(2*lam) overflows"),
+    ])
+    def test_overflowing_threshold_exits_2(self, tmp_path, capsys, lam, message):
+        # before, 1e308 wrote a sinogram of NaN and 1e-320 overflowed in the divide
+        src = tmp_path / "s.mrts"
+        assert run(["forward", "--omega", 20, "--lam", 0.05, "--angles", 4, "--T", 0.01,
+                    "--out", src]) == 0
+        out = tmp_path / "o.mrts"
+        code = run(["fold", "--in", src, "--lam", lam, "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPipelineCommand:
+    def test_modulo_file_is_the_folded_sinogram(self, tmp_path):
+        # the result keeps no folded rows; the writer folds the clean ones again
+        out = tmp_path / "p"
+        assert run(["pipeline", "--omega", 20, "--lam", 0.05, "--size", 16, "--tag", "t",
+                    "--outdir", out]) == 0
+        want = tmp_path / "want.mrts"
+        forward.save_sinogram(forward.fold_sinogram(load_sinogram(out / "t_sinogram.mrts")),
+                              want)
+        assert (out / "t_modulo.mrts").read_bytes() == want.read_bytes()
+
+    def test_underflowing_oversampling_exits_2(self, tmp_path, capsys):
+        # T*omega*e is 0: the order formula would take log(0)
+        out = tmp_path / "p"
+        code = run(["pipeline", "--omega", "5e-324", "--lam", 0.1, "--T", 0.01, "--angles", 4,
+                    "--size", 16, "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: T*omega*e underflows to 0 at T=0.01, omega=5e-324" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_outputs_and_determinism(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
@@ -715,6 +753,14 @@ class TestDemoCommand:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    def test_spacing_past_the_support(self, tmp_path):
+        # at T = 2.3e306 the support lattice is [-1, 1] and no tail is probed:
+        # the run reports its recoveries without overflowing
+        out = tmp_path / "demo"
+        assert run(["downsample-demo", "--t0-frac", "1e308", "--outdir", out]) in (0, 3)
+        lines = (out / "downsample_demo.csv").read_text().splitlines()
+        assert len(lines) == 4
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--omega-pi", "1e300", "omega=3.141592653589793e+300 with t0_frac=0.5 samples too "
                                 "finely: the support lattice would hold 3.42e+301 samples"),
@@ -772,7 +818,8 @@ class TestConfigFile:
 #: Numeric flag values the property test below draws: not numbers a count
 #: takes, not positive, too small or too large to sample, beyond numpy's
 #: index range, or the flag's own small valid value ("ok").
-DRAWN = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", str(10**23), "ok"]
+DRAWN = ["nan", "inf", "-inf", "0", "-1", "1e-300", "5e-324", "1e300", "1e308", str(10**23),
+         "ok"]
 
 #: Per command: its numeric flags with their small valid values, and the
 #: other flags it needs (``{dir}`` is the directory of the input files).

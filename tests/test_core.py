@@ -48,6 +48,29 @@ class TestModuloFold:
                                match=rf"^threshold must be a positive finite real, got {lam}$"):
                 modulo_fold(np.array([0.3]), lam)
 
+    @pytest.mark.parametrize("lam, values, message", [
+        (1e308, [0.3], r"^threshold 1e\+308 is too large: 2\*lam overflows$"),
+        (1e-320, [0.0, 0.49], r"^cannot fold samples up to 0\.49 at threshold 1e-320: "
+                              r"\(max\|t\| \+ lam\)/\(2\*lam\) overflows$"),
+        (8e307, [-1.7e308], r"^cannot fold samples up to 1\.7e\+308 at threshold 8e\+307: "),
+    ], ids=["2lam", "quotient", "sum"])
+    def test_overflowing_threshold_rejected_before_any_arithmetic(self, lam, values, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                modulo_fold(np.array(values), lam)
+            with pytest.raises(DomainError, match=message):
+                modulo_fold(np.array(values), np.float64(lam))
+
+    def test_subnormal_threshold_folds_samples_it_can_count(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = modulo_fold(np.array([0.0, 3e-320, -1e-310]), 1e-320)
+        assert np.all((out >= -1e-320) & (out < 1e-320))
+
+    def test_empty_input(self):
+        assert modulo_fold(np.empty((2, 0)), 0.5).shape == (2, 0)
+
     @given(
         t=st.floats(-1e6, 1e6, allow_nan=False),
         lam=st.floats(1e-4, 1e3, allow_nan=False),
@@ -78,6 +101,13 @@ class TestSupNorm:
 
     def test_nan_propagates(self):
         assert np.isnan(sup_norm(np.array([1.0, np.nan, -2.0])))
+        assert np.isnan(sup_norm(np.array([np.inf, np.nan])))
+
+    def test_infinity(self):
+        assert sup_norm(np.array([1.0, -np.inf])) == np.inf
+
+    def test_empty_is_zero(self):
+        assert sup_norm(np.empty((3, 0))) == 0.0
 
 
 # the running-sum references of the general-mode oracle (tests/oracles.py)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestRunPipeline:
         res = experiments.run_pipeline(disk(1.0), lam=0.1, omega=20.0, grid_size=16)
         assert res.success
         assert alive_at_fold == [[False, False]]
+
+
+    def test_result_holds_no_folded_rows(self):
+        # the folded rows are fold_sinogram(res.clean) and live only until they
+        # are unfolded: what the run leaves allocated is the result's clean and
+        # unfolded rows and its two images, with less than half a clean
+        # sinogram's bytes of anything else
+        experiments.run_pipeline(disk(1.0), lam=0.1, omega=60.0, grid_size=16)  # warm-up
+        tracemalloc.start()
+        try:
+            res = experiments.run_pipeline(disk(1.0), lam=0.1, omega=60.0, grid_size=16)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (res.clean.rows, res.unfolded.rows,
+                                      res.image_clean.pixels, res.image_recovered.pixels))
+        assert res.success
+        assert live < held + res.clean.rows.nbytes / 2
 
 
 class TestDownsampleDemo:

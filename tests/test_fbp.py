@@ -305,6 +305,7 @@ class TestReconstruction:
         assert res.image_clean.pixels.tobytes() == want.tobytes()
         assert res.image_recovered.pixels.tobytes() == want.tobytes()
         assert not np.shares_memory(res.image_clean.pixels, res.image_recovered.pixels)
+        assert not np.shares_memory(res.clean.rows, res.unfolded.rows)
 
     @pytest.mark.parametrize("change", ["one_sample", "zero_sign"])
     def test_different_sinograms_keep_their_own_rows(self, monkeypatch, change):

@@ -90,6 +90,12 @@ class TestSamplingParams:
         # classical sampling conditions for filtered back projection
         assert p.M >= p.omega and p.K >= 1.0 / p.T
 
+    @pytest.mark.parametrize("T, K", [(0.01, 100), (0.3, 4), (1.0, 1), (1e13, 1), (1e306, 1)])
+    def test_support_index(self, T, K):
+        # ceil(1/T), which is 1 for every T >= 1, also where the guard band
+        # takes a 1/T below 1e-12 to 0
+        assert support_index(T) == K
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             SamplingParams(omega=-1, T=0.1, lam=0.1, K=5, K_prime=5, M=3)

@@ -71,6 +71,12 @@ class TestSelectOrder:
         with pytest.raises(ConditionError, match=r"^T\*omega\*e = 27\.182818 >= 1; "):
             select_order(0.1, 1.0, 10.0, 1.0)
 
+    def test_condition_error_when_oversampling_underflows(self):
+        # log(0) would warn and give order 0
+        with pytest.raises(ConditionError,
+                           match=r"^T\*omega\*e underflows to 0 at T=0\.01, omega=5e-324; "):
+            select_order(0.1, 1.0, 5e-324, 0.01)
+
     @pytest.mark.parametrize("name", ["lam", "beta", "omega", "T"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_value_is_named(self, name, bad):
