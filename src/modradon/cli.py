@@ -28,16 +28,6 @@ def _phantom_arg(spec: str):
     return load_phantom(spec)
 
 
-def _k_prime_arg(text: str):
-    """``auto`` or a non-negative integer margin."""
-    if text == "auto":
-        return text
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a non-negative integer, "
-                                         f"got {text!r}")
-    return int(text)
-
-
 def _floats(text: str) -> tuple:
     """Comma-separated numbers."""
     return tuple(float(v) for v in text.split(","))
@@ -58,14 +48,12 @@ def _add_forward_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, help="explicit radial spacing (overrides --t-frac)")
     p.add_argument("--angles", type=int, help="number of angles M (default: omega)")
     p.add_argument("--K", type=int, help="detector index bound (default: ceil(1/T))")
-    p.add_argument("--k-prime", type=_k_prime_arg, default="auto",
-                   help="left margin bound, or 'auto' to derive from the tail scan")
 
 
 def _forward_kwargs(args) -> dict:
     """``prepare_forward`` keywords from the flags of :func:`_add_forward_flags`."""
     return dict(lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T,
-                M=args.angles, K=args.K, k_prime=args.k_prime)
+                M=args.angles, K=args.K)
 
 
 def _build_parser():
@@ -227,7 +215,7 @@ def _cmd_unfold(args) -> int:
     p = ms.params
     N = args.order
     if N is None:
-        N = select_order(p.lam, args.beta, p.omega, p.T, args.mode)
+        N = select_order(p.lam, args.beta, p.omega, p.T)
     out, reports = unfold_sinogram(ms, N, args.K, mode=args.mode, beta=args.beta)
     save_sinogram(out, args.out)
     if args.report:
@@ -257,7 +245,7 @@ def _cmd_pipeline(args) -> int:
     res = experiments.run_pipeline(
         load_sinogram(args.ingest) if args.ingest else _phantom_arg(args.phantom),
         lam=args.lam, omega=args.omega, t_frac=args.t_frac, T=args.T, M=args.angles,
-        K=args.K, k_prime=args.k_prime, filter_window=args.filter_window,
+        K=args.K, filter_window=args.filter_window,
         grid_size=args.size, normalize=args.normalize, outdir=args.outdir, tag=args.tag,
     )
     print(f"K'={res.params.K_prime} N={res.N} J={res.J} "

@@ -107,32 +107,30 @@ class PipelineResult:
         ])
 
 
-def _scan_with_clear_tail(raw, omega, T, lam, k_min, K):
+def _scan_with_clear_tail(raw, omega, T, lam, K):
     """Scan the raw rows, widening the window until the exceedance region closes.
 
-    The first window reaches radius 4, or index ``k_min >= K`` if that lies
-    further out; the radius doubles up to 32.  Every window reaches K, so its
-    rows are stored over [-k_scan, K], which holds every acquisition window
-    [-K', K] with K' <= k_scan.  Past radius 32 it raises
-    :class:`MarginError`.  The FFT length of this scan, and so every bit of
-    the clean sinogram, depends on its radius, and the recorded benchmark
-    digests pin this schedule.
+    The first window reaches radius 4, or index K if that lies further out;
+    the radius doubles up to 32.  Every window reaches K, so its rows are
+    stored over [-k_scan, K], which holds every acquisition window [-K', K]
+    with K' <= k_scan.  Past radius 32 it raises :class:`MarginError`.  The
+    FFT length of this scan, and so every bit of the clean sinogram, depends
+    on its radius, and the recorded benchmark digests pin this schedule.
     """
-    radius = max(4.0, k_min * T)
+    radius = max(4.0, K * T)
     while radius <= 32.0:
         scan = scan_from_raw(raw, omega, T, radius=radius, K=K)
         try:
             return scan, scan.exceedance_index(lam)
         except MarginError:
             radius *= 2.0
-    raise MarginError(f"no scan window within |t| <= 32 reaches index {k_min} and "
+    raise MarginError(f"no scan window within |t| <= 32 reaches index {K} and "
                       f"bounds the samples at or above lam={lam}")
 
 
 def prepare_forward(source, *, lam: float, omega: float,
                     t_frac: float = 0.5, T: float | None = None, M: int | None = None,
-                    K: int | None = None, k_prime: int | str = "auto",
-                    normalize: bool = False) -> tuple[Sinogram, float]:
+                    K: int | None = None, normalize: bool = False) -> tuple[Sinogram, float]:
     """Resolve parameters, scan the tails, and cut out the acquisition window.
 
     ``source`` is either a :class:`Phantom` (analytic forward model) or a raw
@@ -148,8 +146,11 @@ def prepare_forward(source, *, lam: float, omega: float,
     :class:`SizeError`, before anything is scanned; M rows of a scan window
     too long to index raise :class:`ConfigError` before that scan allocates.
 
-    Returns the clean sinogram over [-K', K], whose params carry beta, rho and
-    N, and the normalisation scale (1.0 without ``normalize``).
+    The margin is measured, not set: K' = ``required_margin(rho, T, N, K)``
+    from the scan's exceedance radius rho and the order N; a K' past the
+    scanned window raises :class:`MarginError`.  Returns the clean sinogram
+    over [-K', K], whose params carry beta, rho and N, and the normalisation
+    scale (1.0 without ``normalize``).
     """
     check_positive(lam=lam, t_frac=t_frac, omega=omega, T=T)
     check_counts(M=M, K=K)
@@ -186,13 +187,12 @@ def prepare_forward(source, *, lam: float, omega: float,
         if norm_scale == 0.0:
             raise ConfigError("all raw samples are zero; cannot normalize")
         raw /= norm_scale
-    k_min = K if k_prime == "auto" else max(K, int(k_prime))
-    scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, k_min, K)
+    scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, K)
     beta = sup_norm(raw)
     del raw  # freed before the window is copied out of the scan
     N = select_order(lam, grid_upper_bound(beta, lam), omega, T)
     rho = kstar * T
-    K_prime = required_margin(rho, T, N, K) if k_prime == "auto" else int(k_prime)
+    K_prime = required_margin(rho, T, N, K)
     if K_prime > scan.k_scan:
         raise MarginError(f"margin K'={K_prime} exceeds the scanned range "
                           f"[-{scan.k_scan}, {scan.k_scan}]")
@@ -204,9 +204,9 @@ def prepare_forward(source, *, lam: float, omega: float,
 
 def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
                  T: float | None = None, M: int | None = None, K: int | None = None,
-                 k_prime: int | str = "auto", filter_window: str = "cosine",
-                 grid_size: int = 256, normalize: bool = False,
-                 outdir: str | None = None, tag: str = "pipeline") -> PipelineResult:
+                 filter_window: str = "cosine", grid_size: int = 256,
+                 normalize: bool = False, outdir: str | None = None,
+                 tag: str = "pipeline") -> PipelineResult:
     """End-to-end run: forward model, fold, unfold, and both reconstructions.
 
     A bad reconstruction setting (window, grid size, bandwidth) raises before
@@ -218,20 +218,20 @@ def run_pipeline(source, *, lam: float, omega: float, t_frac: float = 0.5,
     grid = ImageGrid(grid_size, grid_size)
     spec = FilterSpec(omega, filter_window)
     clean, norm_scale = prepare_forward(source, lam=lam, omega=omega, t_frac=t_frac, T=T,
-                                        M=M, K=K, k_prime=k_prime, normalize=normalize)
+                                        M=M, K=K, normalize=normalize)
     truth = None if isinstance(source, Sinogram) else rasterize(source, grid)
     del source
     params = clean.params
     K, K_prime, N = params.K, params.K_prime, params.N
     beta_grid = grid_upper_bound(params.beta, params.lam)
-    clean_sym = Sinogram(replace(clean.params, K_prime=K), clean.symmetric_rows())
     unfolded, reports = unfold_sinogram(fold_sinogram(clean), N, K)
 
-    # an exact recovery has the clean rows' bits (compared as uint64, so that
-    # -0.0 differs from +0.0), hence a parity of 0.0 and the clean image's pixels
-    exact = np.array_equal(unfolded.rows.view(np.uint64), clean_sym.rows.view(np.uint64))
-    sino_parity = 0.0 if exact else float(np.max(np.abs(unfolded.rows - clean_sym.rows)))
-    img_clean = fbp_reconstruct(clean_sym, spec, grid)
+    # an exact recovery has the bits of the clean [-K, K] block (compared as uint64,
+    # so that -0.0 differs from +0.0), hence a parity of 0.0 and the clean image's pixels
+    sym = clean.symmetric_rows()
+    exact = np.array_equal(unfolded.rows.view(np.uint64), sym.view(np.uint64))
+    sino_parity = 0.0 if exact else float(np.max(np.abs(unfolded.rows - sym)))
+    img_clean = fbp_reconstruct(clean, spec, grid)
     if exact:
         img_recovered = ImageGrid(grid.width, grid.height, img_clean.pixels.copy())
     else:

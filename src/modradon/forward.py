@@ -163,9 +163,9 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
     multiplies a one-sample row or kernel without an FFT).
 
     Only the first ``keep`` columns of ``full`` (all of them by default) are
-    stored; they are returned with the ``[max; min]`` of each later column
-    over the rows (``fmax``/``fmin``, which skip NaN), a
-    ``(2, width - keep)`` array.
+    stored; they are returned with the largest magnitude of each later column
+    over the rows, ``max(fmax, -fmin)`` (``fmax``/``fmin`` skip NaN), a
+    ``(width - keep,)`` array.
 
     These are ``fftconvolve``'s own steps on ``numpy.fft``: real FFTs at the
     fast length ``n`` of the full convolution, the product of the spectra, the
@@ -176,7 +176,8 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
     ``(rows, n)`` buffer first, because ``numpy.fft`` pads many rows slower
     than it transforms a padded buffer.  Only the full-length buffers of one
     block per thread are alive at once, and the FFT temporaries stay in cache;
-    a block returns the extremes of its dropped columns alone.
+    a block returns the magnitudes of its dropped columns alone, and they are
+    merged into the first block's in place, not stacked into one more array.
     """
     keep = width if keep is None else keep
     n = fast_len(rows.shape[1] + kern.size - 1)
@@ -193,14 +194,20 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
         full = np.fft.irfft(spec, n, axis=1)
         del spec
         out[r0 : r0 + _CONV_ROWS] = full[:, start : start + keep]
-        dropped = full[:, start + keep : start + width]
-        return np.stack([np.fmax.reduce(dropped, axis=0), np.fmin.reduce(dropped, axis=0)])
+        return _column_peak(full[:, start + keep : start + width])
 
-    bounds, *rest = map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
-    for b in rest:
-        np.fmax(bounds[0], b[0], out=bounds[0])
-        np.fmin(bounds[1], b[1], out=bounds[1])
-    return out, bounds
+    peak, *rest = map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
+    for p in rest:
+        np.fmax(peak, p, out=peak)
+    return out, peak
+
+
+def _column_peak(rows: np.ndarray) -> np.ndarray:
+    """Largest magnitude of each column of ``rows``, ``max(fmax, -fmin)`` (an
+    all-NaN column is NaN), with no temporary of the rows' size."""
+    peak = np.fmin.reduce(rows, axis=0)
+    np.negative(peak, out=peak)
+    return np.fmax(np.fmax.reduce(rows, axis=0), peak, out=peak)
 
 
 def phantom_rows(p: Phantom, T: float, M: int) -> np.ndarray:
@@ -242,25 +249,24 @@ class ForwardScan:
     are measured.
 
     ``rows`` covers lattice indices [-k_scan, k] for every angle, for a
-    ``k <= k_scan`` set by :func:`scan_from_raw`; ``bounds`` is the
-    ``[max; min]`` of every column of the window over the angles
-    (``fmax``/``fmin``, which skip NaN), a ``(2, 2*k_scan + 1)`` array.
+    ``k <= k_scan`` set by :func:`scan_from_raw`; ``peak`` is the largest
+    magnitude of every column of the window over the angles (NaN only where
+    the whole column is), a ``(2*k_scan + 1,)`` array.
     """
 
     k_scan: int
     rows: np.ndarray
-    bounds: np.ndarray
+    peak: np.ndarray
 
     def exceedance_index(self, lam: float) -> int:
-        """:func:`clear_band_exceedance` of the scanned rows, from their column
-        bounds."""
-        return clear_band_exceedance(*self.bounds, lam)
+        """:func:`clear_band_exceedance` of the scanned rows' column peaks."""
+        return clear_band_exceedance(self.peak, lam)
 
 
-def clear_band_exceedance(hi: np.ndarray, lo: np.ndarray, lam: float) -> int:
-    """Largest |k| whose sample magnitude reaches lam, from the per-column
-    maximum ``hi`` and minimum ``lo`` of the samples (one row's samples are
-    both) over a symmetric lattice window [-k, k].
+def clear_band_exceedance(peak: np.ndarray, lam: float) -> int:
+    """Largest |k| whose sample magnitude reaches lam, from the largest
+    magnitude ``peak`` of each column of the samples over a symmetric lattice
+    window [-k, k].
 
     Raises
     ------
@@ -268,18 +274,10 @@ def clear_band_exceedance(hi: np.ndarray, lo: np.ndarray, lam: float) -> int:
         If the outermost ``_CLEAR_BAND`` lattice positions on either side are
         not strictly below lam (the window was too narrow to bound the tails).
     """
-    exc = _exceeding_columns(hi, lo, lam)
+    exc = peak >= lam
     if np.any(exc[:_CLEAR_BAND]) or np.any(exc[-_CLEAR_BAND:]):
         raise MarginError("exceedance reaches the scan boundary; enlarge the scan radius")
     return _extent(exc, -((exc.size - 1) // 2))
-
-
-def _exceeding_columns(hi: np.ndarray, lo: np.ndarray, lam: float) -> np.ndarray:
-    """Per lattice column with maximum ``hi`` and minimum ``lo``: does some
-    sample's magnitude reach lam?"""
-    exc = hi >= lam
-    exc |= lo <= -lam
-    return exc
 
 
 def _extent(exc: np.ndarray, base: int) -> int:
@@ -310,10 +308,10 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float, radius: float = 
     column count); values outside it are treated as zero.  The rows are
     stored over [-k_scan, min(K, k_scan)] (the whole window when K >= k_scan),
     the widest acquisition window a caller with grid bound K can cut; the
-    column bounds cover the whole window.  Bounds taken from the unscaled
+    column peaks cover the whole window.  Peaks taken from the unscaled
     columns and then multiplied by T > 0 equal those of the scaled ones,
-    since rounding is monotonic.  A window, or the rows convolved over it,
-    too long for numpy to index raises :class:`ConfigError`.
+    since rounding is monotonic and odd.  A window, or the rows convolved
+    over it, too long for numpy to index raises :class:`ConfigError`.
     """
     raw_rows = np.asarray(raw_rows, dtype=float)
     if raw_rows.ndim != 2 or raw_rows.shape[1] % 2 != 1:
@@ -327,11 +325,7 @@ def scan_from_raw(raw_rows: np.ndarray, omega: float, T: float, radius: float = 
     rows, tail = convolve_rows(raw_rows, lowpass_kernel(lags, omega), 2 * k_half,
                                2 * k_scan + 1, keep)
     rows *= T
-    bounds = np.empty((2, 2 * k_scan + 1))
-    np.fmax.reduce(rows, axis=0, out=bounds[0, :keep])
-    np.fmin.reduce(rows, axis=0, out=bounds[1, :keep])
-    np.multiply(tail, T, out=bounds[:, keep:])
-    return ForwardScan(k_scan, rows, bounds)
+    return ForwardScan(k_scan, rows, np.concatenate([_column_peak(rows), tail * T]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +422,7 @@ def scan_exceedance(sigs, T: float, lams):
         ends[b] += _PROBE_STEP * np.max(fail * np.arange(1, k.size + 1), axis=-1, initial=0)
     for sig, (left, right) in zip(sigs, ends.tolist()):
         g = sig.sample(np.arange(-left, right + 1) * T)
-        yield [_extent(_exceeding_columns(g, g, lam), -left) for lam in lams], -left, g
+        yield [_extent(np.abs(g) >= lam, -left) for lam in lams], -left, g
 
 
 def _probe_bounds(omega, edges, jumps, T: float, k) -> np.ndarray:

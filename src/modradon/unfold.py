@@ -101,13 +101,13 @@ def grid_upper_bound(beta: float, lam: float) -> float:
     return grid * steps
 
 
-def select_order(lam: float, beta: float, omega: float, T: float, mode: str = COMPACT) -> int:
+def select_order(lam: float, beta: float, omega: float, T: float) -> int:
     """Difference order from the amplitude bound beta of the unfolded signal,
     sampled at spacing T with bandwidth omega and folded at lam:
-    ceil(log(lam/beta)/log(T*omega*e)).
+    ceil(log(lam/beta)/log(T*omega*e)), at least 0.
 
-    General mode clamps the order below at 1; compact mode at 0, where order 0
-    short-circuits to the identity (no sample can fold when beta <= lam).
+    Order 0 (beta <= lam, where no sample can fold) unfolds to the identity in
+    compact mode; general unfolding raises it to 1.
 
     Raises
     ------
@@ -125,11 +125,9 @@ def select_order(lam: float, beta: float, omega: float, T: float, mode: str = CO
     if oversampling == 0.0:
         raise ConditionError(f"T*omega*e underflows to 0 at T={T!r}, omega={omega!r}; "
                              "the order formula needs it above 0")
-    floor_n = 1 if mode == GENERAL else 0
     if beta <= lam:
-        return floor_n
-    n = int(guarded_ceil((np.log(lam) - np.log(beta)) / np.log(oversampling)))
-    return max(floor_n, n)
+        return 0
+    return max(0, int(guarded_ceil((np.log(lam) - np.log(beta)) / np.log(oversampling))))
 
 
 def required_margin(rho, T: float, N, K: int):

@@ -9,6 +9,7 @@ reconstruction feeds it the filtered rows.
 A phantom's line integrals are taken one angle at a time, each ellipse a masked
 gather and scatter of its chord formula over every offset, and rasterization
 tests every ellipse on every pixel.
+The clear-band exceedance index reads each column's maximum and minimum.
 The sweep sampler is the two-call-per-level sine-integral loop; the sweep cell
 and the downsample demo scan for the exceedance, evaluate each window a second
 time and unfold one row at a time, and the cell smooths its rates with one
@@ -32,7 +33,7 @@ from scipy.signal import fftconvolve
 from scipy.special import sici
 
 from modradon.core import guarded_ceil, guarded_floor, modulo_fold
-from modradon.errors import DomainError, ParseError, SizeError
+from modradon.errors import DomainError, MarginError, ParseError, SizeError
 from modradon.experiments import _SUCCESS_TOL, DemoAttempt, SweepCell, base_order
 from modradon.fbp import filter_projections
 from modradon.forward import (
@@ -233,6 +234,20 @@ def exceedance_index_oracle(sig, T, lam):
     k = np.arange(-int(16.0 / T), int(16.0 / T) + 1)
     exc = np.abs(sample_oracle(sig, k * T)) >= lam
     return int(np.max(np.abs(k[exc]), initial=0))
+
+
+def clear_band_exceedance_oracle(rows, lam):
+    """The clear-band exceedance index of the columns of ``rows`` (the lattice
+    window [-k, k]) by the rule that kept each column's ``[max; min]``: a
+    column exceeds where its ``fmax`` reaches lam or its ``fmin`` reaches
+    -lam, and :class:`MarginError` is raised where one of the outermost 32
+    columns on either side does."""
+    hi, lo = np.fmax.reduce(rows, axis=0), np.fmin.reduce(rows, axis=0)
+    exc = (hi >= lam) | (lo <= -lam)
+    if np.any(exc[:32]) or np.any(exc[-32:]):
+        raise MarginError("exceedance reaches the scan boundary")
+    cols = np.flatnonzero(exc) - (exc.size - 1) // 2
+    return int(np.max(np.abs(cols), initial=0))
 
 
 def sweep_cell_oracle(args):

@@ -153,7 +153,7 @@ class TestUnfoldCommand:
                     "--out", out, "--report", report])
         ms = load_sinogram(folded)
         p = ms.params
-        N = select_order(p.lam, 0.6, p.omega, p.T, GENERAL)
+        N = select_order(p.lam, 0.6, p.omega, p.T)
         want, reps = unfold_sinogram_oracle(ms, N, mode=GENERAL, beta=0.6)
         got = load_sinogram(out)
         assert got.params == replace(want.params, N=None)  # .mrts keeps no order
@@ -197,15 +197,29 @@ class TestForwardCommand:
             assert "--scan-radius" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, out", [("forward", "--out"), ("pipeline", "--outdir")])
-    @pytest.mark.parametrize("value", ["abc", "-3"])
-    def test_bad_k_prime_exits_2(self, tmp_path, capsys, command, out, value):
+    @pytest.mark.parametrize("value", ["auto", "120"])
+    def test_no_k_prime_flag(self, tmp_path, capsys, command, out, value):
+        # the margin K' is derived from the tail scan alone
         with pytest.raises(SystemExit) as exc:
             run([command, "--omega", 20, "--lam", 0.05, "--k-prime", value,
                  out, tmp_path / "x"])
         err = capsys.readouterr().err
         assert exc.value.code == 2
-        assert "argument --k-prime: expected 'auto' or a non-negative integer" in err
+        assert "unrecognized arguments: --k-prime" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, out", [("forward", "--out"), ("pipeline", "--outdir")])
+    def test_no_k_prime_config_key(self, tmp_path, capsys, command, out):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("k_prime = 120\n")
+        code = run([command, "--config", cfg, "--omega", 20, "--lam", 0.05,
+                    out, tmp_path / "x"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: unknown config keys for '{command}': ['k_prime']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--T", "0", "T"), ("--T", "-0.01", "T"), ("--omega", "0", "omega"),
@@ -828,13 +842,13 @@ DRAWN = ["nan", "inf", "-inf", "0", "-1", "1e-300", "5e-324", "1e300", "1e308", 
 COMMANDS = {
     "phantom": ({"--size": "16"}, ["--out", "{dir}/o.txt"]),
     "forward": ({"--omega": "20", "--lam": "0.1", "--t-frac": "0.5", "--T": "0.01",
-                 "--angles": "4", "--K": "40", "--k-prime": "120"}, ["--out", "{dir}/o.mrts"]),
+                 "--angles": "4", "--K": "40"}, ["--out", "{dir}/o.mrts"]),
     "fold": ({"--lam": "0.05"}, ["--in", "{dir}/s.mrts", "--out", "{dir}/o.mrts"]),
     "unfold": ({"--beta": "0.4", "--order": "3", "--K": "20"},
                ["--in", "{dir}/m.mrts", "--out", "{dir}/o.mrts"]),
     "fbp": ({"--size": "16"}, ["--in", "{dir}/s.mrts", "--out", "{dir}/o.pgm"]),
     "pipeline": ({"--omega": "20", "--lam": "0.1", "--t-frac": "0.5", "--T": "0.01",
-                  "--angles": "4", "--K": "40", "--k-prime": "120", "--size": "16"},
+                  "--angles": "4", "--K": "40", "--size": "16"},
                  ["--outdir", "{dir}/p"]),
     "ingest": ({"--omega": "20", "--T": "0.05", "--angles": "2", "--K": "1", "--lam": "0.1"},
                ["--in", "{dir}/raw.csv", "--out", "{dir}/o.mrts"]),

@@ -32,6 +32,7 @@ from modradon.forward import (
 from modradon.phantom import Ellipse, ImageGrid, Phantom, radon_phantom, shepp_logan
 from modradon.unfold import grid_upper_bound, required_margin, select_order, unfold_sinogram
 from oracles import (
+    clear_band_exceedance_oracle,
     convolve_rows_oracle,
     design_params,
     exceedance_index_oracle,
@@ -218,8 +219,9 @@ class TestScan:
     @pytest.mark.parametrize("radius", [1.0, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("source", ["phantom", "sinogram"])
     def test_stored_window_and_bounds_match_the_full_scan(self, radius, source):
-        # rows kept over [-k_scan, min(K, k_scan)], the bounds of every column and
-        # the exceedance index, against the rows of the whole window
+        # rows kept over [-k_scan, min(K, k_scan)], the largest magnitude of
+        # every column and the exceedance index, against the rows of the whole
+        # window and the rule that read each column's maximum and minimum
         p = small_params()
         k_half = support_index(p.T)
         if source == "phantom":
@@ -232,16 +234,17 @@ class TestScan:
             raw = Sinogram(sp, rows).symmetric_rows()
         full = scan_from_raw(raw, p.omega, p.T, radius, K=int(np.ceil(radius / p.T)))
         k_scan = full.k_scan
-        bounds = np.stack([np.fmax.reduce(full.rows, axis=0), np.fmin.reduce(full.rows, axis=0)])
+        peak = np.max(np.abs(full.rows), axis=0)
+        assert peak.shape == (2 * k_scan + 1,)
         outcomes = set()
         for K in (k_half - 5, k_half, k_half + 60, k_scan, k_scan + 7):
             scan = scan_from_raw(raw, p.omega, p.T, radius, K=K)
             assert scan.k_scan == k_scan
             assert scan.rows.tobytes() == full.rows[:, : k_scan + min(K, k_scan) + 1].tobytes()
-            assert scan.bounds.tobytes() == bounds.tobytes()
+            assert scan.peak.tobytes() == peak.tobytes()
             for lam in (0.5, 0.05, 5e-3, 1e-4, 1e-7):
                 try:
-                    want = clear_band_exceedance(*bounds, lam)
+                    want = clear_band_exceedance_oracle(full.rows, lam)
                 except MarginError:
                     with pytest.raises(MarginError):
                         scan.exceedance_index(lam)
@@ -264,7 +267,7 @@ class TestScan:
 
     @pytest.mark.parametrize("M", [1, 2, 7])
     def test_exceedance_of_rows_matches_samplewise_oracle(self, M):
-        # the index from column extremes equals the one from |rows| >= lam
+        # the index from column peaks equals the one from |rows| >= lam
         # taken sample by sample, with NaN beside an exceeding sample, samples
         # at exactly +-lam, -0.0, and each row read on its own
         lam, k = 0.1, 60
@@ -280,14 +283,38 @@ class TestScan:
             cols = np.nonzero((np.abs(r) >= lam).reshape(-1, r.shape[-1]).any(axis=0))[0]
             return int(np.max(np.abs(cols - k))) if cols.size else 0
 
-        def extremes(r):
-            return np.fmax.reduce(r, axis=0), np.fmin.reduce(r, axis=0)
-
-        assert clear_band_exceedance(*extremes(rows), lam) == oracle(rows)
+        assert clear_band_exceedance(forward._column_peak(rows), lam) == oracle(rows)
         for row in rows:
-            assert clear_band_exceedance(row, row, lam) == oracle(row)
+            assert clear_band_exceedance(np.abs(row), lam) == oracle(row)
         rows[:, 32:-32] = np.nan
-        assert clear_band_exceedance(*extremes(rows), lam) == oracle(rows) == 0
+        assert clear_band_exceedance(forward._column_peak(rows), lam) == oracle(rows) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_peak_rule_matches_the_max_min_rule(self, data):
+        # one magnitude per column decides what the column's [max; min] pair
+        # decided, samples at exactly +-lam and one ulp inside included, and
+        # raises MarginError where that rule did; half the draws keep the
+        # outer 32 columns below lam so that an index comes out
+        lam = data.draw(st.floats(1e-300, 1e300), label="lam")
+        M, k = data.draw(st.integers(1, 4), label="M"), data.draw(st.integers(0, 48), label="k")
+        edge = [lam, -lam, np.nextafter(lam, 0.0), -np.nextafter(lam, 0.0), 0.0, -0.0]
+        loud = st.sampled_from(edge) | st.floats(-3.0, 3.0).map(lambda f: f * lam)
+        quiet = st.sampled_from(edge[2:]) | st.floats(-0.99, 0.99).map(lambda f: f * lam)
+        quiet_band = data.draw(st.booleans(), label="quiet_band")
+        rows = np.empty((M, 2 * k + 1))
+        for i in range(2 * k + 1):
+            outer = i < 32 or i >= 2 * k + 1 - 32
+            rows[:, i] = data.draw(st.lists(quiet if quiet_band and outer else loud,
+                                            min_size=M, max_size=M))
+        peak = forward._column_peak(rows)
+        try:
+            want = clear_band_exceedance_oracle(rows, lam)
+        except MarginError:
+            with pytest.raises(MarginError):
+                clear_band_exceedance(peak, lam)
+        else:
+            assert clear_band_exceedance(peak, lam) == want
 
     def test_narrow_scan_raises(self):
         p = small_params()

@@ -390,6 +390,12 @@ def test_unfolding_takes_its_order_from_the_caller():
         ("cli", "_cmd_unfold")}
 
 
+def test_the_tail_scan_alone_sets_the_margin():
+    # K' is derived from the scan's exceedance radius and the order, with no
+    # override, and one magnitude per column decides the exceedance
+    assert _mentions({"k_prime", "k_min", "_k_prime_arg", "_exceeding_columns"}) == set()
+
+
 def test_signal_tails_have_one_certificate():
     # the sweep's signals are sampled over the window their tail bound
     # certifies; the clear band and the radius schedule belong to the phantom

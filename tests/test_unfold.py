@@ -60,7 +60,15 @@ class TestSelectOrder:
 
     def test_general_mode_floor_is_one(self):
         # smallest admissible grid bound with heavy oversampling: formula gives 1
-        assert select_order(0.1, 0.2, 10.0, 1e-5, GENERAL) == 1
+        assert select_order(0.1, 0.2, 10.0, 1e-5) == 1
+
+    def test_general_unfolding_raises_order_0_to_1(self):
+        # the one floor of general mode: the order 0 that select_order gives
+        # for beta <= lam unfolds at 1
+        s = sinogram(np.zeros((2, 61)), 30, 0.1, 10.0, 0.001)
+        out, reports = unfold_sinogram(s, 0, mode=GENERAL, beta=0.2)
+        assert out.params.N == 1
+        assert [r.n_used for r in reports] == [1, 1]
 
     def test_log_ratio_example(self):
         T = 1.0 / (10.0 * np.e**2)  # oversampling factor exactly 1/e
@@ -306,7 +314,7 @@ class TestUnfoldGeneral:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         beta_grid = grid_upper_bound(1.4, lam)
-        N = select_order(lam, beta_grid, omega, T, GENERAL)
+        N = select_order(lam, beta_grid, omega, T)
         truth = self._signal_sinogram((3, 11, 27), lam, omega, T, N, beta_grid)
         rec, reps = unfold_sinogram(fold_sinogram(truth), N, mode=GENERAL, beta=beta_grid)
         assert all(rep.success for rep in reps)
@@ -318,7 +326,7 @@ class TestUnfoldGeneral:
         lam, omega = 0.1, 10 * np.pi
         T = 0.5 / (omega * np.e)
         beta_grid = grid_upper_bound(1.4, lam)
-        N = select_order(lam, beta_grid, omega, T, GENERAL)
+        N = select_order(lam, beta_grid, omega, T)
         truth = self._signal_sinogram((5,), lam, omega, T, N, beta_grid)
         shifted = self._signal_sinogram((5,), lam, omega, T, N, beta_grid, shift=2 * lam)
         y_shifted, y_plain = fold_sinogram(shifted), fold_sinogram(truth)
@@ -337,7 +345,7 @@ class TestUnfoldGeneral:
         raw = radon_phantom(shepp_logan(), 0.7, np.arange(-ks, ks + 1) * p.T)
         row = scan_window(raw[None, :], replace(p, M=1))
         beta_grid = grid_upper_bound(0.56, lam)
-        N = select_order(lam, beta_grid, 300.0, p.T, GENERAL)
+        N = select_order(lam, beta_grid, 300.0, p.T)
         rec, [rep] = unfold_sinogram(fold_sinogram(row), N, mode=GENERAL, beta=beta_grid)
         assert rep.success
         np.testing.assert_allclose(rec.rows, row.rows, rtol=0, atol=1e-9)
@@ -435,8 +443,8 @@ class TestUnfoldSinogram:
         folded = fold_sinogram(s)
         beta_grid = grid_upper_bound(s.params.beta, lam)
         rec_c, _ = unfold_sinogram(folded, select_order(lam, beta_grid, 60.0, p.T), p.K)
-        rec_g, reps = unfold_sinogram(folded, select_order(lam, beta_grid, 60.0, p.T, GENERAL),
-                                      p.K, mode=GENERAL, beta=beta_grid)
+        rec_g, reps = unfold_sinogram(folded, select_order(lam, beta_grid, 60.0, p.T), p.K,
+                                      mode=GENERAL, beta=beta_grid)
         assert all(r.tail_plateau_ok for r in reps)
         np.testing.assert_array_equal(rec_c.rows, rec_g.rows)
 
@@ -450,7 +458,7 @@ class TestUnfoldSinogram:
         # order 0 is the identity in compact mode and order 1 in general mode
         folded, beta_grid = folded_phantom(M, noise)
         p = folded.params
-        N = select_order(p.lam, beta_grid, p.omega, p.T, mode) if order is None else order
+        N = select_order(p.lam, beta_grid, p.omega, p.T) if order is None else order
         got, got_reps = unfold_sinogram(folded, N, mode=mode, beta=beta_grid)
         want, want_reps = unfold_sinogram_oracle(folded, N, mode=mode, beta=beta_grid)
         assert got.params == want.params
