@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -28,23 +28,56 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def map_blocks(fn, starts) -> list:
-    """``[fn(s) for s in starts]``, run on one thread per usable CPU.
+def map_blocks(fn, starts, scratch=None) -> list:
+    """``[fn(s) for s in starts]``, worked by the calling thread beside
+    ``usable_cpus() - 1`` pool threads, each taking the next block in order.
 
     Each call handles one row block and writes only its own output rows; numpy
     releases the GIL inside the block's array operations, so blocks overlap.
-    The pool lives for this call only: its threads are gone when the call
-    returns, so a process forked later (the sweep's worker pool) inherits
-    none.  With one block or one usable CPU the calls run inline.  Results
-    come back in the order of ``starts``, and an exception is raised from the
-    first block, in that order, that raised one.
+    With ``scratch``, a callable of no arguments, every worker gets one
+    ``scratch()`` object, all of them built on the calling thread before any
+    block runs, and the calls are ``fn(s, obj)``: buffers a block reuses then
+    come from the caller's heap, and no pool thread's malloc arena keeps a
+    block-sized high-water mark of its own.  The pool lives for this call
+    only: its threads are gone when the call returns, so a process forked
+    later (the sweep's worker pool) inherits none.  With one block or one
+    usable CPU no thread is started.  Results come back in the order of
+    ``starts``.  Once a block raises, no later block is started, and when
+    every running block has finished the exception of the first block, in
+    the order of ``starts``, that raised one is raised.
     """
     starts = list(starts)
-    threads = min(len(starts), usable_cpus())
-    if threads <= 1:
-        return [fn(s) for s in starts]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, starts))
+    workers = max(1, min(len(starts), usable_cpus()))
+    args = [() if scratch is None else (scratch(),) for _ in range(workers)]
+    results, errors = [None] * len(starts), {}
+    lock = threading.Lock()
+    order = iter(range(len(starts)))
+
+    def work(*arg):
+        while True:
+            with lock:
+                # blocks are taken in order, so every block before a failed
+                # one has been taken already
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(starts[i], *arg)
+            except BaseException as exc:
+                errors[i] = exc
+
+    pool = [threading.Thread(target=work, args=arg) for arg in args[1:]]
+    try:
+        for t in pool:
+            t.start()
+        work(*args[0])
+    finally:
+        for t in pool:
+            if t.ident is not None:  # started
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sup_norm(a: np.ndarray) -> float:

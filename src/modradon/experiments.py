@@ -146,9 +146,12 @@ def prepare_forward(source, *, lam: float, omega: float,
     :class:`SizeError`, before anything is scanned; M rows of a scan window
     too long to index raise :class:`ConfigError` before that scan allocates.
 
-    The margin is measured, not set: K' = ``required_margin(rho, T, N, K)``
-    from the scan's exceedance radius rho and the order N; a K' past the
-    scanned window raises :class:`MarginError`.  Returns the clean sinogram
+    The order N is 0 when no sample can fold (beta and every filtered
+    sample below lam), else :func:`select_order` of beta rounded up to the
+    2*lam grid.  The margin is measured, not set: K' =
+    ``required_margin(rho, T, N, K)`` from the scan's exceedance radius rho
+    and N; a K' past the scanned window raises :class:`MarginError`, which
+    names N, the exceedance index and the ways out.  Returns the clean sinogram
     over [-K', K], whose params carry beta, rho and N, and the normalisation
     scale (1.0 without ``normalize``).
     """
@@ -190,12 +193,19 @@ def prepare_forward(source, *, lam: float, omega: float,
     scan, kstar = _scan_with_clear_tail(raw, omega, T, lam, K)
     beta = sup_norm(raw)
     del raw  # freed before the window is copied out of the scan
-    N = select_order(lam, grid_upper_bound(beta, lam), omega, T)
+    # order 0 exactly where no sample can fold: beta and every filtered sample
+    # (the prefilter can overshoot beta) below lam; otherwise the order of
+    # beta rounded up to the 2*lam grid, which is at least 2*lam
+    quiet = beta <= lam and sup_norm(scan.peak) < lam
+    N = select_order(lam, beta if quiet else grid_upper_bound(beta, lam), omega, T)
     rho = kstar * T
     K_prime = required_margin(rho, T, N, K)
     if K_prime > scan.k_scan:
-        raise MarginError(f"margin K'={K_prime} exceeds the scanned range "
-                          f"[-{scan.k_scan}, {scan.k_scan}]")
+        finer = ("rows sampled at a finer T" if isinstance(source, Sinogram)
+                 else "a smaller t_frac")
+        raise MarginError(f"margin K'={K_prime} (order N={N}, exceedance index {kstar}) "
+                          f"exceeds the scanned range [-{scan.k_scan}, {scan.k_scan}]; "
+                          f"use {finer} or a larger lam")
     params = SamplingParams(omega=omega, T=T, lam=lam, K=K, K_prime=K_prime, M=M,
                             beta=beta, rho=rho, N=N)
     lo = scan.k_scan - K_prime

@@ -38,10 +38,11 @@ from .phantom import Phantom, radon_phantom
 _MAGIC = b"MRTS"
 _VERSION = 1
 _HEADER_BYTES = 44  # magic, four u32 (version, M, K, K_prime), three f64
-#: Rows per FFT convolution block in :func:`convolve_rows`, one thread's work.
-#: glibc serves each worker thread from a malloc arena of its own, which keeps
-#: what a block frees for later blocks rather than for the main thread; small
-#: blocks keep those arenas, and so the peak memory, small.
+#: Rows per FFT convolution block in :func:`convolve_rows`, one worker's
+#: work.  The calling thread allocates every worker's FFT buffers, so a pool
+#: thread's own glibc malloc arena holds only a block's small temporaries;
+#: what a block frees there is kept for later blocks rather than returned to
+#: the calling thread, and small blocks keep that share of the peak small.
 _CONV_ROWS = 16
 #: Outermost lattice positions of a tail scan that must stay below lam.
 _CLEAR_BAND = 32
@@ -171,32 +172,37 @@ def convolve_rows(rows: np.ndarray, kern: np.ndarray, start: int, width: int,
     fast length ``n`` of the full convolution, the product of the spectra, the
     inverse FFT.  The kernel's spectrum is computed once per call and shared
     by every block.  The rows are convolved ``_CONV_ROWS`` at a time into a
-    fresh output array, one block per thread
-    (:func:`~modradon.core.map_blocks`); each block is copied into a zeroed
-    ``(rows, n)`` buffer first, because ``numpy.fft`` pads many rows slower
-    than it transforms a padded buffer.  Only the full-length buffers of one
-    block per thread are alive at once, and the FFT temporaries stay in cache;
-    a block returns the magnitudes of its dropped columns alone, and they are
+    fresh output array, the blocks spread over the usable CPUs
+    (:func:`~modradon.core.map_blocks`).  Each worker owns one ``(_CONV_ROWS,
+    n)`` real buffer and one ``(_CONV_ROWS, n//2 + 1)`` spectrum, allocated by
+    the calling thread, which every block it runs reuses through the ``out=``
+    of ``rfft`` and ``irfft``: a block is copied into the real buffer and its
+    padding zeroed (the previous block's inverse FFT overwrote it), because
+    ``numpy.fft`` pads many rows slower than it transforms a padded buffer.
+    A block returns the magnitudes of its dropped columns alone, and they are
     merged into the first block's in place, not stacked into one more array.
     """
     keep = width if keep is None else keep
     n = fast_len(rows.shape[1] + kern.size - 1)
     kern_spec = np.fft.rfft(kern, n)
     out = np.empty((rows.shape[0], keep))
+    height = min(rows.shape[0], _CONV_ROWS)
 
-    def block(r0):
+    def scratch():
+        return np.empty((height, n)), np.empty((height, n // 2 + 1), complex)
+
+    def block(r0, bufs):
         part = rows[r0 : r0 + _CONV_ROWS]
-        buf = np.zeros((part.shape[0], n))
+        buf, spec = (b[: part.shape[0]] for b in bufs)
         buf[:, : part.shape[1]] = part
-        spec = np.fft.rfft(buf, axis=1)
-        del buf
+        buf[:, part.shape[1] :] = 0.0
+        np.fft.rfft(buf, axis=1, out=spec)
         spec *= kern_spec
-        full = np.fft.irfft(spec, n, axis=1)
-        del spec
-        out[r0 : r0 + _CONV_ROWS] = full[:, start : start + keep]
-        return _column_peak(full[:, start + keep : start + width])
+        np.fft.irfft(spec, n, axis=1, out=buf)
+        out[r0 : r0 + _CONV_ROWS] = buf[:, start : start + keep]
+        return _column_peak(buf[:, start + keep : start + width])
 
-    peak, *rest = map_blocks(block, range(0, rows.shape[0], _CONV_ROWS))
+    peak, *rest = map_blocks(block, range(0, rows.shape[0], _CONV_ROWS), scratch)
     for p in rest:
         np.fmax(peak, p, out=peak)
     return out, peak

@@ -52,9 +52,11 @@ from .forward import Sinogram
 
 GENERAL = "general"
 COMPACT = "compact_exceedance"
-#: Angle rows per block in :func:`unfold_sinogram`, one thread's work; small
-#: for the reason given at ``forward._CONV_ROWS``.
-_UNFOLD_ROWS = 32
+#: Angle rows per block in :func:`unfold_sinogram`, one worker's work.  A
+#: block's temporaries (the N-th difference, its fold, the int64 counts) come
+#: from its thread's malloc arena, which keeps them for later blocks (see
+#: ``forward._CONV_ROWS``); 16 rows hold each to 0.7 MB on 5,425-sample rows.
+_UNFOLD_ROWS = 16
 
 
 @dataclass
@@ -267,10 +269,10 @@ def _unfold_rows(rows: np.ndarray, base: int, lam: float, N: int, beta: float | 
     """Unfold folded rows that each cover absolute indices [base, base+width-1]
     onto [-K, K] at threshold lam and order N, in compact mode for
     ``beta=None``: the window is checked once, then ``_UNFOLD_ROWS`` rows at
-    a time go through :func:`_unfold_block`, one block per thread
-    (:func:`~modradon.core.map_blocks`).  Returns the (rows, 2K+1) result and
-    one report per row, in row order; a bad sample raises the error of the
-    first block, in row order, that holds one."""
+    a time go through :func:`_unfold_block`, the blocks spread over the
+    usable CPUs (:func:`~modradon.core.map_blocks`).  Returns the (rows,
+    2K+1) result and one report per row, in row order; a bad sample raises
+    the error of the first block, in row order, that holds one."""
     check_counts(K=K)
     width = rows.shape[1]
     end = base + width - 1

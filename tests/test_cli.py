@@ -294,6 +294,23 @@ class TestPipelineCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_amplitude_below_the_threshold_runs_order_0(self, tmp_path, capsys):
+        # beta is about 0.54: no sample can fold at lam=2
+        out = tmp_path / "p"
+        assert run(["pipeline", "--omega", 20, "--lam", 2, "--angles", 8, "--size", 16,
+                    "--outdir", out]) == 0
+        assert " N=0 " in capsys.readouterr().out
+
+    def test_margin_past_the_scan_exits_2_with_its_cause(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        code = run(["pipeline", "--omega", 20, "--lam", 0.02, "--t-frac", 0.999,
+                    "--angles", 4, "--size", 16, "--outdir", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ("error: margin K'=3320 (order N=3257, exceedance index 63) exceeds the "
+                "scanned range [-218, 218]; use a smaller t_frac or a larger lam") in err
+        assert "Traceback" not in err
+
     def test_outputs_and_determinism(self, tmp_path):
         out1 = tmp_path / "run1"
         out2 = tmp_path / "run2"
@@ -315,7 +332,8 @@ class TestPipelineCommand:
 
     def test_threshold_far_above_the_amplitude(self, tmp_path):
         # beta/(2*lam) lies inside the rounding guard band: the grid bound is
-        # still one step of 2*lam, nothing folds, and the recovery is exact
+        # still one step of 2*lam, but nothing folds, so the order is 0 and
+        # the recovery is exact
         out = tmp_path / "p"
         assert run(["pipeline", "--omega", 20, "--lam", "1e300", "--size", 32,
                     "--tag", "t", "--outdir", out]) == 0
@@ -323,7 +341,7 @@ class TestPipelineCommand:
         metrics = dict(zip(header.split(","), row.split(",")))
         assert metrics["beta_grid"] == "2e+300"
         assert (metrics["N"], metrics["images_bit_identical"], metrics["success"]) == (
-            "1", "1", "1")
+            "0", "1", "1")
         clean, folded, unfolded = (load_sinogram(out / f"t_{name}.mrts")
                                    for name in ("sinogram", "modulo", "unfolded"))
         assert clean.rows.tobytes() == folded.rows.tobytes()

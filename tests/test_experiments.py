@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from modradon import experiments, forward
-from modradon.errors import ConfigError, DomainError, SizeError
-from modradon.forward import RandomBandlimitedSignal, SamplingParams, Sinogram
-from modradon.phantom import Ellipse, Phantom
+from modradon.errors import ConfigError, DomainError, MarginError, SizeError
+from modradon.forward import (
+    RandomBandlimitedSignal,
+    SamplingParams,
+    Sinogram,
+    fold_sinogram,
+    phantom_rows,
+    support_index,
+)
+from modradon.phantom import Ellipse, Phantom, shepp_logan, walnut_standin
 from oracles import demo_attempt_oracle, median3_oracle, sample_oracle, sweep_cell_oracle
 
 # (lam, omega, trials, tsteps, seed); the last cell's order 3*11 = 33 exceeds the
@@ -147,6 +154,33 @@ class TestPrepareForward:
         dim, dim_scale = experiments.prepare_forward(disk(0.001), **kw)
         assert (dim.params.K_prime, dim.params.N) == (unit.params.K_prime, unit.params.N)
         assert dim_scale == pytest.approx(0.001 * unit_scale)
+
+    @pytest.mark.parametrize("lam, N", [(1.02, 0), (1.005, 1)])
+    def test_order_0_exactly_when_no_sample_can_fold(self, lam, N):
+        # the normalised walnut stand-in has beta = 1, and its prefiltered rows
+        # reach 1.0137 at omega=20: at lam=1.005 beta is below lam, but some
+        # filtered samples fold, which order 0 would leave folded
+        res = experiments.run_pipeline(walnut_standin(), lam=lam, omega=20.0, M=8,
+                                       grid_size=16, normalize=True)
+        folds = not np.array_equal(fold_sinogram(res.clean).rows, res.clean.rows)
+        assert (res.params.beta, res.N, folds) == (1.0, N, N > 0)
+        assert res.success and res.sino_parity_max == 0.0
+
+    @pytest.mark.parametrize("sinogram_source", [False, True])
+    def test_margin_past_the_scan_names_its_cause(self, sinogram_source):
+        # at T = 0.999/(omega e) the order is 3257, far past the scanned lattice
+        T = 0.999 / (20.0 * np.e)
+        if sinogram_source:
+            K = support_index(T)
+            p = SamplingParams(omega=20.0, T=T, lam=0.02, K=K, K_prime=K, M=4)
+            source, kw = Sinogram(p, phantom_rows(shepp_logan(), T, 4)), {}
+            finer = "rows sampled at a finer T"
+        else:
+            source, kw, finer = shepp_logan(), dict(t_frac=0.999, M=4), "a smaller t_frac"
+        with pytest.raises(MarginError, match=r"^margin K'=3320 \(order N=3257, exceedance "
+                                              r"index 63\) exceeds the scanned range "
+                                              rf"\[-218, 218\]; use {finer} or a larger lam$"):
+            experiments.prepare_forward(source, lam=0.02, omega=20.0, **kw)
 
     def test_all_zero_source_cannot_normalize(self):
         with pytest.raises(ConfigError, match="all raw samples are zero"):

@@ -16,7 +16,7 @@ from modradon.core import map_blocks
 from modradon.errors import DomainError
 from modradon.experiments import prepare_forward
 from modradon.fbp import back_project
-from modradon.forward import SamplingParams, convolve_rows, fold_sinogram
+from modradon.forward import _CONV_ROWS, SamplingParams, convolve_rows, fold_sinogram
 from modradon.phantom import ImageGrid, shepp_logan
 from modradon.unfold import grid_upper_bound, select_order, unfold_sinogram
 from oracles import back_project_oracle, convolve_rows_oracle
@@ -59,6 +59,68 @@ class TestMapBlocks:
         meet = threading.Barrier(2, timeout=30)
         map_blocks(lambda s: meet.wait(), range(2))
 
+    def test_caller_works_beside_one_pool_thread(self, cpus):
+        cpus(2)
+        caller, before = threading.get_ident(), threading.active_count()
+        meet = threading.Barrier(2, timeout=30)
+        seen = []
+
+        def fn(s):
+            # two blocks in flight at once, so on two threads
+            meet.wait()
+            seen.append((threading.get_ident(), threading.active_count()))
+
+        map_blocks(fn, range(4))
+        threads = {t for t, _ in seen}
+        assert caller in threads and len(threads) == 2
+        assert max(n for _, n in seen) == before + 1
+
+    def test_error_of_a_block_the_caller_ran_loses_to_an_earlier_one(self, cpus):
+        # which thread takes block 0 is up to the scheduler: repeat until the
+        # caller has run block 1 while the pool thread ran block 0
+        cpus(2)
+        caller = threading.get_ident()
+        for _ in range(200):
+            meet = threading.Barrier(2, timeout=30)
+            ran = {}
+
+            def fn(s):
+                meet.wait()
+                ran[s] = threading.get_ident()
+                raise ValueError(f"block {s}")
+
+            with pytest.raises(ValueError, match="block 0"):
+                map_blocks(fn, range(2))
+            if ran[1] == caller:
+                break
+        else:
+            pytest.fail("the calling thread never ran block 1")
+
+    @pytest.mark.parametrize("n, blocks, workers", [(3, 7, 3), (4, 2, 2), (2, 1, 1),
+                                                    (1, 4, 1)])
+    def test_one_scratch_per_worker_built_on_the_caller(self, cpus, n, blocks, workers):
+        cpus(n)
+        caller = threading.get_ident()
+        built, used = [], []
+        # the first `workers` blocks are in flight at once, so every worker,
+        # and with it every scratch object, runs one of them
+        meet = threading.Barrier(workers, timeout=30)
+
+        def scratch():
+            built.append((threading.get_ident(), object()))
+            return built[-1][1]
+
+        def fn(s, obj):
+            assert len(built) == workers  # every object exists before any block runs
+            if s < workers:
+                meet.wait()
+            used.append(obj)
+            return s
+
+        assert map_blocks(fn, range(blocks), scratch) == list(range(blocks))
+        assert [t for t, _ in built] == [caller] * workers
+        assert {id(o) for o in used} == {id(o) for _, o in built}
+
     def test_first_error_in_block_order_wins(self, cpus):
         cpus(2)
         later_failed = threading.Event()
@@ -80,16 +142,19 @@ class TestMapBlocks:
 class TestSameBitsOnAnyCpuCount:
     # shapes whose last band or block is short: 257 and 300 image rows are
     # bands of 128, 128 and 1 or 44; 37 rows are convolution blocks of 16, 16
-    # and 5; 70 angle rows are unfold blocks of 32, 32 and 6
+    # and 5; 70 angle rows are unfold blocks of 16, 16, 16, 16 and 6
 
     @staticmethod
     def _on_cpu_counts(cpus, run):
-        """``run()`` on one CPU, on the real CPUs, and on 8 threads that switch
-        every microsecond; the last two compared with the first, which is
-        returned.  Arrays are compared by their bytes, so -0.0 and +0.0 differ."""
+        """``run()`` on one CPU, on the real CPUs, on 3 CPUs, and on 8 threads
+        that switch every microsecond; the others compared with the first,
+        which is returned.  Arrays are compared by their bytes, so -0.0 and
+        +0.0 differ."""
         cpus(1)
         alone = run()
         cpus(None)
+        assert run() == alone
+        cpus(3)
         assert run() == alone
         cpus(8)
         interval = sys.getswitchinterval()
@@ -138,6 +203,21 @@ class TestSameBitsOnAnyCpuCount:
             peak = np.max(np.abs(full[:, cut:]), axis=0)
             assert alone == ((37, cut), full[:, :cut].tobytes(),
                              (width - cut,), peak.tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [5, 2 * _CONV_ROWS + 1])
+    def test_convolve_rows_reuses_worker_buffers(self, cpus, n, count):
+        # fewer rows than a block: one block in a buffer of its height;
+        # 2*_CONV_ROWS + 1 rows: three blocks, so on one or two CPUs a worker
+        # runs two of them, and the one-row last block may reuse a buffer
+        # whose padding the previous inverse FFT overwrote
+        rng = np.random.default_rng(3)
+        rows, kern = rng.normal(size=(count, 101)), rng.normal(size=151)
+        cpus(n)
+        kept, peak = convolve_rows(rows, kern, 50, 101, 60)
+        full = convolve_rows_oracle(rows, kern, 50, 101)
+        assert kept.tobytes() == full[:, :60].tobytes()
+        assert peak.tobytes() == np.max(np.abs(full[:, 60:]), axis=0).tobytes()
 
     @staticmethod
     def _folded(M=70, lam=0.05, omega=20.0):

@@ -59,11 +59,11 @@ def test_traced_calls_stay_on_the_calling_thread(monkeypatch, tmp_path):
 
     def watched(module, map_blocks):
         def on_block(fn):
-            def run(start):
+            def run(start, *scratch):
                 block_threads[module].add(threading.get_ident())
-                return fn(start)
+                return fn(start, *scratch)
             return run
-        return lambda fn, starts: map_blocks(on_block(fn), starts)
+        return lambda fn, starts, *scratch: map_blocks(on_block(fn), starts, *scratch)
 
     for owner, attr, name, _ in _patch_table():
         monkeypatch.setattr(owner, attr, guarded(name, owner.__dict__[attr]))
@@ -210,9 +210,9 @@ def test_benchmark_tracer_counts_a_sweep():
 
 
 def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
-    # one compact_counts call per block of 32 angle rows: a per-row loop
-    # would make one call per row.  Blocks may run concurrently, so only the
-    # sizes are compared, not the order of the calls
+    # one compact_counts call per block of _UNFOLD_ROWS angle rows: a per-row
+    # loop would make one call per row.  Blocks may run concurrently, so only
+    # the sizes are compared, not the order of the calls
     blocks = []
     inner = unfold.compact_counts
 
@@ -223,7 +223,8 @@ def test_pipeline_unfolds_row_blocks_through_compact_counts(monkeypatch):
     monkeypatch.setattr(unfold, "compact_counts", counting)
     res = experiments.run_pipeline(shepp_logan(), lam=0.05, omega=20.0, M=130, grid_size=16)
     assert res.success
-    assert sorted(blocks) == [2, 32, 32, 32, 32]
+    rows = unfold._UNFOLD_ROWS
+    assert 130 % rows and sorted(blocks) == [130 % rows] + [rows] * (130 // rows)
 
 
 def test_sweep_samples_each_lattice_point_once(monkeypatch):
